@@ -161,6 +161,14 @@ def _add_algebra_opts(ap: argparse.ArgumentParser) -> None:
     )
 
 
+def positive_int(text: str) -> int:
+    """Argument type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
     g = ap.add_argument_group("checking strategy")
     g.add_argument(
@@ -169,7 +177,9 @@ def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
         default="auto",
         help="exhaustive enumeration, random sampling, or per-check choice (default)",
     )
-    g.add_argument("--samples", type=int, default=100_000, help="sample count (default 100000)")
+    g.add_argument(
+        "--samples", type=positive_int, default=100_000, help="sample count (default 100000)"
+    )
     g.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     g.add_argument(
         "--cap",
@@ -177,7 +187,6 @@ def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
         default=None,
         help="largest valuation space enumerated (auto falls back to sampling above it)",
     )
-    g.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
 
 
 def _add_output_opts(ap: argparse.ArgumentParser) -> None:
@@ -226,7 +235,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
 
 def _cmd_check_laws(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
-    rep = run_law_suite(alg, args.suite, _strategy(args), args.jobs)
+    rep = run_law_suite(alg, args.suite, _strategy(args))
     human = [f"{args.suite} suite on {alg.name}  [{_short_fp(alg)}]"]
     for law, v in rep.entries:
         of = f"/{v.space}" if v.space is not None else ""
@@ -247,7 +256,7 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
-    cls = classify(alg, _strategy(args), args.jobs)
+    cls = classify(alg, _strategy(args))
     human = [f"{alg.name}: {cls.class_name}"]
     if cls.witness is not None:
         human.append(f"  witness law: {cls.witness_law}")
@@ -334,7 +343,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             sorts[name] = sort
     hyps = tuple(_parse_cli_equation(h, sorts) for h in args.hyp or ())
     concl = _parse_cli_equation(args.concl, sorts)
-    v = check_quasi_equation(alg, hyps, concl, _strategy(args), args.jobs)
+    v = check_quasi_equation(alg, hyps, concl, _strategy(args))
     stmt = (" & ".join(h.render() for h in hyps) + "  ⊢  " if hyps else "") + concl.render()
     human = [f"{stmt}   on {alg.name}", *_verdict_lines(v)]
     payload = {
@@ -372,7 +381,7 @@ def _cmd_rule(args: argparse.Namespace) -> int:
         known = ", ".join(r.cli_name for r in _all_rules())
         raise ValueError(f"unknown rule {args.name!r}; known rules: {known}")
     alg = _algebra_from(args)
-    v = check_rule(alg, rule, _strategy(args), args.jobs)
+    v = check_rule(alg, rule, _strategy(args))
     human = [f"{rule.name}: {rule.render()}", f"on {alg.name}:", *_verdict_lines(v)]
     payload = {
         "command": args.command_echo,
@@ -388,7 +397,7 @@ def _cmd_rule(args: argparse.Namespace) -> int:
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
-    rep = commutation_conditions(alg, _strategy(args), args.jobs, b_over=args.b_over)
+    rep = commutation_conditions(alg, _strategy(args), b_over=args.b_over)
     human = [f"commutation conditions on {alg.name} (b over {args.b_over})"]
     ok = True
     for src, dst, v in rep.entries:
@@ -401,7 +410,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 def _cmd_demorgan(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
-    v = check_demorgan(alg, _strategy(args), args.jobs)
+    v = check_demorgan(alg, _strategy(args))
     human = [f"!(a+b) = !a;!b   on {alg.name}", *_verdict_lines(v)]
     payload = {
         "command": args.command_echo,
@@ -416,7 +425,7 @@ def _cmd_demorgan(args: argparse.Namespace) -> int:
 def _cmd_denest(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
     try:
-        rep = denesting_equivalence(alg, _strategy(args), args.jobs)
+        rep = denesting_equivalence(alg, _strategy(args))
     except PreconditionError as exc:
         _emit(
             args,
@@ -455,7 +464,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         payload["out"] = args.out
     code = 0
     if args.suite is not None:
-        rep = run_law_suite(alg, args.suite, _strategy(args), args.jobs)
+        rep = run_law_suite(alg, args.suite, _strategy(args))
         payload["report"] = rep.to_dict()
         for law, v in rep.entries:
             human.append(f"  {law.name:<18} {_STATUS_WORD[v.status]}")

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 from .algebra import (
     Algebra,
     DivergenceError,
+    DomainError,
     FiniteAlgebra,
     ProceduralAlgebra,
     SizeError,
@@ -62,13 +63,15 @@ def _resolve_test_sort(
     """
     if talg is kalg:
         return kalg.test_indices, kalg.arrow
-    try:
-        t_to_k = tuple(kalg.resolve(talg.el_name(t)) for t in talg.elements())
-    except KeyError as exc:
-        raise ValueError(
-            f"test algebra {talg.name!r} has element {exc.args[0]!r} "
-            f"with no namesake in {kalg.name!r}"
-        ) from None
+    t_to_k = []
+    for name in talg.element_names:
+        try:
+            t_to_k.append(kalg.resolve(name))
+        except DomainError:
+            raise ValueError(
+                f"test algebra {talg.name!r} has element {name!r} "
+                f"with no namesake in {kalg.name!r}"
+            ) from None
     if t_to_k[talg.zero] != kalg.zero or t_to_k[talg.one] != kalg.one:
         raise ValueError(
             f"test algebra {talg.name!r} must share zero/one names with {kalg.name!r}"
@@ -127,6 +130,28 @@ def _enumerate_finite(
     )
 
 
+def _fits_cap(name: str, base: int, exp: int, cap: int, sampled: bool) -> bool:
+    """Whether a carrier of ``base ** exp`` elements fits under ``cap``.
+
+    The power is built only when its exponent is below the cap's bit length
+    (otherwise it is at least ``2 ** exp > cap``), so an oversized request
+    fails at once.  An oversized carrier raises ``SizeError`` unless
+    ``sampled``.
+    """
+    if base <= 1:
+        return True
+    if exp < cap.bit_length():
+        size = base**exp
+        if size <= cap:
+            return True
+        shown = str(size)
+    else:
+        shown = f"{base}^{exp}"
+    if not sampled:
+        raise SizeError(f"{name}: carrier size {shown} exceeds cap {cap}")
+    return False
+
+
 def _require_finite(base: Algebra, what: str) -> FiniteAlgebra:
     if not base.finite:
         raise ValueError(f"{what} needs a finite base algebra, got {base.name!r}")
@@ -145,6 +170,7 @@ def fset_algebra(
         raise ValueError("fset needs at least one point")
     tests = base.tests()
     name = f"fset:{base.name}:{points}"
+    finite = _fits_cap(name, len(tests), points, cap, sampled)
     zero = (base.zero,) * points
     one = (base.one,) * points
 
@@ -163,14 +189,11 @@ def fset_algebra(
     def el_name(v):
         return "(" + ",".join(base.el_name(a) for a in v) + ")"
 
-    size = len(tests) ** points
-    if size <= cap:
+    if finite:
         values = [tuple(v) for v in itertools.product(tests, repeat=points)]
         return _enumerate_finite(
             name, values, el_name, lambda v: True, zero, one, plus, seq, arrow, star
         )
-    if not sampled:
-        raise SizeError(f"{name}: carrier size {size} exceeds cap {cap}")
 
     def draw(rng: random.Random):
         return tuple(rng.choice(tests) for _ in range(points))
@@ -316,6 +339,7 @@ def frel_algebra(
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     t_test_set = frozenset(t_tests)
     name = f"frel:{kalg.name}:{talg.name}:{points}"
+    finite = _fits_cap(name, kalg.size, points * points, cap, sampled)
     zero = mat_zero(kalg, points)
     one = mat_identity(kalg, points)
 
@@ -347,15 +371,12 @@ def frel_algebra(
     def el_name(m: Matrix) -> str:
         return _mat_name(kalg, m)
 
-    size = kalg.size ** (points * points)
-    if size <= cap:
+    if finite:
         rows = itertools.product(kalg.elements(), repeat=points)
         values = [tuple(v) for v in itertools.product(list(rows), repeat=points)]
         return _enumerate_finite(
             name, values, el_name, is_test, zero, one, plus, seq, arrow, star
         )
-    if not sampled:
-        raise SizeError(f"{name}: carrier size {size} exceeds cap {cap}")
 
     def draw(rng: random.Random):
         els = range(kalg.size)
@@ -553,6 +574,7 @@ def mat_algebra(
     if n < 1:
         raise ValueError("mat needs n >= 1")
     name = f"mat:{base.name}:{n}"
+    finite = _fits_cap(name, base.size, n * n, cap, sampled)
     zero = mat_zero(base, n)
     one = mat_identity(base, n)
     test_set = frozenset(base.tests())
@@ -570,8 +592,7 @@ def mat_algebra(
             for i in range(n)
         )
 
-    size = base.size ** (n * n)
-    if size <= cap:
+    if finite:
         rows = itertools.product(base.elements(), repeat=n)
         values = [tuple(v) for v in itertools.product(list(rows), repeat=n)]
         return _enumerate_finite(
@@ -586,8 +607,6 @@ def mat_algebra(
             arrow,
             lambda m: mat_star(base, m),
         )
-    if not sampled:
-        raise SizeError(f"{name}: carrier size {size} exceeds cap {cap}")
 
     def draw(rng: random.Random) -> Matrix:
         if rng.random() < 0.25:

@@ -212,13 +212,12 @@ def check_rule(
     alg: Algebra,
     rule: RuleSchema,
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
 ) -> Verdict:
-    return check_quasi_equation(alg, rule.hypotheses, rule.conclusion, strategy, jobs)
+    return check_quasi_equation(alg, rule.hypotheses, rule.conclusion, strategy)
 
 
 def triple_forms_equivalent(
-    alg: Algebra, strategy: Strategy = Exhaustive(), jobs: int = 1
+    alg: Algebra, strategy: Strategy = Exhaustive()
 ) -> tuple[Verdict, Verdict]:
     """Check that the two triple encodings agree pointwise.
 
@@ -228,8 +227,8 @@ def triple_forms_equivalent(
     generic = HoareTriple(_b, _pp, _c)
     as_leq = triple_to_equation(generic, "leq")
     as_eq = triple_to_equation(generic, "eq")
-    fwd = check_quasi_equation(alg, (as_leq,), as_eq, strategy, jobs)
-    bwd = check_quasi_equation(alg, (as_eq,), as_leq, strategy, jobs)
+    fwd = check_quasi_equation(alg, (as_leq,), as_eq, strategy)
+    bwd = check_quasi_equation(alg, (as_eq,), as_leq, strategy)
     return fwd, bwd
 
 
@@ -290,7 +289,6 @@ class CommutationReport:
 def commutation_conditions(
     alg: Algebra,
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
     b_over: str = "tests",
 ) -> CommutationReport:
     """Check all six implications between the guard-commutation conditions.
@@ -322,7 +320,6 @@ def commutation_conditions(
                 (conds[src],),
                 conds[dst],
                 strategy,
-                jobs,
                 variables=variables,
                 unchecked_arrow=unchecked,
             ),
@@ -338,10 +335,10 @@ def commutation_conditions(
 # --- De Morgan and denesting ----------------------------------------------
 
 
-def check_demorgan(alg: Algebra, strategy: Strategy = Exhaustive(), jobs: int = 1) -> Verdict:
+def check_demorgan(alg: Algebra, strategy: Strategy = Exhaustive()) -> Verdict:
     """Check !(a+b) = !a;!b over the tests."""
     return check_quasi_equation(
-        alg, (), DEMORGAN_LAW.conclusion, strategy, jobs, variables=DEMORGAN_LAW.variables
+        alg, (), DEMORGAN_LAW.conclusion, strategy, variables=DEMORGAN_LAW.variables
     )
 
 
@@ -401,7 +398,6 @@ class DenestReport:
 def denesting_equivalence(
     alg: Algebra,
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
     side_reports: Optional[Sequence[LawReport]] = None,
 ) -> DenestReport:
     """Check the loop-denesting transformation and its star identities.
@@ -416,8 +412,8 @@ def denesting_equivalence(
     fp = alg.fingerprint()
     if side_reports is None:
         sides = (
-            run_law_suite(alg, "igkat", strategy, jobs),
-            run_law_suite(alg, "demorgan", strategy, jobs),
+            run_law_suite(alg, "igkat", strategy),
+            run_law_suite(alg, "demorgan", strategy),
         )
     else:
         sides = tuple(side_reports)
@@ -443,7 +439,7 @@ def denesting_equivalence(
         )
     start = time.perf_counter()
     entries = tuple(
-        (name, eqn, check_quasi_equation(alg, (), eqn, strategy, jobs, variables=variables))
+        (name, eqn, check_quasi_equation(alg, (), eqn, strategy, variables=variables))
         for name, variables, eqn in _denesting_checks()
     )
     elapsed = int((time.perf_counter() - start) * 1000)

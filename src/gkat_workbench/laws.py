@@ -159,9 +159,9 @@ class LawReport:
         }
 
 
-def check_law(alg: Algebra, law: Law, strategy: Strategy = Exhaustive(), jobs: int = 1) -> Verdict:
+def check_law(alg: Algebra, law: Law, strategy: Strategy = Exhaustive()) -> Verdict:
     return check_quasi_equation(
-        alg, law.hypotheses, law.conclusion, strategy, jobs, variables=law.variables
+        alg, law.hypotheses, law.conclusion, strategy, variables=law.variables
     )
 
 
@@ -169,7 +169,6 @@ def run_law_suite(
     alg: Algebra,
     suite: Union[str, Sequence[Law]],
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
 ) -> LawReport:
     """Check every law of a suite against ``alg`` and report per-law verdicts."""
     if isinstance(suite, str):
@@ -184,7 +183,7 @@ def run_law_suite(
         laws = tuple(suite)
         suite_name = "custom"
     start = time.perf_counter()
-    entries = tuple((law, check_law(alg, law, strategy, jobs)) for law in laws)
+    entries = tuple((law, check_law(alg, law, strategy)) for law in laws)
     elapsed = int((time.perf_counter() - start) * 1000)
     return LawReport(
         alg.name, alg.fingerprint(), suite_name, describe_strategy(strategy), entries, elapsed
@@ -212,7 +211,7 @@ class Classification:
         return out
 
 
-def classify(alg: Algebra, strategy: Strategy = Auto(), jobs: int = 1) -> Classification:
+def classify(alg: Algebra, strategy: Strategy = Auto()) -> Classification:
     """Place ``alg`` in the strongest class whose laws all pass.
 
     Classes are tried strongest first (kat, then igkat, then gkat); the
@@ -220,14 +219,14 @@ def classify(alg: Algebra, strategy: Strategy = Auto(), jobs: int = 1) -> Classi
     pass, e.g. the test-idempotence counterexample for an algebra that is
     graded but not idempotent.
     """
-    base = run_law_suite(alg, "gkat", strategy, jobs)
+    base = run_law_suite(alg, "gkat", strategy)
     if not base.ok:
         law, verdict = base.failing()[0]
         return Classification(alg.name, "NotGKAT", law.name, verdict, base)
-    idem = check_law(alg, TEST_IDEM_LAW, strategy, jobs)
+    idem = check_law(alg, TEST_IDEM_LAW, strategy)
     if not idem.ok:
         return Classification(alg.name, "GKAT-not-IGKAT", TEST_IDEM_LAW.name, idem, base)
-    excl = check_law(alg, EXCLUDED_MIDDLE_LAW, strategy, jobs)
+    excl = check_law(alg, EXCLUDED_MIDDLE_LAW, strategy)
     if not excl.ok:
         return Classification(alg.name, "IGKAT-not-KAT", EXCLUDED_MIDDLE_LAW.name, excl, base)
     return Classification(alg.name, "KAT", None, None, base)

@@ -13,20 +13,37 @@ index).  Three strategies exist:
 * ``Auto(cap, samples, seed)`` -- per check: exhaustive when the valuation
   space fits under ``cap``, sampled otherwise.
 
-Sampled valuations are generated up front from the seed, so results are
-identical for any worker count; with ``jobs > 1`` the valuation space is
-partitioned into contiguous chunks and the failure with the smallest
-global index wins.  Terms are evaluated by structural recursion memoised
-on (subterm, restriction of the valuation to its free variables).
+Each check is compiled into one Python function (see ``_Compiler``):
+
+* An exhaustive check becomes nested loops, one per variable the check
+  uses, in variable order.  Each structurally distinct subterm is computed
+  at the outermost loop that binds all of its free variables, by indexing
+  the algebra's operation tables; a table row is taken as soon as its left
+  operand is known.  A hypothesis is tested at the first loop where it is
+  decided, and skips the inner loops when it fails.  The rank of a failure
+  follows from the loop indices.
+* A sampled check runs the same body in one loop over valuation tuples
+  drawn up front from the seed.  On procedural carriers the body calls
+  ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables.
+
+Evaluation order: only pure table lookups are hoisted.  Whatever can
+raise -- every procedural operation, and the guarded arrow on an operand
+that is not test-sorted -- runs in the innermost loop, left to right: a
+hypothesis's terms are computed just before that hypothesis is tested, and
+the conclusion's terms only once every hypothesis holds.  A check therefore
+raises exactly where evaluating each valuation in turn would.
+
+``eval_term`` and the values reported with a counterexample use a plain
+recursive evaluator, which is also the reference the tests hold the
+compiled checks to.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, AlgebraError, Element, SizeError, SortError
 from .terms import Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, pretty
@@ -50,6 +67,11 @@ class Equation:
         return f"{pretty(self.lhs)} {REL_SYMBOL[self.rel]} {pretty(self.rhs)}"
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {samples}")
+
+
 @dataclass(frozen=True)
 class Exhaustive:
     cap: int = 10**8
@@ -60,12 +82,18 @@ class Sampled:
     samples: int = 100_000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _require_samples(self.samples)
+
 
 @dataclass(frozen=True)
 class Auto:
     cap: int = 100_000
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_samples(self.samples)
 
 
 Strategy = Union[Exhaustive, Sampled, Auto]
@@ -87,8 +115,8 @@ class Verdict:
     """Outcome of one check.
 
     ``checked`` counts valuations examined up to and including the
-    counterexample (so it is reproducible for any worker count); on a pass
-    it equals the number of valuations visited.  ``space`` is the full
+    counterexample (its rank in enumeration or draw order, plus one); on a
+    pass it equals the number of valuations visited.  ``space`` is the full
     valuation-space size when enumerable, else None.
     """
 
@@ -118,64 +146,31 @@ class Verdict:
         return out
 
 
-_MISS = object()
+def _evaluate(alg: Algebra, t: Term, val: Mapping[str, Element], unchecked_arrow: bool) -> Element:
+    """Plain structural recursion, left operand first."""
 
-
-class _Evaluator:
-    """Structural-recursion evaluator with per-run memoisation."""
-
-    __slots__ = ("alg", "cache", "_fv", "unchecked_arrow")
-
-    def __init__(self, alg: Algebra, unchecked_arrow: bool = False):
-        self.alg = alg
-        self.cache: dict = {}
-        self._fv: dict[int, tuple[str, ...]] = {}
-        self.unchecked_arrow = unchecked_arrow
-
-    def fv(self, t: Term) -> tuple[str, ...]:
-        names = self._fv.get(id(t))
-        if names is None:
-            names = tuple(v.name for v in free_vars(t))
-            self._fv[id(t)] = names
-        return names
-
-    def run(self, t: Term, val: Mapping[str, Element]) -> Element:
-        key = (id(t), tuple(val[n] for n in self.fv(t)))
-        hit = self.cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        alg = self.alg
-        match t:
+    def ev(u: Term) -> Element:
+        match u:
             case Var(name, _):
-                out = val[name]
+                return val[name]
             case Zero():
-                out = alg.zero
+                return alg.zero
             case One():
-                out = alg.one
+                return alg.one
             case Plus(l, r):
-                out = alg.plus(self.run(l, val), self.run(r, val))
+                return alg.plus(ev(l), ev(r))
             case Seq(l, r):
-                out = alg.seq(self.run(l, val), self.run(r, val))
+                return alg.seq(ev(l), ev(r))
             case Star(inner):
-                out = alg.star(self.run(inner, val))
+                return alg.star(ev(inner))
             case Arrow(l, r):
-                a = self.run(l, val)
-                b = self.run(r, val)
-                if self.unchecked_arrow and alg.finite:
-                    out = alg.arrow_unchecked(a, b)
-                else:
-                    out = alg.arrow(a, b)
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        self.cache[key] = out
-        return out
+                a, b = ev(l), ev(r)
+                if unchecked_arrow and alg.finite:
+                    return alg.arrow_unchecked(a, b)
+                return alg.arrow(a, b)
+        raise TypeError(f"not a term: {u!r}")
 
-    def holds(self, eqn: Equation, val: Mapping[str, Element]) -> bool:
-        l = self.run(eqn.lhs, val)
-        r = self.run(eqn.rhs, val)
-        if eqn.rel == "eq":
-            return l == r
-        return self.alg.plus(l, r) == r
+    return ev(t)
 
 
 def eval_term(
@@ -195,7 +190,154 @@ def eval_term(
                 f"variable {v.name!r} is test-sorted but {alg.el_name(el)!r}"
                 f" is not a test of {alg.name!r}"
             )
-    return _Evaluator(alg, unchecked_arrow).run(t, valuation)
+    return _evaluate(alg, t, valuation, unchecked_arrow)
+
+
+# -- compilation -------------------------------------------------------------
+
+# Most loops a compiled exhaustive check nests; further variables are bound
+# together by one loop over their product (CPython allows 20 nested blocks).
+_MAX_LOOPS = 10
+
+
+class _Compiler:
+    """Writes one check as the source of a function ``check``.
+
+    A node is a structurally distinct subterm, or a table row hoisted out of
+    a lookup.  Node ``i`` is named ``x<j>`` (the j-th variable), ``zero``,
+    ``one`` or ``t<i>``, and is computed at loop ``level[i]`` (-1: before
+    the first loop).  A pure node -- a table lookup -- sits at the deepest
+    loop of its operands; any other node sits in the innermost loop.  The
+    source holds only these generated names, the parameter names and
+    integers, never a variable or element name.
+    """
+
+    def __init__(self, alg: Algebra, variables, unchecked_arrow: bool, var_level, inner: int):
+        self.finite = alg.finite
+        # Like the evaluator, read the stored arrow table only on finite algebras.
+        self.unchecked = unchecked_arrow and alg.finite
+        self.var_pos = {v.name: (j, v.sort) for j, v in enumerate(variables)}
+        self.var_level = var_level
+        self.inner = inner
+        self.ids: dict[tuple, int] = {}
+        self.name: list[str] = []
+        self.expr: list[Optional[str]] = []  # None for variables and constants
+        self.kids: list[tuple[int, ...]] = []
+        self.level: list[int] = []
+        self.pure: list[bool] = []  # no node of the subterm can raise
+        self.is_test: list[bool] = []  # value is a test whenever it is computed
+
+    def _add(self, key, expr, kids, pure, is_test, name=None, level=None) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.name)
+            pure = pure and all(self.pure[k] for k in kids)
+            if level is None:
+                level = max((self.level[k] for k in kids), default=-1) if pure else self.inner
+            self.name.append(name or f"t{i}")
+            self.expr.append(expr)
+            self.kids.append(kids)
+            self.level.append(level)
+            self.pure.append(pure)
+            self.is_test.append(is_test)
+        return i
+
+    def _lookup(self, table: str, a: int, b: int, is_test: bool) -> int:
+        if self.level[a] < self.level[b]:
+            row = self._add(("row", table, a), f"{table}[{self.name[a]}]", (a,), True, False)
+            expr, kids = f"{self.name[row]}[{self.name[b]}]", (row, b)
+        else:
+            expr, kids = f"{table}[{self.name[a]}][{self.name[b]}]", (a, b)
+        return self._add((table, a, b), expr, kids, True, is_test)
+
+    def _call(self, fn: str, *kids: int) -> int:
+        args = ", ".join(self.name[k] for k in kids)
+        return self._add((fn, *kids), f"{fn}({args})", kids, False, False)
+
+    def _binary(self, fn: str, table: str, a: int, b: int) -> int:
+        if self.finite:
+            return self._lookup(table, a, b, self.is_test[a] and self.is_test[b])
+        return self._call(fn, a, b)
+
+    def node(self, t: Term) -> int:
+        match t:
+            case Var(name, _):
+                if name not in self.var_pos:
+                    raise AlgebraError(f"no binding for variable {name!r}")
+                j, sort = self.var_pos[name]
+                return self._add(("var", j), None, (), True, sort is Sort.TEST, f"x{j}",
+                                 self.var_level[j])
+            case Zero():
+                return self._add(("zero",), None, (), True, True, "zero")
+            case One():
+                return self._add(("one",), None, (), True, True, "one")
+            case Plus(l, r):
+                return self._binary("plus", "P", self.node(l), self.node(r))
+            case Seq(l, r):
+                return self._binary("seq", "S", self.node(l), self.node(r))
+            case Star(inner):
+                a = self.node(inner)
+                if self.finite:
+                    return self._add(("T", a), f"T[{self.name[a]}]", (a,), True, False)
+                return self._call("star", a)
+            case Arrow(l, r):
+                a, b = self.node(l), self.node(r)
+                tests = self.is_test[a] and self.is_test[b]
+                # The guarded arrow cannot raise between operands that are tests.
+                if self.finite and (self.unchecked or tests):
+                    return self._lookup("A", a, b, tests)
+                return self._call("arrow", a, b)
+        raise TypeError(f"not a term: {t!r}")
+
+    def equation(self, eqn: Equation) -> tuple[int, int]:
+        """The two nodes the equation compares; ``a <= b`` compares a + b with b."""
+        a, b = self.node(eqn.lhs), self.node(eqn.rhs)
+        if eqn.rel == "leq":
+            a = self._binary("plus", "P", a, b)
+        return a, b
+
+    def _emit(self, i: int, level: int, done: list[bool], lines: list[str], pad: str) -> None:
+        """Append, in post-order, the statements of ``i``'s nodes placed at ``level``."""
+        if done[i]:
+            return
+        for k in self.kids[i]:
+            self._emit(k, level, done, lines, pad)
+        if self.level[i] == level:
+            lines.append(f"{pad}{self.name[i]} = {self.expr[i]}")
+            done[i] = True
+
+    def source(self, hypotheses, conclusion, headers: Sequence[str], fail: str, params) -> str:
+        """The function's source; ``headers[k]`` opens loop k, ``fail`` reports a failure."""
+        items = [self.equation(h) for h in hypotheses] + [self.equation(conclusion)]
+        # A hypothesis moves out to the loop where it is decided only when it
+        # and every hypothesis before it are pure, so that no evaluation that
+        # might raise is skipped.
+        test_at = []
+        hoist = True
+        for k, (a, b) in enumerate(items):
+            hoist = hoist and k < len(hypotheses) and self.pure[a] and self.pure[b]
+            test_at.append(max(self.level[a], self.level[b]) if hoist else self.inner)
+        done = [e is None for e in self.expr]
+        lines = [f"def check({', '.join(params)}):"]
+        for level in range(-1, self.inner + 1):
+            pad = "    " * (level + 2)
+            if level >= 0:
+                lines.append(pad[4:] + headers[level])
+            for k, (a, b) in enumerate(items):
+                if test_at[k] == level:
+                    self._emit(a, level, done, lines, pad)
+                    self._emit(b, level, done, lines, pad)
+                    if k == len(hypotheses):
+                        leave = fail
+                    else:
+                        leave = "continue" if level >= 0 else "return None"
+                    lines.append(f"{pad}if not {self.name[a]} == {self.name[b]}:")
+                    lines.append(f"{pad}    {leave}")
+            for a, b in items:  # what the inner loops need from this one
+                self._emit(a, level, done, lines, pad)
+                self._emit(b, level, done, lines, pad)
+        lines.append("    return None")
+        return "\n".join(lines) + "\n"
 
 
 # -- valuation enumeration --------------------------------------------------
@@ -256,29 +398,25 @@ class _Check:
     variables: tuple[Var, ...]
     unchecked_arrow: bool = False
 
-    def _chunk(self, valuations: Iterable[tuple], base_rank: int):
-        """Scan one chunk; return (fail_rank, vals) or (None, count)."""
-        ev = _Evaluator(self.alg, self.unchecked_arrow)
-        names = tuple(v.name for v in self.variables)
-        count = 0
-        for vals in valuations:
-            val = dict(zip(names, vals))
-            ok = True
-            for hyp in self.hypotheses:
-                if not ev.holds(hyp, val):
-                    ok = False
-                    break
-            if ok and not ev.holds(self.conclusion, val):
-                return base_rank + count, vals
-            count += 1
-        return None, count
+    def _run_compiled(self, var_level, headers: Sequence[str], fail: str, data: dict):
+        """Compile the check with the given loops and run it over ``data``."""
+        alg = self.alg
+        params = dict(data, zero=alg.zero, one=alg.one, product=iproduct)
+        if alg.finite:
+            params.update(P=alg.plus_table, S=alg.seq_table, A=alg.arrow_table, T=alg.star_table)
+        params.update(plus=alg.plus, seq=alg.seq, star=alg.star, arrow=alg.arrow)
+        compiler = _Compiler(alg, self.variables, self.unchecked_arrow, var_level, len(headers) - 1)
+        source = compiler.source(self.hypotheses, self.conclusion, headers, fail, tuple(params))
+        namespace: dict = {}
+        exec(source, namespace)
+        # Popped, so that the function and its globals form no reference cycle.
+        return namespace.pop("check")(**params)
 
     def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
         alg = self.alg
         val = {v.name: el for v, el in zip(self.variables, vals)}
-        ev = _Evaluator(alg, self.unchecked_arrow)
-        lhs_val = ev.run(self.conclusion.lhs, val)
-        rhs_val = ev.run(self.conclusion.rhs, val)
+        lhs_val = _evaluate(alg, self.conclusion.lhs, val, self.unchecked_arrow)
+        rhs_val = _evaluate(alg, self.conclusion.rhs, val, self.unchecked_arrow)
         return Verdict(
             status="refuted",
             mode=mode,
@@ -289,26 +427,7 @@ class _Check:
             rhs_value=alg.el_name(rhs_val),
         )
 
-    def _run_chunks(self, chunks, mode: str, space, passed_status: str, total: int, jobs: int) -> Verdict:
-        # chunks: list of (base_rank, iterable-of-valuation-tuples)
-        results = []
-        if jobs > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(self._chunk, it, base) for base, it in chunks]
-                results = [f.result() for f in futures]
-        else:
-            for base, it in chunks:
-                res = self._chunk(it, base)
-                results.append(res)
-                if res[0] is not None:
-                    break
-        failures = [(rank, vals) for rank, vals in results if rank is not None]
-        if failures:
-            rank, vals = min(failures, key=lambda rv: rv[0])
-            return self._verdict_for_failure(rank, vals, mode, space)
-        return Verdict(status=passed_status, mode=mode, checked=total, space=space)
-
-    def run_exhaustive(self, cap: int, jobs: int) -> Verdict:
+    def run_exhaustive(self, cap: int) -> Verdict:
         alg = self.alg
         if not alg.finite:
             raise AlgebraError(
@@ -321,23 +440,33 @@ class _Check:
                 f"valuation space of size {space} exceeds the exhaustive cap {cap};"
                 " use a sampled strategy"
             )
-        if not domains:
-            chunks = [(0, iter([()]))]
-            return self._run_chunks(chunks, "exhaustive", space, "valid", space, 1)
-        first = list(domains[0])
-        rest = [list(d) for d in domains[1:]]
-        rest_size = _space_size(rest)
-        njobs = max(1, min(jobs, len(first)))
-        per = (len(first) + njobs - 1) // njobs
-        chunks = []
-        for w in range(njobs):
-            lo, hi = w * per, min((w + 1) * per, len(first))
-            if lo >= hi:
-                continue
-            chunks.append((lo * rest_size, iproduct(first[lo:hi], *rest)))
-        return self._run_chunks(chunks, "exhaustive", space, "valid", space, jobs)
+        # A variable no term mentions gets no loop: the first failure, if
+        # any, binds it to the first element of its domain.
+        names = {v.name for e in (*self.hypotheses, self.conclusion)
+                 for t in (e.lhs, e.rhs) for v in free_vars(t)}
+        used = [j for j, v in enumerate(self.variables) if v.name in names]
+        loops = [[j] for j in used]
+        if len(loops) > _MAX_LOOPS:
+            loops[_MAX_LOOPS - 1:] = [used[_MAX_LOOPS - 1:]]
+        headers = [
+            f"for x{g[0]} in D{g[0]}:" if len(g) == 1 else
+            f"for {', '.join(f'x{j}' for j in g)} in product({', '.join(f'D{j}' for j in g)}):"
+            for g in loops
+        ]
+        var_level = {j: k for k, g in enumerate(loops) for j in g}
+        fail = "return (" + "".join(f"x{j}, " for j in used) + ")"
+        hit = self._run_compiled(var_level, headers, fail, {f"D{j}": domains[j] for j in used})
+        if hit is None:
+            return Verdict(status="valid", mode="exhaustive", checked=space, space=space)
+        vals = [dom[0] for dom in domains]
+        for j, el in zip(used, hit):
+            vals[j] = el
+        rank = 0
+        for dom, el in zip(domains, vals):
+            rank = rank * len(dom) + dom.index(el)
+        return self._verdict_for_failure(rank, tuple(vals), "exhaustive", space)
 
-    def run_sampled(self, samples: int, seed: int, jobs: int) -> Verdict:
+    def run_sampled(self, samples: int, seed: int) -> Verdict:
         alg = self.alg
         rng = random.Random(seed)
         prog_pool, test_pool = _sample_pools(alg, rng)
@@ -346,30 +475,26 @@ class _Check:
         domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
         space = _space_size(_finite_domains(alg, self.variables)) if alg.finite else None
         valuations = [tuple(rng.choice(dom) for dom in domains) for _ in range(samples)]
-        njobs = max(1, min(jobs, samples)) if samples else 1
-        per = (samples + njobs - 1) // njobs if samples else 1
-        chunks = []
-        for w in range(njobs):
-            lo, hi = w * per, min((w + 1) * per, samples)
-            if lo >= hi:
-                continue
-            chunks.append((lo, iter(valuations[lo:hi])))
-        if not chunks:
-            chunks = [(0, iter([]))]
-        return self._run_chunks(chunks, "sampled", space, "sampled-valid", samples, jobs)
+        targets = "".join(f"x{j}, " for j in range(len(self.variables)))
+        header = f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"
+        var_level = {j: 0 for j in range(len(self.variables))}
+        rank = self._run_compiled(var_level, [header], "return n", {"V": valuations})
+        if rank is None:
+            return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
+        return self._verdict_for_failure(rank, valuations[rank], "sampled", space)
 
-    def run(self, strategy: Strategy, jobs: int = 1) -> Verdict:
+    def run(self, strategy: Strategy) -> Verdict:
         match strategy:
             case Exhaustive(cap):
-                return self.run_exhaustive(cap, jobs)
+                return self.run_exhaustive(cap)
             case Sampled(samples, seed):
-                return self.run_sampled(samples, seed, jobs)
+                return self.run_sampled(samples, seed)
             case Auto(cap, samples, seed):
                 if self.alg.finite:
                     domains = _finite_domains(self.alg, self.variables)
                     if _space_size(domains) <= cap:
-                        return self.run_exhaustive(cap, jobs)
-                return self.run_sampled(samples, seed, jobs)
+                        return self.run_exhaustive(cap)
+                return self.run_sampled(samples, seed)
         raise TypeError(f"not a strategy: {strategy!r}")
 
 
@@ -377,12 +502,11 @@ def check_equation(
     alg: Algebra,
     equation: Equation,
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
     variables: Optional[Sequence[Var]] = None,
     unchecked_arrow: bool = False,
 ) -> Verdict:
     """Check one equation (or inequation) over all/sampled valuations."""
-    return check_quasi_equation(alg, (), equation, strategy, jobs, variables, unchecked_arrow)
+    return check_quasi_equation(alg, (), equation, strategy, variables, unchecked_arrow)
 
 
 def check_quasi_equation(
@@ -390,7 +514,6 @@ def check_quasi_equation(
     hypotheses: Sequence[Equation],
     conclusion: Equation,
     strategy: Strategy = Exhaustive(),
-    jobs: int = 1,
     variables: Optional[Sequence[Var]] = None,
     unchecked_arrow: bool = False,
 ) -> Verdict:
@@ -399,4 +522,4 @@ def check_quasi_equation(
     if variables is None:
         variables = _collect_variables(list(hyps) + [conclusion])
     chk = _Check(alg, hyps, conclusion, tuple(variables), unchecked_arrow)
-    return chk.run(strategy, jobs)
+    return chk.run(strategy)

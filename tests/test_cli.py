@@ -84,28 +84,6 @@ def test_check_laws_json_payload(capsys) -> None:
     assert {law["status"] for law in d["laws"]} == {"holds"}
 
 
-def test_json_reports_are_job_count_invariant(capsys) -> None:
-    runs = []
-    for jobs in ("1", "4"):
-        code, out, _ = run(
-            capsys,
-            "check-laws",
-            "--builtin",
-            "godel:5",
-            "--suite",
-            "gkat",
-            "--json",
-            "--jobs",
-            jobs,
-        )
-        assert code == 0
-        d = json.loads(out)
-        d.pop("elapsed_ms")
-        d.pop("command")
-        runs.append(d)
-    assert runs[0] == runs[1]
-
-
 def test_classify_human_and_json(capsys) -> None:
     code, out, _ = run(capsys, "classify", "--builtin", "chain3")
     assert code == 0
@@ -349,6 +327,26 @@ def test_unreadable_algebra_file_is_a_clean_error(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "classify", "--algebra", str(tmp_path / "no.alg"))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--builtin", "ex9", "--progs", "p", "--concl", "p;p = p",
+         "--mode", "sample", "--samples", "0"),
+        ("check-laws", "--builtin", "tropical", "--mode", "sample", "--samples", "-5"),
+    ],
+)
+def test_sample_counts_below_one_are_rejected(capsys, argv) -> None:
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "argument --samples: must be at least 1" in err
+
+
+def test_oversized_construct_names_the_spec_and_the_cap(capsys) -> None:
+    code, out, err = run(capsys, "construct", "mat:ex9:85")
+    assert code == 2 and out == ""
+    assert "mat:ex9:85: carrier size 4^7225 exceeds cap 4096" in err
 
 
 def test_exhaustive_mode_respects_the_cap(capsys) -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkat_workbench.algebra import DomainError, SizeError
+from gkat_workbench.algebra import SizeError
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
     flang_algebra,
@@ -162,10 +164,14 @@ def test_frel_separate_test_sort_maps_by_element_name() -> None:
     assert len(list(fr.tests())) == 4
 
 
-def test_frel_rejects_a_test_sort_with_foreign_names() -> None:
-    # ex9's n and m name nothing in bool2, so the embedding fails.
-    with pytest.raises(DomainError, match="has no element named"):
-        frel_algebra(make_builtin("bool2"), make_builtin("ex9"), 2)
+@pytest.mark.parametrize(
+    ("k", "t", "missing"),
+    [("bool2", "ex9", "n"), ("luka:2", "powerset:x", "{}")],
+)
+def test_frel_rejects_a_test_sort_with_foreign_names(k, t, missing) -> None:
+    # An element of T that names nothing in K stops the embedding.
+    with pytest.raises(ValueError, match=f"element '{re.escape(missing)}' with no namesake"):
+        frel_algebra(make_builtin(k), make_builtin(t), 1)
 
 
 def test_frel_needs_at_least_one_point() -> None:

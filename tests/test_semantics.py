@@ -1,6 +1,10 @@
-"""Checking engine: evaluation, enumeration, sampling, worker determinism."""
+"""Checking engine: evaluation, enumeration, sampling, compiled vs reference."""
 
 from __future__ import annotations
+
+import random
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +22,8 @@ from gkat_workbench import (
     eval_term,
     make_builtin,
 )
-from gkat_workbench.semantics import describe_strategy
-from gkat_workbench.terms import Sort, Var, parse_term
+from gkat_workbench.semantics import Verdict, _sample_pools, describe_strategy
+from gkat_workbench.terms import Arrow, One, Plus, Seq, Sort, Star, Var, Zero, parse_term
 
 SORTS = {name: Sort.TEST for name in "abcd"} | {name: Sort.PROGRAM for name in "pqrs"}
 
@@ -149,20 +153,146 @@ def test_describe_strategy_shapes():
     }
 
 
-# -- worker determinism ------------------------------------------------------
+@pytest.mark.parametrize("make", [lambda: Sampled(samples=0), lambda: Auto(samples=-5)])
+def test_sample_counts_below_one_are_rejected(make):
+    with pytest.raises(ValueError, match="at least 1"):
+        make()
 
 
-@pytest.mark.parametrize("jobs", [2, 3, 8])
-def test_jobs_do_not_change_the_verdict(jobs):
-    l4 = make_builtin("lemma4")
-    eqn = _eqn("p;q = q;p")
-    assert check_quasi_equation(l4, (), eqn, jobs=jobs) == check_equation(l4, eqn)
+def test_ill_sorted_arrow_behind_a_failing_hypothesis_is_never_evaluated():
+    # !p with p ranging over programs raises SortError once p is not a test,
+    # but the hypothesis 1 = 0 rejects every valuation first.
+    ex9 = make_builtin("ex9")
+    p = Var("p", Sort.PROGRAM)
+    bad = Equation(Arrow(p, Zero()), Arrow(p, Zero()))
+    never = _eqn("1 = 0")
+    for strategy in (Exhaustive(), Sampled(samples=50, seed=1)):
+        assert check_quasi_equation(ex9, (never,), bad, strategy).ok
+        # A later hypothesis that fails does not spare the evaluation of an earlier one.
+        for hyps in ((), (bad, never)):
+            with pytest.raises(SortError, match="arrow is defined only between tests"):
+                check_quasi_equation(ex9, hyps, bad, strategy)
 
 
-def test_jobs_on_valid_equation_agree_on_counts():
-    g5 = make_builtin("godel:5")
-    eqn = _eqn("p;(q+r) = p;q+p;r")
-    assert check_quasi_equation(g5, (), eqn, jobs=4) == check_equation(g5, eqn)
+# -- compiled checks against the reference evaluator --------------------------
+
+_TEST_VARS = {name: Var(name, Sort.TEST) for name in "ab"}
+_PROG_VARS = {name: Var(name, Sort.PROGRAM) for name in "pq"}
+_FINITE = ("bool2", "chain3", "ex9", "lemma4", "lemma6", "luka:3", "godel:3", "powerset:xy")
+
+
+@st.composite
+def _quasi_equations(draw, carrier: bool = False):
+    """0-2 hypotheses and a conclusion over at most three variables.
+
+    Arrows take test-sorted operands, except in carrier mode, where they
+    take any operand and read the stored arrow table.
+    """
+    names = draw(st.lists(st.sampled_from("abpq"), min_size=1, max_size=3, unique=True))
+    tests = [_TEST_VARS[n] for n in names if n in _TEST_VARS]
+    progs = [_PROG_VARS[n] for n in names if n in _PROG_VARS]
+    test_leaves = st.sampled_from([*tests, Zero(), One()])
+    test_terms = st.recursive(
+        test_leaves,
+        lambda t: st.one_of(st.builds(Plus, t, t), st.builds(Seq, t, t), st.builds(Arrow, t, t)),
+        max_leaves=5,
+    )
+    prog_leaves = st.one_of(test_terms, st.sampled_from(progs)) if progs else test_terms
+
+    def prog_ops(t):
+        ops = [st.builds(Plus, t, t), st.builds(Seq, t, t), st.builds(Star, t)]
+        if carrier:
+            ops.append(st.builds(Arrow, t, t))
+        return st.one_of(ops)
+
+    terms = st.recursive(prog_leaves, prog_ops, max_leaves=6)
+    eqns = st.builds(Equation, terms, terms, st.sampled_from(("eq", "leq")))
+    hyps = draw(st.lists(eqns, max_size=2))
+    variables = tuple(_TEST_VARS.get(n) or _PROG_VARS[n] for n in names)
+    return tuple(hyps), draw(eqns), variables
+
+
+def _reference(alg, hyps, concl, variables, valuations, mode, space, unchecked):
+    """The first failing valuation, found by evaluating each one in turn."""
+    names = [v.name for v in variables]
+
+    def holds(eqn, val):
+        lhs = eval_term(alg, eqn.lhs, val, unchecked)
+        rhs = eval_term(alg, eqn.rhs, val, unchecked)
+        return lhs == rhs if eqn.rel == "eq" else alg.plus(lhs, rhs) == rhs
+
+    count = 0
+    for vals in valuations:
+        val = dict(zip(names, vals))
+        if all(holds(h, val) for h in hyps) and not holds(concl, val):
+            return Verdict(
+                "refuted", mode, count + 1, space,
+                {n: alg.el_name(e) for n, e in val.items()},
+                alg.el_name(eval_term(alg, concl.lhs, val, unchecked)),
+                alg.el_name(eval_term(alg, concl.rhs, val, unchecked)),
+            )
+        count += 1
+    return Verdict("valid" if mode == "exhaustive" else "sampled-valid", mode, count, space)
+
+
+def _domains(alg, variables, progs, tests):
+    return [tests if v.sort is Sort.TEST else progs for v in variables]
+
+
+def _assert_agrees(alg, problem, strategy, unchecked=False):
+    hyps, concl, variables = problem
+    if isinstance(strategy, Exhaustive):
+        doms = _domains(alg, variables, alg.elements(), alg.tests())
+        valuations, mode = product(*doms), "exhaustive"
+    else:
+        rng = random.Random(strategy.seed)
+        doms = _domains(alg, variables, *_sample_pools(alg, rng))
+        valuations = [tuple(rng.choice(d) for d in doms) for _ in range(strategy.samples)]
+        mode = "sampled"
+    space = None
+    if alg.finite:
+        space = 1
+        for d in _domains(alg, variables, alg.elements(), alg.tests()):
+            space *= len(d)
+    try:
+        want = _reference(alg, hyps, concl, variables, valuations, mode, space, unchecked)
+    except Exception as exc:  # the compiled check must raise the same error
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            check_quasi_equation(alg, hyps, concl, strategy, variables, unchecked)
+        return
+    assert check_quasi_equation(alg, hyps, concl, strategy, variables, unchecked) == want
+
+
+def test_checks_with_more_variables_than_nested_loops():
+    # Twelve variables: the innermost loop binds the last three together.
+    ps = [Var(f"p{i}", Sort.PROGRAM) for i in range(12)]
+    total = ps[0]
+    for p in ps[1:]:
+        total = Plus(total, p)
+    tail = Seq(ps[11], ps[10])
+    concl = Equation(Plus(total, tail), Plus(tail, total))
+    _assert_agrees(make_builtin("bool2"), ((), concl, tuple(ps)), Exhaustive())
+    _assert_agrees(make_builtin("bool2"), ((), Equation(total, tail), tuple(ps)), Exhaustive())
+
+
+class TestCompiledAgainstReference:
+    """The compiled checks give the verdict that evaluating each valuation gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_FINITE), _quasi_equations())
+    def test_exhaustive_on_finite_tables(self, spec, problem):
+        _assert_agrees(make_builtin(spec), problem, Exhaustive())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(("product", "tropical", *_FINITE)), _quasi_equations(),
+           st.integers(0, 3))
+    def test_sampled(self, spec, problem, seed):
+        _assert_agrees(make_builtin(spec), problem, Sampled(samples=40, seed=seed))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(_FINITE), _quasi_equations(carrier=True))
+    def test_carrier_mode(self, spec, problem):
+        _assert_agrees(make_builtin(spec), problem, Exhaustive(), unchecked=True)
 
 
 class TestEngineAgreement:
