@@ -32,20 +32,18 @@ from .algebra import Algebra, AlgebraError, FiniteAlgebra
 from .algfile import dump_algebra, load_algebra
 from .constructions import flang_algebra, frel_algebra, fset_algebra, mat_algebra
 from .hoare import (
-    ANNIHILATION_BRIDGE,
-    RULES,
+    ALL_RULES,
     PreconditionError,
-    RuleSchema,
     check_demorgan,
     check_rule,
     commutation_conditions,
     denesting_equivalence,
+    rule_schema,
 )
 from .instances import BUILTIN_FORMS, make_builtin
-from .laws import SUITES, classify, run_law_suite
+from .laws import SUITES, classify, parse_equation, run_law_suite
 from .semantics import (
     Auto,
-    Equation,
     Exhaustive,
     Sampled,
     Verdict,
@@ -209,10 +207,6 @@ def _strategy(args: argparse.Namespace):
 _STATUS_WORD = {"valid": "Valid", "refuted": "Refuted", "sampled-valid": "Valid (sampled)"}
 
 
-def _short_fp(alg: Algebra) -> str:
-    return alg.fingerprint()[:19]
-
-
 def _verdict_lines(v: Verdict, indent: str = "  ") -> list[str]:
     of = f" of {v.space}" if v.space is not None else ""
     out = [f"{indent}{_STATUS_WORD[v.status]}  [{v.mode}, checked {v.checked}{of}]"]
@@ -236,7 +230,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
 def _cmd_check_laws(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
     rep = run_law_suite(alg, args.suite, _strategy(args))
-    human = [f"{args.suite} suite on {alg.name}  [{_short_fp(alg)}]"]
+    human = [f"{args.suite} suite on {alg.name}  [{rep.fingerprint[:19]}]"]
     for law, v in rep.entries:
         of = f"/{v.space}" if v.space is not None else ""
         human.append(
@@ -318,18 +312,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_cli_equation(text: str, sorts: dict[str, Sort]) -> Equation:
-    if "<=" in text:
-        lhs, rhs = text.split("<=", 1)
-        rel = "leq"
-    elif "=" in text:
-        lhs, rhs = text.split("=", 1)
-        rel = "eq"
-    else:
-        raise ValueError(f"equation needs '=' or '<=': {text!r}")
-    return Equation(parse_term(lhs, sorts), parse_term(rhs, sorts), rel)
-
-
 def _cmd_prove(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
     sorts: dict[str, Sort] = {}
@@ -341,8 +323,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             if name in sorts:
                 raise ValueError(f"variable {name!r} declared twice")
             sorts[name] = sort
-    hyps = tuple(_parse_cli_equation(h, sorts) for h in args.hyp or ())
-    concl = _parse_cli_equation(args.concl, sorts)
+    hyps = tuple(parse_equation(h, sorts) for h in args.hyp or ())
+    concl = parse_equation(args.concl, sorts)
     v = check_quasi_equation(alg, hyps, concl, _strategy(args))
     stmt = (" & ".join(h.render() for h in hyps) + "  ⊢  " if hyps else "") + concl.render()
     human = [f"{stmt}   on {alg.name}", *_verdict_lines(v)]
@@ -358,28 +340,17 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     return 0 if v.ok else 1
 
 
-def _all_rules() -> tuple[RuleSchema, ...]:
-    return (*RULES.values(), ANNIHILATION_BRIDGE)
-
-
 def _cmd_rule(args: argparse.Namespace) -> int:
     if args.list:
-        for rule in _all_rules():
+        for rule in ALL_RULES:
             print(f"{rule.cli_name:<28} {rule.render()}")
         return 0
     if args.name is None:
         raise ValueError("--name is required (or use --list)")
-    rule = next(
-        (
-            r
-            for r in _all_rules()
-            if args.name == r.name or args.name.lower() == r.cli_name
-        ),
-        None,
-    )
-    if rule is None:
-        known = ", ".join(r.cli_name for r in _all_rules())
-        raise ValueError(f"unknown rule {args.name!r}; known rules: {known}")
+    try:
+        rule = rule_schema(args.name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     alg = _algebra_from(args)
     v = check_rule(alg, rule, _strategy(args))
     human = [f"{rule.name}: {rule.render()}", f"on {alg.name}:", *_verdict_lines(v)]
@@ -446,11 +417,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     human = [f"{alg.name}: " + (f"{alg.size} elements" if alg.finite else "procedural")]
     if alg.finite:
         human[0] += f", {sum(1 for _ in alg.tests())} tests"
-    human.append(f"  fingerprint {alg.fingerprint()}")
+    fingerprint = alg.fingerprint()
+    human.append(f"  fingerprint {fingerprint}")
     payload: dict = {
         "command": args.command_echo,
         "algebra": alg.name,
-        "fingerprint": alg.fingerprint(),
+        "fingerprint": fingerprint,
         "finite": alg.finite,
     }
     if alg.finite:

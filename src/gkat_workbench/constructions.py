@@ -1,4 +1,4 @@
-"""Derived algebras: graded sets, graded relations, graded languages, matrices.
+"""Derived algebras: graded sets, matrices (graded relations), graded languages.
 
 Each construction is given by a small kernel of value-level operations over
 a finite base algebra.  When the derived carrier is small enough (``cap``)
@@ -11,20 +11,20 @@ Carriers and operations:
 
 * graded sets over points X: vectors in T^X, everything pointwise, star
   taken pointwise as the least fixpoint of s = 1 + t;s in the base;
-* graded relations over X: matrices in K^(X×X); composition is the
-  sum-of-products relational product, tests are diagonal T-valued
-  relations, the residual acts on the diagonal, star is the least
-  fixpoint of S = Id ∪ (M ∘ S);
+* n×n matrices over K with diagonal T-valued tests: ring-style
+  addition/multiplication, the residual acting on the diagonal, star by
+  two-by-two block recursion (Kozen's matrices over a Kleene algebra),
+  with an independent iterative fixpoint (``mat_star_iter``) kept as an
+  oracle.  Graded relations over n points (``frel:K:T:n``) and matrices
+  (``mat:K:n``, where T = K) are this one carrier: the relational product
+  is the matrix product and the relational star, the least fixpoint of
+  S = Id ∪ (M ∘ S), is the matrix star;
 * graded languages over an alphabet: finitely-supported maps from words
   to K, concatenation summing over every factorisation of a word
   (including the empty prefix and suffix); observation is cut off at
-  words of length ``maxlen``; always procedural;
-* n×n matrices over K: ring-style addition/multiplication, star by
-  two-by-two block recursion, with an independent iterative fixpoint
-  (``mat_star_iter``) kept as an oracle.
+  words of length ``maxlen``; always procedural.
 
-Relations and matrices share the value representation: a tuple of row
-tuples of base element indices.
+A matrix value is a tuple of row tuples of base element indices.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def fset_algebra(
     )
 
 
-# --- shared matrix arithmetic --------------------------------------------
+# --- matrix arithmetic ---------------------------------------------------
 
 
 def _msum(base: Algebra, items) -> int:
@@ -309,107 +309,6 @@ def mat_star(base: Algebra, m: Matrix) -> Matrix:
     dscf = mat_mul(base, mat_mul(base, ds, c), f)
     br = mat_add(base, ds, mat_mul(base, dscf, bds))
     return _assemble(f, tr, dscf, br)
-
-
-# --- graded relations -----------------------------------------------------
-
-
-def frel_compose(base: Algebra, mu: Matrix, nu: Matrix) -> Matrix:
-    """Relational product: (mu∘nu)(x,y) = Σ_z mu(x,z);nu(z,y)."""
-    return mat_mul(base, mu, nu)
-
-
-def frel_star(base: Algebra, mu: Matrix, max_steps: Optional[int] = None) -> Matrix:
-    """Least fixpoint of S = Id ∪ (mu ∘ S)."""
-    return mat_star_iter(base, mu, max_steps)
-
-
-def frel_algebra(
-    kalg: Algebra,
-    talg: Optional[Algebra] = None,
-    points: int = 2,
-    cap: int = DEFAULT_CAP,
-    sampled: bool = False,
-) -> Algebra:
-    """Relations X×X → K with diagonal T-valued tests."""
-    kalg = _require_finite(kalg, "frel")
-    talg = kalg if talg is None else _require_finite(talg, "frel")
-    if points < 1:
-        raise ValueError("frel needs at least one point")
-    t_tests, t_arrow = _resolve_test_sort(kalg, talg)
-    t_test_set = frozenset(t_tests)
-    name = f"frel:{kalg.name}:{talg.name}:{points}"
-    finite = _fits_cap(name, kalg.size, points * points, cap, sampled)
-    zero = mat_zero(kalg, points)
-    one = mat_identity(kalg, points)
-
-    def is_test(m: Matrix) -> bool:
-        return all(
-            (m[i][j] in t_test_set) if i == j else (m[i][j] == kalg.zero)
-            for i in range(points)
-            for j in range(points)
-        )
-
-    def arrow(s: Matrix, e: Matrix) -> Matrix:
-        return tuple(
-            tuple(
-                t_arrow(s[i][i], e[i][i]) if i == j else kalg.zero
-                for j in range(points)
-            )
-            for i in range(points)
-        )
-
-    def plus(a: Matrix, b: Matrix) -> Matrix:
-        return mat_add(kalg, a, b)
-
-    def seq(a: Matrix, b: Matrix) -> Matrix:
-        return frel_compose(kalg, a, b)
-
-    def star(m: Matrix) -> Matrix:
-        return frel_star(kalg, m)
-
-    def el_name(m: Matrix) -> str:
-        return _mat_name(kalg, m)
-
-    if finite:
-        rows = itertools.product(kalg.elements(), repeat=points)
-        values = [tuple(v) for v in itertools.product(list(rows), repeat=points)]
-        return _enumerate_finite(
-            name, values, el_name, is_test, zero, one, plus, seq, arrow, star
-        )
-
-    def draw(rng: random.Random):
-        els = range(kalg.size)
-        if rng.random() < 0.25:  # keep tests in the pool
-            return tuple(
-                tuple(rng.choice(t_tests) if i == j else kalg.zero for j in range(points))
-                for i in range(points)
-            )
-        return tuple(
-            tuple(rng.choice(els) for _ in range(points)) for _ in range(points)
-        )
-
-    return ProceduralAlgebra(
-        name=name,
-        zero=zero,
-        one=one,
-        plus_fn=plus,
-        seq_fn=seq,
-        star_fn=star,
-        arrow_fn=arrow,
-        test_pred=is_test,
-        samples=(zero, one),
-        draw=draw,
-        fmt=el_name,
-        member_pred=lambda m: isinstance(m, tuple)
-        and len(m) == points
-        and all(
-            isinstance(r, tuple)
-            and len(r) == points
-            and all(isinstance(x, int) and 0 <= x < kalg.size for x in r)
-            for r in m
-        ),
-    )
 
 
 # --- graded languages -----------------------------------------------------
@@ -563,7 +462,98 @@ def _draw_lang(
     return _lang_norm(base, items, maxlen)
 
 
-# --- matrices -------------------------------------------------------------
+# --- matrices and relations -----------------------------------------------
+
+
+def _matrix_algebra(
+    name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, cap: int, sampled: bool
+) -> Algebra:
+    """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests."""
+    t_tests, t_arrow = _resolve_test_sort(kalg, talg)
+    t_test_set = frozenset(t_tests)
+    finite = _fits_cap(name, kalg.size, n * n, cap, sampled)
+    zero = mat_zero(kalg, n)
+    one = mat_identity(kalg, n)
+
+    def is_test(m: Matrix) -> bool:
+        return all(
+            (m[i][j] in t_test_set) if i == j else (m[i][j] == kalg.zero)
+            for i in range(n)
+            for j in range(n)
+        )
+
+    def arrow(s: Matrix, e: Matrix) -> Matrix:
+        return tuple(
+            tuple(t_arrow(s[i][i], e[i][i]) if i == j else kalg.zero for j in range(n))
+            for i in range(n)
+        )
+
+    def plus(a: Matrix, b: Matrix) -> Matrix:
+        return mat_add(kalg, a, b)
+
+    def seq(a: Matrix, b: Matrix) -> Matrix:
+        return mat_mul(kalg, a, b)
+
+    def star(m: Matrix) -> Matrix:
+        return mat_star(kalg, m)
+
+    def el_name(m: Matrix) -> str:
+        return _mat_name(kalg, m)
+
+    if finite:
+        rows = itertools.product(kalg.elements(), repeat=n)
+        values = [tuple(v) for v in itertools.product(list(rows), repeat=n)]
+        return _enumerate_finite(
+            name, values, el_name, is_test, zero, one, plus, seq, arrow, star
+        )
+
+    def draw(rng: random.Random) -> Matrix:
+        if rng.random() < 0.25:  # keep tests in the pool
+            return tuple(
+                tuple(rng.choice(t_tests) if i == j else kalg.zero for j in range(n))
+                for i in range(n)
+            )
+        return tuple(
+            tuple(rng.randrange(kalg.size) for _ in range(n)) for _ in range(n)
+        )
+
+    return ProceduralAlgebra(
+        name=name,
+        zero=zero,
+        one=one,
+        plus_fn=plus,
+        seq_fn=seq,
+        star_fn=star,
+        arrow_fn=arrow,
+        test_pred=is_test,
+        samples=(zero, one),
+        draw=draw,
+        fmt=el_name,
+        member_pred=lambda m: isinstance(m, tuple)
+        and len(m) == n
+        and all(
+            isinstance(r, tuple)
+            and len(r) == n
+            and all(isinstance(x, int) and 0 <= x < kalg.size for x in r)
+            for r in m
+        ),
+    )
+
+
+def frel_algebra(
+    kalg: Algebra,
+    talg: Optional[Algebra] = None,
+    points: int = 2,
+    cap: int = DEFAULT_CAP,
+    sampled: bool = False,
+) -> Algebra:
+    """Relations X×X → K with diagonal T-valued tests (T defaults to K)."""
+    kalg = _require_finite(kalg, "frel")
+    talg = kalg if talg is None else _require_finite(talg, "frel")
+    if points < 1:
+        raise ValueError("frel needs at least one point")
+    name = f"frel:{kalg.name}:{talg.name}:{points}"
+    return _matrix_algebra(name, kalg, talg, points, cap, sampled)
 
 
 def mat_algebra(
@@ -573,69 +563,4 @@ def mat_algebra(
     base = _require_finite(base, "mat")
     if n < 1:
         raise ValueError("mat needs n >= 1")
-    name = f"mat:{base.name}:{n}"
-    finite = _fits_cap(name, base.size, n * n, cap, sampled)
-    zero = mat_zero(base, n)
-    one = mat_identity(base, n)
-    test_set = frozenset(base.tests())
-
-    def is_test(m: Matrix) -> bool:
-        return all(
-            (m[i][j] in test_set) if i == j else (m[i][j] == base.zero)
-            for i in range(n)
-            for j in range(n)
-        )
-
-    def arrow(s: Matrix, e: Matrix) -> Matrix:
-        return tuple(
-            tuple(base.arrow(s[i][i], e[i][i]) if i == j else base.zero for j in range(n))
-            for i in range(n)
-        )
-
-    if finite:
-        rows = itertools.product(base.elements(), repeat=n)
-        values = [tuple(v) for v in itertools.product(list(rows), repeat=n)]
-        return _enumerate_finite(
-            name,
-            values,
-            lambda m: _mat_name(base, m),
-            is_test,
-            zero,
-            one,
-            lambda a, b: mat_add(base, a, b),
-            lambda a, b: mat_mul(base, a, b),
-            arrow,
-            lambda m: mat_star(base, m),
-        )
-
-    def draw(rng: random.Random) -> Matrix:
-        if rng.random() < 0.25:
-            return tuple(
-                tuple(rng.choice(base.test_indices) if i == j else base.zero for j in range(n))
-                for i in range(n)
-            )
-        return tuple(
-            tuple(rng.randrange(base.size) for _ in range(n)) for _ in range(n)
-        )
-
-    return ProceduralAlgebra(
-        name=name,
-        zero=zero,
-        one=one,
-        plus_fn=lambda a, b: mat_add(base, a, b),
-        seq_fn=lambda a, b: mat_mul(base, a, b),
-        star_fn=lambda m: mat_star(base, m),
-        arrow_fn=arrow,
-        test_pred=is_test,
-        samples=(zero, one),
-        draw=draw,
-        fmt=lambda m: _mat_name(base, m),
-        member_pred=lambda m: isinstance(m, tuple)
-        and len(m) == n
-        and all(
-            isinstance(r, tuple)
-            and len(r) == n
-            and all(isinstance(x, int) and 0 <= x < base.size for x in r)
-            for r in m
-        ),
-    )
+    return _matrix_algebra(f"mat:{base.name}:{n}", base, base, n, cap, sampled)

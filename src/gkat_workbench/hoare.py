@@ -199,12 +199,16 @@ ANNIHILATION_BRIDGE = RuleSchema(
 )
 
 
+#: Every schema ``rule_schema`` finds and ``gkat rule --list`` prints.
+ALL_RULES: tuple[RuleSchema, ...] = (*RULES.values(), ANNIHILATION_BRIDGE)
+
+
 def rule_schema(name: str) -> RuleSchema:
     """Look up a rule by display name or CLI name (case-insensitive)."""
-    for rule in RULES.values():
+    for rule in ALL_RULES:
         if name == rule.name or name.lower() == rule.cli_name:
             return rule
-    known = ", ".join(r.cli_name for r in RULES.values())
+    known = ", ".join(r.cli_name for r in ALL_RULES)
     raise KeyError(f"unknown rule {name!r}; known rules: {known}")
 
 

@@ -1,29 +1,35 @@
-"""Built-in algebra instances.
+"""Built-in algebra instances, one builder per spec form.
 
-Two families live here.  The finite ones — the two- and three-element
-chains, powersets, the Łukasiewicz/Gödel subchains {0, 1/n, …, 1}, the
-Wajsberg chains, and the three four-element counterexample algebras —
-are materialised as explicit tables and checked exhaustively.  The
-product ([0,1] under max/multiplication) and tropical (min/plus over
-nonnegative rationals with infinity) algebras have carriers that are not
-finitely closed under the residual, so they are procedural: operations
-as functions, checked by sampling from a declared pool plus seeded
-draws.
+``make_builtin`` reads a spec string such as ``bool2``, ``powerset:xy``,
+``luka:5``, ``wajsberg:4`` or ``tropical`` and calls the builder its form
+names in ``_BUILDERS``.  Three kinds of builder sit behind the forms:
 
-Every instance is addressable by a spec string (``make_builtin``), e.g.
-``bool2``, ``powerset:xy``, ``luka:5``, ``wajsberg:4``, ``tropical``.
+* the five hand-made finite tables (``bool2``, ``chain3``, ``ex9``,
+  ``lemma4``, ``lemma6``) are read from their shipped ``data/*.alg`` file
+  on each call, so that file is their only copy;
+* the generated finite families (powersets, the Łukasiewicz and Gödel
+  subchains {0, 1/n, …, 1}, the Wajsberg chains) are computed from their
+  parameter; their shipped files are golden comparisons, not sources;
+* the product ([0,1] under max/multiplication) and tropical (min/plus over
+  nonnegative rationals with infinity) algebras have carriers that are not
+  finitely closed under the residual, so they are procedural: operations
+  as functions, checked by sampling from a fixed pool plus seeded draws.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from functools import partial
+from pathlib import Path
+from typing import Callable
 
 from .algebra import Algebra, FiniteAlgebra, ProceduralAlgebra
+from .algfile import load_algebra
 
 INF = float("inf")
+
+_DATA = Path(__file__).parent / "data"
 
 
 def _tbl(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -56,244 +62,12 @@ def _chain(
     )
 
 
-# --- instance specs -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Bool2:
-    """The two-element Boolean algebra {0, 1}."""
-
-
-@dataclass(frozen=True)
-class Chain3:
-    """The three-element chain 0 < u < 1 with meet composition."""
-
-
-@dataclass(frozen=True)
-class Powerset:
-    """Subsets of a finite ground set under union/intersection."""
-
-    ground: str = "xy"
-
-
-@dataclass(frozen=True)
-class LukaChain:
-    """Łukasiewicz operations on the subchain {0, 1/n, ..., 1}."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class GodelChain:
-    """Gödel (min) operations on the subchain {0, 1/n, ..., 1}."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class Wajsberg:
-    """The k-element Wajsberg chain a^0 > a^1 > ... > a^(k-1)."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class Ex9:
-    """Four-element algebra where the test m is not multiplicatively idempotent."""
-
-
-@dataclass(frozen=True)
-class Lemma4Cx:
-    """Four-element algebra separating the two one-sided commutation conditions."""
-
-
-@dataclass(frozen=True)
-class Lemma6Cx:
-    """Four-element algebra where the symmetric-annihilation condition implies neither."""
-
-
-@dataclass(frozen=True)
-class ProductSampled:
-    """Product (Goguen) operations on rational points of [0, 1], sampled."""
-
-    samples: tuple[Fraction, ...] = (
-        Fraction(0),
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 4),
-        Fraction(3, 4),
-        Fraction(2, 5),
-        Fraction(5, 7),
-        Fraction(9, 10),
-    )
-
-
-@dataclass(frozen=True)
-class TropicalSampled:
-    """Min/plus over nonnegative rationals with infinity, sampled up to ``cap``."""
-
-    cap: int = 100
-    samples: tuple[object, ...] = field(
-        default=(
-            INF,
-            Fraction(0),
-            Fraction(1),
-            Fraction(1, 2),
-            Fraction(2),
-            Fraction(5),
-            Fraction(7, 3),
-        )
-    )
-
-
-InstanceSpec = Union[
-    Bool2,
-    Chain3,
-    Powerset,
-    LukaChain,
-    GodelChain,
-    Wajsberg,
-    Ex9,
-    Lemma4Cx,
-    Lemma6Cx,
-    ProductSampled,
-    TropicalSampled,
-]
-
-BUILTIN_FORMS = (
-    "bool2",
-    "chain3",
-    "powerset:<chars>",
-    "luka:<n>",
-    "godel:<n>",
-    "wajsberg:<k>",
-    "product",
-    "tropical",
-    "ex9",
-    "lemma4",
-    "lemma6",
-)
-
-#: The finite builtins exercised by the default acceptance runs.
-STANDARD_FINITE = (
-    "bool2",
-    "chain3",
-    "powerset:xy",
-    "luka:5",
-    "godel:5",
-    "wajsberg:4",
-    "ex9",
-    "lemma4",
-    "lemma6",
-)
-
-
-def parse_instance_spec(text: str) -> InstanceSpec:
-    """Parse a builtin spec string such as "luka:5" or "powerset:xyz"."""
-    head, sep, arg = text.strip().partition(":")
-    try:
-        match head:
-            case "bool2" if not arg:
-                return Bool2()
-            case "chain3" if not arg:
-                return Chain3()
-            case "powerset":
-                return Powerset(arg if sep else "xy")
-            case "luka" if arg:
-                return LukaChain(int(arg))
-            case "godel" if arg:
-                return GodelChain(int(arg))
-            case "wajsberg" if arg:
-                return Wajsberg(int(arg))
-            case "product" if not arg:
-                return ProductSampled()
-            case "tropical" if not arg:
-                return TropicalSampled()
-            case "ex9" if not arg:
-                return Ex9()
-            case "lemma4" if not arg:
-                return Lemma4Cx()
-            case "lemma6" if not arg:
-                return Lemma6Cx()
-    except ValueError:
-        raise ValueError(f"bad numeric parameter in builtin spec {text!r}") from None
-    raise ValueError(
-        f"unknown builtin spec {text!r}; expected one of: " + ", ".join(BUILTIN_FORMS)
-    )
-
-
 # --- finite tables --------------------------------------------------------
 
-_BOOL2 = FiniteAlgebra(
-    name="bool2",
-    element_names=("0", "1"),
-    test_indices=(0, 1),
-    zero=0,
-    one=1,
-    plus_table=_tbl([[0, 1], [1, 1]]),
-    seq_table=_tbl([[0, 0], [0, 1]]),
-    arrow_table=_tbl([[1, 1], [0, 1]]),
-    star_table=(1, 1),
-)
 
-_CHAIN3 = FiniteAlgebra(
-    name="chain3",
-    element_names=("0", "u", "1"),
-    test_indices=(0, 1, 2),
-    zero=0,
-    one=2,
-    plus_table=_tbl([[0, 1, 2], [1, 1, 2], [2, 2, 2]]),
-    seq_table=_tbl([[0, 0, 0], [0, 1, 1], [0, 1, 2]]),
-    arrow_table=_tbl([[2, 2, 2], [0, 2, 2], [0, 1, 2]]),
-    star_table=(2, 2, 2),
-)
-
-# Elements 0 < n < m < 1; tests are {0, m, 1}.  Join is the chain maximum.
-# Composition is neither meet nor idempotent on m (m;m = 0), which is what
-# separates the graded class from the idempotent one.
-_EX9 = FiniteAlgebra(
-    name="ex9",
-    element_names=("0", "n", "m", "1"),
-    test_indices=(0, 2, 3),
-    zero=0,
-    one=3,
-    plus_table=_tbl([[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]]),
-    seq_table=_tbl([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]),
-    arrow_table=_tbl([[3, 0, 3, 3], [0, 0, 0, 0], [2, 0, 3, 3], [0, 0, 2, 3]]),
-    star_table=(3, 3, 3, 3),
-)
-
-# Same chain as ex9 but with m idempotent and m absorbing n on the left
-# (m;n = n while n;m = 0): composition commutes with the negation of a test
-# without commuting with the test itself.
-_LEMMA4 = FiniteAlgebra(
-    name="lemma4",
-    element_names=("0", "n", "m", "1"),
-    test_indices=(0, 2, 3),
-    zero=0,
-    one=3,
-    plus_table=_tbl([[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]]),
-    seq_table=_tbl([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 2, 2], [0, 1, 2, 3]]),
-    arrow_table=_tbl([[3, 0, 3, 3], [0, 0, 0, 0], [0, 0, 3, 3], [0, 0, 2, 3]]),
-    star_table=(3, 3, 3, 3),
-)
-
-# Tests are {0, n, 1}; both products n;m and m;n vanish in one direction only,
-# so the symmetric annihilation n;m;!n + !n;m;n = 0 holds while neither
-# one-sided commutation does.
-_LEMMA6 = FiniteAlgebra(
-    name="lemma6",
-    element_names=("0", "n", "m", "1"),
-    test_indices=(0, 1, 3),
-    zero=0,
-    one=3,
-    plus_table=_tbl([[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]]),
-    seq_table=_tbl([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 1, 2, 3]]),
-    arrow_table=_tbl([[3, 3, 0, 3], [1, 3, 0, 3], [0, 0, 0, 0], [0, 1, 0, 3]]),
-    star_table=(3, 3, 3, 3),
-)
+def _shipped(name: str) -> FiniteAlgebra:
+    """Read a hand-made table from its file under ``data/``."""
+    return load_algebra(_DATA / f"{name}.alg")
 
 
 def _powerset(ground: str) -> FiniteAlgebra:
@@ -372,8 +146,31 @@ def _wajsberg(k: int) -> FiniteAlgebra:
 
 # --- procedural instances -------------------------------------------------
 
+_PRODUCT_POOL = (
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(1, 3),
+    Fraction(2, 3),
+    Fraction(1, 4),
+    Fraction(3, 4),
+    Fraction(2, 5),
+    Fraction(5, 7),
+    Fraction(9, 10),
+)
 
-def _product_algebra(spec: ProductSampled) -> ProceduralAlgebra:
+_TROPICAL_POOL = (
+    INF,
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(2),
+    Fraction(5),
+    Fraction(7, 3),
+)
+
+
+def _product_algebra() -> ProceduralAlgebra:
     one = Fraction(1)
     zero = Fraction(0)
 
@@ -393,14 +190,14 @@ def _product_algebra(spec: ProductSampled) -> ProceduralAlgebra:
         star_fn=lambda x: one,
         arrow_fn=arrow,
         test_pred=lambda v: True,
-        samples=tuple(spec.samples),
+        samples=_PRODUCT_POOL,
         draw=draw,
         fmt=str,
         member_pred=lambda v: isinstance(v, Fraction) and zero <= v <= one,
     )
 
 
-def _tropical_algebra(spec: TropicalSampled) -> ProceduralAlgebra:
+def _tropical_algebra() -> ProceduralAlgebra:
     one = Fraction(0)
 
     def seq(x, y):
@@ -418,10 +215,11 @@ def _tropical_algebra(spec: TropicalSampled) -> ProceduralAlgebra:
         return max(y - x, one)
 
     def draw(rng: random.Random):
+        # Infinity one time in eight, otherwise a finite cost up to 100.
         if rng.random() < 0.125:
             return INF
         d = rng.randint(1, 12)
-        return Fraction(rng.randint(0, spec.cap * d), d)
+        return Fraction(rng.randint(0, 100 * d), d)
 
     return ProceduralAlgebra(
         name="tropical",
@@ -432,40 +230,69 @@ def _tropical_algebra(spec: TropicalSampled) -> ProceduralAlgebra:
         star_fn=lambda x: one,
         arrow_fn=arrow,
         test_pred=lambda v: True,
-        samples=tuple(spec.samples),
+        samples=_TROPICAL_POOL,
         draw=draw,
         fmt=lambda v: "inf" if v == INF else str(v),
         member_pred=lambda v: v == INF or (isinstance(v, Fraction) and v >= 0),
     )
 
 
-def build_instance(spec: InstanceSpec) -> Algebra:
-    match spec:
-        case Bool2():
-            return _BOOL2
-        case Chain3():
-            return _CHAIN3
-        case Powerset(ground):
-            return _powerset(ground)
-        case LukaChain(n):
-            return _luka(n)
-        case GodelChain(n):
-            return _godel(n)
-        case Wajsberg(k):
-            return _wajsberg(k)
-        case Ex9():
-            return _EX9
-        case Lemma4Cx():
-            return _LEMMA4
-        case Lemma6Cx():
-            return _LEMMA6
-        case ProductSampled():
-            return _product_algebra(spec)
-        case TropicalSampled():
-            return _tropical_algebra(spec)
-    raise TypeError(f"not an instance spec: {spec!r}")
+# --- the registry ---------------------------------------------------------
+
+#: Every spec form and the builder it resolves to.  The placeholder after
+#: a form's colon says what the builder takes: ``<chars>`` the text itself
+#: (``xy`` when the colon is missing), ``<n>`` and ``<k>`` an integer.  A
+#: form without a colon takes no argument.
+_BUILDERS: dict[str, Callable[..., Algebra]] = {
+    "bool2": partial(_shipped, "bool2"),
+    "chain3": partial(_shipped, "chain3"),
+    "powerset:<chars>": _powerset,
+    "luka:<n>": _luka,
+    "godel:<n>": _godel,
+    "wajsberg:<k>": _wajsberg,
+    "product": _product_algebra,
+    "tropical": _tropical_algebra,
+    "ex9": partial(_shipped, "ex9"),
+    "lemma4": partial(_shipped, "lemma4"),
+    "lemma6": partial(_shipped, "lemma6"),
+}
+
+BUILTIN_FORMS = tuple(_BUILDERS)
+
+#: The finite builtins exercised by the default acceptance runs.
+STANDARD_FINITE = (
+    "bool2",
+    "chain3",
+    "powerset:xy",
+    "luka:5",
+    "godel:5",
+    "wajsberg:4",
+    "ex9",
+    "lemma4",
+    "lemma6",
+)
+
+
+_BY_HEAD = {form.partition(":")[0]: form for form in BUILTIN_FORMS}
 
 
 def make_builtin(text: str) -> Algebra:
-    """Resolve a builtin spec string to a ready algebra."""
-    return build_instance(parse_instance_spec(text))
+    """Resolve a builtin spec string such as "luka:5" to a ready algebra."""
+    head, sep, arg = text.strip().partition(":")
+    form = _BY_HEAD.get(head)
+    if form is not None:
+        build = _BUILDERS[form]
+        placeholder = form.partition(":")[2]
+        if not placeholder and not arg:  # "ex9:" reads as "ex9"
+            return build()
+        if placeholder == "<chars>":
+            return build(arg if sep else "xy")
+        if placeholder and arg:
+            try:
+                n = int(arg)
+            except ValueError:
+                raise ValueError(f"bad numeric parameter in builtin spec {text!r}") from None
+            return build(n)
+    raise ValueError(
+        f"unknown builtin spec {text!r}; expected one of: " + ", ".join(BUILTIN_FORMS)
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra
 from .semantics import (
@@ -44,15 +44,17 @@ _SORTS = {
 }
 
 
-def _eqn(text: str) -> Equation:
-    """Parse "lhs = rhs" or "lhs <= rhs" over the stock variable names."""
+def parse_equation(text: str, sorts: Mapping[str, Sort]) -> Equation:
+    """Parse "lhs = rhs" or "lhs <= rhs" over variables of the given sorts."""
     if "<=" in text:
         lhs, rhs = text.split("<=", 1)
         rel = "leq"
-    else:
+    elif "=" in text:
         lhs, rhs = text.split("=", 1)
         rel = "eq"
-    return Equation(parse_term(lhs, _SORTS), parse_term(rhs, _SORTS), rel)
+    else:
+        raise ValueError(f"equation needs '=' or '<=': {text!r}")
+    return Equation(parse_term(lhs, sorts), parse_term(rhs, sorts), rel)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class Law:
 
 def _law(name: str, var_names: str, conclusion: str, *hypotheses: str) -> Law:
     variables = tuple(Var(v, _SORTS[v]) for v in var_names.split())
-    return Law(name, variables, tuple(_eqn(h) for h in hypotheses), _eqn(conclusion))
+    hyps = tuple(parse_equation(h, _SORTS) for h in hypotheses)
+    return Law(name, variables, hyps, parse_equation(conclusion, _SORTS))
 
 
 KLEENE_LAWS: tuple[Law, ...] = (

@@ -16,6 +16,7 @@ from gkat_workbench import (
     make_builtin,
     star_lfp,
 )
+from gkat_workbench.cli import build_construct
 from gkat_workbench.instances import STANDARD_FINITE
 
 
@@ -114,9 +115,9 @@ def test_derived_order_on_chain():
     assert not derived_leq(c3, o, u)
 
 
-@pytest.mark.parametrize("spec", STANDARD_FINITE)
+@pytest.mark.parametrize("spec", [*STANDARD_FINITE, "mat:chain3:2", "frel:chain3:bool2:2"])
 def test_star_lfp_agrees_with_star_tables(spec):
-    alg = make_builtin(spec)
+    alg = build_construct(spec) if spec.startswith(("mat:", "frel:")) else make_builtin(spec)
     for a in alg.elements():
         assert star_lfp(alg, a) == alg.star(a)
 

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
+from gkat_workbench.algebra import FiniteAlgebra
 from gkat_workbench.algfile import load_algebra
 from gkat_workbench.cli import main
-from gkat_workbench.constructions import fset_algebra
+from gkat_workbench.constructions import fset_algebra, mat_algebra
 from gkat_workbench.instances import make_builtin
 
 
@@ -362,3 +363,25 @@ def test_exhaustive_mode_respects_the_cap(capsys) -> None:
     )
     assert code == 2
     assert "exceeds the exhaustive cap 100" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-laws", "--construct", "mat:bool2:1", "--json"),
+        ("construct", "mat:bool2:1", "--json"),
+    ],
+)
+def test_a_command_fingerprints_its_algebra_once(capsys, monkeypatch, argv) -> None:
+    calls = []
+    real = FiniteAlgebra.fingerprint
+
+    def counted(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "fingerprint", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == ["mat:bool2:1"]
+    assert json.loads(out)["fingerprint"] == real(mat_algebra(make_builtin("bool2"), 1))

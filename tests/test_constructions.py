@@ -16,7 +16,6 @@ from gkat_workbench.constructions import (
     flang_star,
     flang_union,
     frel_algebra,
-    frel_compose,
     fset_algebra,
     mat_add,
     mat_algebra,
@@ -122,12 +121,25 @@ def test_mat_star_fixes_identity_and_zero() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_frel_compose_matches_the_matrix_product() -> None:
+def test_mat_mul_is_the_relational_product() -> None:
     c3 = make_builtin("chain3")
     mu = ((2, 1), (0, 0))  # x->x weight 1, x->y weight u
     nu = ((0, 1), (0, 2))  # x->y weight u, y->y weight 1
     # Only route from x to y: through x with weight 1;u, or via y with u;1.
-    assert frel_compose(c3, mu, nu) == ((0, 1), (0, 0))
+    assert mat_mul(c3, mu, nu) == ((0, 1), (0, 0))
+
+
+@pytest.mark.parametrize(
+    ("spec", "n"), [("bool2", 2), ("chain3", 2), ("luka:2", 2), ("ex9", 1), ("lemma6", 1)]
+)
+def test_frel_over_its_own_test_sort_is_mat(spec, n) -> None:
+    # With T = K a relation on n points is an n×n matrix: same elements,
+    # tests, constants and tables; only the name differs.
+    base = make_builtin(spec)
+    fr, mat = frel_algebra(base, None, n), mat_algebra(base, n)
+    assert fr.canonical_text().replace(f"frel:{spec}:{spec}:{n}", f"mat:{spec}:{n}", 1) == (
+        mat.canonical_text()
+    )
 
 
 def test_frel_tests_are_diagonals_from_the_test_sort() -> None:
@@ -300,7 +312,11 @@ def _matrices(base_size: int, n: int):
 
 class TestMatrixProperties:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["chain3", "godel:3"]), st.integers(2, 3), st.data())
+    @given(
+        st.sampled_from(["chain3", "godel:3", "bool2", "godel:2", "ex9", "lemma4"]),
+        st.integers(2, 3),
+        st.data(),
+    )
     def test_block_star_matches_iteration(self, spec: str, n: int, data: st.DataObject) -> None:
         base = make_builtin(spec)
         m = data.draw(_matrices(base.size, n))

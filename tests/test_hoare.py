@@ -74,6 +74,7 @@ def test_rule_lookup_by_either_name() -> None:
     assert rule_schema("WhileGKAT") is RULES["WhileGKAT"]
     assert rule_schema("while-gkat") is RULES["WhileGKAT"]
     assert rule_schema("While-GKAT") is RULES["WhileGKAT"]
+    assert rule_schema("postcondition-annihilation") is ANNIHILATION_BRIDGE
     with pytest.raises(KeyError, match="known rules:.*kat-weaken"):
         rule_schema("nonesuch")
 

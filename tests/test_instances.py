@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gkat_workbench import derived_leq, make_builtin, parse_instance_spec
+from gkat_workbench import derived_leq, make_builtin
 from gkat_workbench.instances import INF, STANDARD_FINITE
 
 
@@ -106,7 +106,7 @@ def test_four_element_counterexample_tables():
 )
 def test_malformed_specs_fail_at_parse(bad):
     with pytest.raises(ValueError):
-        parse_instance_spec(bad)
+        make_builtin(bad)
 
 
 @pytest.mark.parametrize(
@@ -121,7 +121,13 @@ def test_out_of_range_parameters_fail_at_build(bad):
 
 def test_spec_error_lists_the_forms():
     with pytest.raises(ValueError, match="luka:<n>"):
-        parse_instance_spec("noexist")
+        make_builtin("noexist")
+
+
+def test_a_bare_form_accepts_padding_and_an_empty_argument():
+    fp = make_builtin("ex9").fingerprint()
+    assert make_builtin(" ex9 ").fingerprint() == fp
+    assert make_builtin("ex9:").fingerprint() == fp
 
 
 def test_unit_chains_collapse_gracefully():

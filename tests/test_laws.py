@@ -14,7 +14,8 @@ from gkat_workbench import (
     run_law_suite,
 )
 from gkat_workbench.instances import STANDARD_FINITE
-from gkat_workbench.laws import SUITES
+from gkat_workbench.laws import SUITES, parse_equation
+from gkat_workbench.terms import Sort
 
 
 def _names(suite: str) -> list[str]:
@@ -129,3 +130,11 @@ def test_custom_law_list_runs():
     rep = run_law_suite(make_builtin("luka:5"), (TEST_IDEM_LAW,), Exhaustive())
     assert rep.suite == "custom"
     assert not rep.ok
+
+
+def test_parse_equation_reads_both_relations_and_rejects_neither():
+    sorts = {"p": Sort.PROGRAM, "a": Sort.TEST}
+    assert parse_equation("p;a <= p", sorts).rel == "leq"
+    assert parse_equation("a;a = a", sorts).rel == "eq"
+    with pytest.raises(ValueError, match="equation needs '=' or '<='"):
+        parse_equation("p;a", sorts)
