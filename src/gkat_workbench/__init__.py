@@ -37,7 +37,6 @@ from .hoare import (
     HoareTriple,
     PreconditionError,
     RuleSchema,
-    StaleReportError,
     check_demorgan,
     check_rule,
     commutation_conditions,
@@ -107,7 +106,6 @@ __all__ = [
     "SizeError",
     "Sort",
     "SortError",
-    "StaleReportError",
     "STANDARD_FINITE",
     "SUITES",
     "Term",

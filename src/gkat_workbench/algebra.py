@@ -13,7 +13,8 @@ Two realisations are provided:
   Elements are plain integer indices into the declared element list.
   The arrow table is stored full-size (|K| x |K|) so printed tables can be
   transcribed verbatim, but only the tests x tests region is validated and
-  reachable through ``arrow``; the rest is inert data.
+  reachable through ``arrow``; the rest is read through the view that
+  declares every element a test (see semantics.py).
 
 * ``ProceduralAlgebra`` -- operations given as functions over arbitrary
   hashable values, with a declared sample list (always containing 0 and 1)
@@ -195,16 +196,6 @@ class FiniteAlgebra:
             )
         return self.arrow_table[a][b]
 
-    def arrow_unchecked(self, a: int, b: int) -> int:
-        """Read the stored arrow table without the test-sort guard.
-
-        Only for deliberately ranging over the full printed table, e.g. when
-        reproducing counterexamples whose witness lies outside the tests.
-        """
-        self.check_member(a)
-        self.check_member(b)
-        return self.arrow_table[a][b]
-
     # -- serialisation ------------------------------------------------------
 
     def canonical_text(self) -> str:
@@ -273,9 +264,6 @@ class ProceduralAlgebra:
     def check_member(self, a: Element) -> None:
         if self.member_pred is not None and not self.member_pred(a):
             raise DomainError(f"{self.el_name(a)!r} is not an element of algebra {self.name!r}")
-
-    def test_samples(self) -> tuple[Element, ...]:
-        return tuple(s for s in self.samples if self.test_pred(s))
 
     def plus(self, a: Element, b: Element) -> Element:
         return self.plus_fn(a, b)

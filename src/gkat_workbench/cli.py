@@ -41,7 +41,7 @@ from .hoare import (
     rule_schema,
 )
 from .instances import BUILTIN_FORMS, make_builtin
-from .laws import SUITES, classify, parse_equation, run_law_suite
+from .laws import SUITES, LawReport, _suite_report, classify, parse_equation, run_law_suite
 from .semantics import (
     Auto,
     Exhaustive,
@@ -192,14 +192,14 @@ def _add_output_opts(ap: argparse.ArgumentParser) -> None:
 
 
 def _strategy(args: argparse.Namespace):
+    cap = {} if args.cap is None else {"cap": args.cap}
     match args.mode:
         case "exhaustive":
-            return Exhaustive() if args.cap is None else Exhaustive(cap=args.cap)
+            return Exhaustive(**cap)
         case "sample":
             return Sampled(samples=args.samples, seed=args.seed)
         case _:
-            cap = 100_000 if args.cap is None else args.cap
-            return Auto(cap=cap, samples=args.samples, seed=args.seed)
+            return Auto(**cap, samples=args.samples, seed=args.seed)
 
 
 # -- rendering --------------------------------------------------------------
@@ -217,6 +217,18 @@ def _verdict_lines(v: Verdict, indent: str = "  ") -> list[str]:
     return out
 
 
+def _law_lines(rep: LawReport) -> list[str]:
+    """One line per law of the report, plus the counterexample of each failure."""
+    out = []
+    for law, v in rep.entries:
+        of = f"/{v.space}" if v.space is not None else ""
+        out.append(f"  {law.name:<18} {_STATUS_WORD[v.status]:<16} {v.mode} {v.checked}{of}")
+        if v.counterexample is not None:
+            binds = ", ".join(f"{n}={e}" for n, e in v.counterexample.items())
+            out.append(f"      at {binds}: lhs = {v.lhs_value}, rhs = {v.rhs_value}")
+    return out
+
+
 def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -230,15 +242,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
 def _cmd_check_laws(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
     rep = run_law_suite(alg, args.suite, _strategy(args))
-    human = [f"{args.suite} suite on {alg.name}  [{rep.fingerprint[:19]}]"]
-    for law, v in rep.entries:
-        of = f"/{v.space}" if v.space is not None else ""
-        human.append(
-            f"  {law.name:<18} {_STATUS_WORD[v.status]:<16} {v.mode} {v.checked}{of}"
-        )
-        if v.counterexample is not None:
-            binds = ", ".join(f"{n}={e}" for n, e in v.counterexample.items())
-            human.append(f"      at {binds}: lhs = {v.lhs_value}, rhs = {v.rhs_value}")
+    human = [f"{args.suite} suite on {alg.name}  [{rep.fingerprint[:19]}]", *_law_lines(rep)]
     bad = rep.failing()
     human.append(
         "all laws hold" if rep.ok else f"{len(bad)} law(s) fail: "
@@ -415,10 +419,7 @@ def _cmd_denest(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     alg = build_construct(args.spec)
     human = [f"{alg.name}: " + (f"{alg.size} elements" if alg.finite else "procedural")]
-    if alg.finite:
-        human[0] += f", {sum(1 for _ in alg.tests())} tests"
     fingerprint = alg.fingerprint()
-    human.append(f"  fingerprint {fingerprint}")
     payload: dict = {
         "command": args.command_echo,
         "algebra": alg.name,
@@ -427,7 +428,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     }
     if alg.finite:
         payload["size"] = alg.size
-        payload["tests"] = sum(1 for _ in alg.tests())
+        payload["tests"] = len(alg.tests())
+        human[0] += f", {payload['tests']} tests"
+    human.append(f"  fingerprint {fingerprint}")
     if args.out is not None:
         if not isinstance(alg, FiniteAlgebra):
             raise ValueError(f"{alg.name!r} is procedural; only finite tables are written")
@@ -436,13 +439,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         payload["out"] = args.out
     code = 0
     if args.suite is not None:
-        rep = run_law_suite(alg, args.suite, _strategy(args))
+        rep = _suite_report(alg, fingerprint, args.suite, _strategy(args))
         payload["report"] = rep.to_dict()
-        for law, v in rep.entries:
-            human.append(f"  {law.name:<18} {_STATUS_WORD[v.status]}")
-            if v.counterexample is not None:
-                binds = ", ".join(f"{n}={e}" for n, e in v.counterexample.items())
-                human.append(f"      at {binds}: lhs = {v.lhs_value}, rhs = {v.rhs_value}")
+        human.extend(_law_lines(rep))
         human.append("suite ok" if rep.ok else "suite FAILED")
         code = 0 if rep.ok else 1
     _emit(args, payload, human)

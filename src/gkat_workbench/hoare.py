@@ -4,8 +4,9 @@ A partial-correctness triple {b} p {c} is encoded as an order statement
 ``b;p <= b;p;c`` or, equivalently in these algebras, as the equation
 ``b;p = b;p;c`` (``triple_forms_equivalent`` checks the equivalence holds
 pointwise in a given algebra).  The classic proof rules are then plain
-quasi-equations between such encodings, and model-checking a rule means
-enumerating valuations of its schema variables.
+quasi-equations between such encodings, so a rule is a ``Law`` (see
+laws.py) and model-checking it means enumerating valuations of its schema
+variables, in first-occurrence order.
 
 Rule names: Composition, Conditional, WeakenStrengthen, WhileGKAT and
 WhileIGKAT (one formula, listed under both names because its soundness
@@ -13,31 +14,30 @@ depends on test idempotence and it genuinely fails in graded algebras —
 see the ex9 builtin), and the equational variants KAT-Composition,
 KAT-Conditional, KAT-While, KAT-Weaken.
 
-Also here: the three guard-commutation conditions and their six pairwise
-implications (the lemma4/lemma6 builtins separate them), the De Morgan
-side condition, and the while-loop denesting transformation together with
-the sliding and star-denesting identities, guarded by their side
-conditions (test idempotence plus De Morgan).
+Also here, each a ``Law`` checked by ``check_law``: the two triple-form
+implications, the three guard-commutation conditions and their six
+pairwise implications (the lemma4/lemma6 builtins separate them), the De
+Morgan side condition, and the while-loop denesting transformation
+together with the sliding and star-denesting identities, guarded by their
+side conditions (test idempotence plus De Morgan).  Commutation over the
+whole carrier checks the same laws over the all-tests view of the algebra.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
 
 from .algebra import Algebra, AlgebraError
-from .laws import DEMORGAN_LAW, LawReport, run_law_suite
+from .laws import DEMORGAN_LAW, Law, LawReport, _suite_report, check_law, check_laws
 from .semantics import (
     Equation,
     Exhaustive,
     Strategy,
     Verdict,
-    check_quasi_equation,
+    collect_variables,
     describe_strategy,
 )
 from .terms import (
-    Arrow,
     Atom,
     If,
     IfThen,
@@ -80,19 +80,17 @@ def triple_to_equation(triple: HoareTriple, form: str = "leq") -> Equation:
 
 
 @dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    cli_name: str
-    display: str  # the rule in triple notation
-    hypotheses: tuple[Equation, ...]
-    conclusion: Equation
+class RuleSchema(Law):
+    """A proof rule: a law with the name ``gkat rule --name`` accepts."""
 
-    def render(self) -> str:
-        return (
-            " & ".join(h.render() for h in self.hypotheses)
-            + "  =>  "
-            + self.conclusion.render()
-        )
+    cli_name: str
+
+
+def _rule(
+    name: str, cli_name: str, hypotheses: tuple[Equation, ...], conclusion: Equation
+) -> RuleSchema:
+    variables = collect_variables((*hypotheses, conclusion))
+    return RuleSchema(name, variables, hypotheses, conclusion, cli_name)
 
 
 def _t(name: str) -> Var:
@@ -116,69 +114,60 @@ def _rules() -> dict[str, RuleSchema]:
     leq = lambda l, r: Equation(l, r, "leq")  # noqa: E731
 
     specs = [
-        RuleSchema(
+        _rule(
             "Composition",
             "composition",
-            "{b} p {c} & {c} q {d} |- {b} p;q {d}",
             (enc(t(_b, _pp, _c)), enc(t(_c, _q, _d))),
             enc(t(_b, Seq(_pp, _q), _d), form="eq"),
         ),
-        RuleSchema(
+        _rule(
             "Conditional",
             "conditional",
-            "{b;c} p {d} & {!b;c} q {d} |- {c} b;p + !b;q {d}",
             (enc(t(Seq(_b, _c), _pp, _d)), enc(t(Seq(mk_not(_b), _c), _q, _d))),
             enc(t(_c, if_term, _d)),
         ),
-        RuleSchema(
+        _rule(
             "WeakenStrengthen",
             "weaken-strengthen",
-            "a <= b & {b} p {c} & c <= d |- {a} p {d}",
             (leq(_a, _b), enc(t(_b, _pp, _c)), leq(_c, _d)),
             enc(t(_a, _pp, _d)),
         ),
-        RuleSchema(
+        _rule(
             "WhileGKAT",
             "while-gkat",
-            "{b;c} p {c} |- {c} (b;p)*;!b {!b;c}",
             (enc(t(Seq(_b, _c), _pp, _c)),),
             enc(t(_c, while_term, not_b_and_c)),
         ),
-        RuleSchema(
+        _rule(
             "WhileIGKAT",
             "while-igkat",
-            "{b;c} p {c} |- {c} (b;p)*;!b {!b;c}",
             (enc(t(Seq(_b, _c), _pp, _c)),),
             enc(t(_c, while_term, not_b_and_c)),
         ),
-        RuleSchema(
+        _rule(
             "KAT-Composition",
             "kat-composition",
-            "{b} p {c} & {c} q {d} |- {b} p;q {d}",
             (enc(t(_b, _pp, _c), "eq"), enc(t(_c, _q, _d), "eq")),
             enc(t(_b, Seq(_pp, _q), _d), "eq"),
         ),
-        RuleSchema(
+        _rule(
             "KAT-Conditional",
             "kat-conditional",
-            "{b;c} p {d} & {!b;c} q {d} |- {c} b;p + !b;q {d}",
             (
                 enc(t(Seq(_b, _c), _pp, _d), "eq"),
                 enc(t(Seq(mk_not(_b), _c), _q, _d), "eq"),
             ),
             enc(t(_c, if_term, _d), "eq"),
         ),
-        RuleSchema(
+        _rule(
             "KAT-While",
             "kat-while",
-            "{b;c} p {c} |- {c} (b;p)*;!b {!b;c}",
             (enc(t(Seq(_b, _c), _pp, _c), "eq"),),
             enc(t(_c, while_term, not_b_and_c), "eq"),
         ),
-        RuleSchema(
+        _rule(
             "KAT-Weaken",
             "kat-weaken",
-            "a <= b & {b} p {c} & c <= d |- {a} p {d}",
             (leq(_a, _b), enc(t(_b, _pp, _c), "eq"), leq(_c, _d)),
             enc(t(_a, _pp, _d), "eq"),
         ),
@@ -190,10 +179,9 @@ RULES: dict[str, RuleSchema] = _rules()
 
 #: Consequence of the triple encoding used by the denesting proof: an
 #: established postcondition annihilates its own negation.
-ANNIHILATION_BRIDGE = RuleSchema(
+ANNIHILATION_BRIDGE = _rule(
     "PostconditionAnnihilation",
     "postcondition-annihilation",
-    "{b} p {c} |- b;p;!c = 0",
     (triple_to_equation(HoareTriple(_b, _pp, _c), "eq"),),
     Equation(Seq(Seq(_b, _pp), mk_not(_c)), Zero(), "eq"),
 )
@@ -217,7 +205,15 @@ def check_rule(
     rule: RuleSchema,
     strategy: Strategy = Exhaustive(),
 ) -> Verdict:
-    return check_quasi_equation(alg, rule.hypotheses, rule.conclusion, strategy)
+    return check_law(alg, rule, strategy)
+
+
+_AS_LEQ = triple_to_equation(HoareTriple(_b, _pp, _c), "leq")
+_AS_EQ = triple_to_equation(HoareTriple(_b, _pp, _c), "eq")
+_TRIPLE_FORM_LAWS = (
+    Law("leq-implies-eq", (_b, _pp, _c), (_AS_LEQ,), _AS_EQ),
+    Law("eq-implies-leq", (_b, _pp, _c), (_AS_EQ,), _AS_LEQ),
+)
 
 
 def triple_forms_equivalent(
@@ -228,28 +224,13 @@ def triple_forms_equivalent(
     Returns verdicts for the two implications (order form implies equation
     form, and back); both valid means the forms pick out the same triples.
     """
-    generic = HoareTriple(_b, _pp, _c)
-    as_leq = triple_to_equation(generic, "leq")
-    as_eq = triple_to_equation(generic, "eq")
-    fwd = check_quasi_equation(alg, (as_leq,), as_eq, strategy)
-    bwd = check_quasi_equation(alg, (as_eq,), as_leq, strategy)
+    fwd, bwd = (check_law(alg, law, strategy) for law in _TRIPLE_FORM_LAWS)
     return fwd, bwd
 
 
 # --- commutation conditions -----------------------------------------------
 
 COMMUTATION_NAMES = ("test-commutes", "negation-commutes", "crossings-vanish")
-
-
-def _commutation_equations(b: Term, not_b: Term, p: Term) -> dict[str, Equation]:
-    return {
-        "test-commutes": Equation(Seq(b, p), Seq(p, b), "eq"),
-        "negation-commutes": Equation(Seq(not_b, p), Seq(p, not_b), "eq"),
-        "crossings-vanish": Equation(
-            Plus(Seq(Seq(b, p), not_b), Seq(Seq(not_b, p), b)), Zero(), "eq"
-        ),
-    }
-
 
 #: The six directed implications, strongest separations first.
 COMMUTATION_PAIRS = (
@@ -260,6 +241,22 @@ COMMUTATION_PAIRS = (
     ("negation-commutes", "crossings-vanish"),
     ("crossings-vanish", "negation-commutes"),
 )
+
+
+def _commutation_laws() -> tuple[Law, ...]:
+    """One law per entry of ``COMMUTATION_PAIRS``, in the same order."""
+    b, not_b, p = _b, mk_not(_b), _pp
+    conds = {
+        "test-commutes": Equation(Seq(b, p), Seq(p, b), "eq"),
+        "negation-commutes": Equation(Seq(not_b, p), Seq(p, not_b), "eq"),
+        "crossings-vanish": Equation(
+            Plus(Seq(Seq(b, p), not_b), Seq(Seq(not_b, p), b)), Zero(), "eq"
+        ),
+    }
+    return tuple(
+        Law(f"{src} => {dst}", (b, p), (conds[src],), conds[dst])
+        for src, dst in COMMUTATION_PAIRS
+    )
 
 
 @dataclass(frozen=True)
@@ -298,41 +295,22 @@ def commutation_conditions(
     """Check all six implications between the guard-commutation conditions.
 
     ``b_over`` picks the range of the guard variable: ``"tests"`` (the
-    declared test sort) or ``"carrier"``, which lets b run over every
-    element and reads the residual straight off the stored table — the
-    mode that reproduces printed witnesses whose b is not a test.  Carrier
-    mode needs a finite algebra.
+    declared test sort) or ``"carrier"``, which checks the same laws over
+    the view of ``alg`` in which every element is a test, so that b runs
+    over every element and !b reads the stored arrow table — the mode that
+    reproduces printed witnesses whose b is not a test.  Carrier mode needs
+    a finite algebra; its report carries ``alg``'s own fingerprint.
     """
     if b_over not in ("tests", "carrier"):
         raise ValueError(f"b_over must be 'tests' or 'carrier', got {b_over!r}")
-    unchecked = b_over == "carrier"
-    if unchecked and not alg.finite:
+    if b_over == "carrier" and not alg.finite:
         raise AlgebraError("carrier-mode commutation checking needs a finite algebra")
-    b = Var("b", Sort.PROGRAM if unchecked else Sort.TEST)
-    # In carrier mode the negation arrow is built directly, bypassing the
-    # sort guard the mode exists to lift.
-    not_b = Arrow(b, Zero()) if unchecked else mk_not(b)
-    conds = _commutation_equations(b, not_b, _pp)
-    variables = (b, _pp)
-    start = time.perf_counter()
-    entries = tuple(
-        (
-            src,
-            dst,
-            check_quasi_equation(
-                alg,
-                (conds[src],),
-                conds[dst],
-                strategy,
-                variables=variables,
-                unchecked_arrow=unchecked,
-            ),
-        )
-        for src, dst in COMMUTATION_PAIRS
-    )
-    elapsed = int((time.perf_counter() - start) * 1000)
+    fingerprint = alg.fingerprint()
+    view = replace(alg, test_indices=tuple(alg.elements())) if b_over == "carrier" else alg
+    verdicts, elapsed = check_laws(view, _commutation_laws(), strategy)
+    entries = tuple((src, dst, v) for (src, dst), v in zip(COMMUTATION_PAIRS, verdicts))
     return CommutationReport(
-        alg.name, alg.fingerprint(), b_over, describe_strategy(strategy), entries, elapsed
+        alg.name, fingerprint, b_over, describe_strategy(strategy), entries, elapsed
     )
 
 
@@ -341,20 +319,14 @@ def commutation_conditions(
 
 def check_demorgan(alg: Algebra, strategy: Strategy = Exhaustive()) -> Verdict:
     """Check !(a+b) = !a;!b over the tests."""
-    return check_quasi_equation(
-        alg, (), DEMORGAN_LAW.conclusion, strategy, variables=DEMORGAN_LAW.variables
-    )
+    return check_law(alg, DEMORGAN_LAW, strategy)
 
 
 class PreconditionError(AlgebraError):
     """A transformation's side conditions fail in the given algebra."""
 
 
-class StaleReportError(AlgebraError):
-    """A supplied side-condition report does not match the algebra."""
-
-
-def _denesting_checks() -> tuple[tuple[str, tuple[Var, ...], Equation], ...]:
+def _denesting_laws() -> tuple[Law, ...]:
     b, c, p, q = _b, _c, _pp, _q
     ap, aq = Atom("p"), Atom("q")
     # while b do { p; while c do { q } }
@@ -365,9 +337,9 @@ def _denesting_checks() -> tuple[tuple[str, tuple[Var, ...], Equation], ...]:
     sliding = Equation(Seq(p, Star(Seq(q, p))), Seq(Star(Seq(p, q)), p), "eq")
     star_denest = Equation(Seq(Star(p), Star(Seq(q, Star(p)))), Star(Plus(p, q)), "eq")
     return (
-        ("loop-denesting", (b, c, p, q), loop),
-        ("sliding", (p, q), sliding),
-        ("star-denesting", (p, q), star_denest),
+        Law("loop-denesting", (b, c, p, q), (), loop),
+        Law("sliding", (p, q), (), sliding),
+        Law("star-denesting", (p, q), (), star_denest),
     )
 
 
@@ -399,40 +371,15 @@ class DenestReport:
         }
 
 
-def denesting_equivalence(
-    alg: Algebra,
-    strategy: Strategy = Exhaustive(),
-    side_reports: Optional[Sequence[LawReport]] = None,
-) -> DenestReport:
+def denesting_equivalence(alg: Algebra, strategy: Strategy = Exhaustive()) -> DenestReport:
     """Check the loop-denesting transformation and its star identities.
 
     The transformation is only claimed under test idempotence and the
-    De Morgan law, so those side conditions are verified first (or taken
-    from ``side_reports``, which must carry this algebra's fingerprint and
-    cover the idempotent suite plus De Morgan).  Failing side conditions
-    raise ``PreconditionError``; mismatched reports raise
-    ``StaleReportError``.
+    De Morgan law, so those side conditions (the ``igkat`` and ``demorgan``
+    suites) are verified first; failing ones raise ``PreconditionError``.
     """
     fp = alg.fingerprint()
-    if side_reports is None:
-        sides = (
-            run_law_suite(alg, "igkat", strategy),
-            run_law_suite(alg, "demorgan", strategy),
-        )
-    else:
-        sides = tuple(side_reports)
-        for rep in sides:
-            if rep.fingerprint != fp:
-                raise StaleReportError(
-                    f"side-condition report for {rep.algebra_name!r} "
-                    f"({rep.fingerprint}) does not match algebra {alg.name!r} ({fp})"
-                )
-        have = {rep.suite for rep in sides}
-        if not {"igkat", "demorgan"} <= have:
-            raise ValueError(
-                "side reports must cover the 'igkat' and 'demorgan' suites, got "
-                + (", ".join(sorted(have)) or "none")
-            )
+    sides = tuple(_suite_report(alg, fp, suite, strategy) for suite in ("igkat", "demorgan"))
     failing = [
         (rep.suite, law.name) for rep in sides for law, v in rep.entries if not v.ok
     ]
@@ -441,10 +388,7 @@ def denesting_equivalence(
         raise PreconditionError(
             f"denesting side conditions fail in {alg.name!r}: {detail}"
         )
-    start = time.perf_counter()
-    entries = tuple(
-        (name, eqn, check_quasi_equation(alg, (), eqn, strategy, variables=variables))
-        for name, variables, eqn in _denesting_checks()
-    )
-    elapsed = int((time.perf_counter() - start) * 1000)
+    laws = _denesting_laws()
+    verdicts, elapsed = check_laws(alg, laws, strategy)
+    entries = tuple((law.name, law.conclusion, v) for law, v in zip(laws, verdicts))
     return DenestReport(alg.name, fp, describe_strategy(strategy), sides, entries, elapsed)

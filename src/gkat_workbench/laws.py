@@ -168,12 +168,28 @@ def check_law(alg: Algebra, law: Law, strategy: Strategy = Exhaustive()) -> Verd
     )
 
 
+def check_laws(
+    alg: Algebra, laws: Sequence[Law], strategy: Strategy = Exhaustive()
+) -> tuple[tuple[Verdict, ...], int]:
+    """Check each law in turn; the verdicts and the ``elapsed_ms`` they took."""
+    start = time.perf_counter()
+    verdicts = tuple(check_law(alg, law, strategy) for law in laws)
+    return verdicts, int((time.perf_counter() - start) * 1000)
+
+
 def run_law_suite(
     alg: Algebra,
     suite: Union[str, Sequence[Law]],
     strategy: Strategy = Exhaustive(),
 ) -> LawReport:
     """Check every law of a suite against ``alg`` and report per-law verdicts."""
+    return _suite_report(alg, alg.fingerprint(), suite, strategy)
+
+
+def _suite_report(
+    alg: Algebra, fingerprint: str, suite: Union[str, Sequence[Law]], strategy: Strategy
+) -> LawReport:
+    """``run_law_suite`` for a caller that already holds ``alg``'s fingerprint."""
     if isinstance(suite, str):
         try:
             laws: Sequence[Law] = SUITES[suite]
@@ -185,11 +201,10 @@ def run_law_suite(
     else:
         laws = tuple(suite)
         suite_name = "custom"
-    start = time.perf_counter()
-    entries = tuple((law, check_law(alg, law, strategy)) for law in laws)
-    elapsed = int((time.perf_counter() - start) * 1000)
+    verdicts, elapsed = check_laws(alg, laws, strategy)
     return LawReport(
-        alg.name, alg.fingerprint(), suite_name, describe_strategy(strategy), entries, elapsed
+        alg.name, fingerprint, suite_name, describe_strategy(strategy),
+        tuple(zip(laws, verdicts)), elapsed,
     )
 
 

@@ -36,6 +36,11 @@ raises exactly where evaluating each valuation in turn would.
 ``eval_term`` and the values reported with a counterexample use a plain
 recursive evaluator, which is also the reference the tests hold the
 compiled checks to.
+
+Carrier mode is a view: a test-sorted variable ranges over a finite
+algebra's whole carrier in the all-tests view ``replace(alg,
+test_indices=tuple(alg.elements()))``, where the arrow reads every stored
+cell (see ``hoare.commutation_conditions``).
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class Verdict:
         return out
 
 
-def _evaluate(alg: Algebra, t: Term, val: Mapping[str, Element], unchecked_arrow: bool) -> Element:
+def _evaluate(alg: Algebra, t: Term, val: Mapping[str, Element]) -> Element:
     """Plain structural recursion, left operand first."""
 
     def ev(u: Term) -> Element:
@@ -164,33 +169,25 @@ def _evaluate(alg: Algebra, t: Term, val: Mapping[str, Element], unchecked_arrow
             case Star(inner):
                 return alg.star(ev(inner))
             case Arrow(l, r):
-                a, b = ev(l), ev(r)
-                if unchecked_arrow and alg.finite:
-                    return alg.arrow_unchecked(a, b)
-                return alg.arrow(a, b)
+                return alg.arrow(ev(l), ev(r))
         raise TypeError(f"not a term: {u!r}")
 
     return ev(t)
 
 
-def eval_term(
-    alg: Algebra,
-    t: Term,
-    valuation: Mapping[str, Element],
-    unchecked_arrow: bool = False,
-) -> Element:
+def eval_term(alg: Algebra, t: Term, valuation: Mapping[str, Element]) -> Element:
     """Evaluate ``t`` under ``valuation`` (variable name -> element)."""
     for v in free_vars(t):
         if v.name not in valuation:
             raise AlgebraError(f"no binding for variable {v.name!r}")
         el = valuation[v.name]
         alg.check_member(el)
-        if v.sort is Sort.TEST and not unchecked_arrow and not alg.is_test(el):
+        if v.sort is Sort.TEST and not alg.is_test(el):
             raise SortError(
                 f"variable {v.name!r} is test-sorted but {alg.el_name(el)!r}"
                 f" is not a test of {alg.name!r}"
             )
-    return _evaluate(alg, t, valuation, unchecked_arrow)
+    return _evaluate(alg, t, valuation)
 
 
 # -- compilation -------------------------------------------------------------
@@ -212,10 +209,8 @@ class _Compiler:
     integers, never a variable or element name.
     """
 
-    def __init__(self, alg: Algebra, variables, unchecked_arrow: bool, var_level, inner: int):
+    def __init__(self, alg: Algebra, variables, var_level, inner: int):
         self.finite = alg.finite
-        # Like the evaluator, read the stored arrow table only on finite algebras.
-        self.unchecked = unchecked_arrow and alg.finite
         self.var_pos = {v.name: (j, v.sort) for j, v in enumerate(variables)}
         self.var_level = var_level
         self.inner = inner
@@ -284,7 +279,7 @@ class _Compiler:
                 a, b = self.node(l), self.node(r)
                 tests = self.is_test[a] and self.is_test[b]
                 # The guarded arrow cannot raise between operands that are tests.
-                if self.finite and (self.unchecked or tests):
+                if self.finite and tests:
                     return self._lookup("A", a, b, tests)
                 return self._call("arrow", a, b)
         raise TypeError(f"not a term: {t!r}")
@@ -343,7 +338,8 @@ class _Compiler:
 # -- valuation enumeration --------------------------------------------------
 
 
-def _collect_variables(eqns: Sequence[Equation]) -> tuple[Var, ...]:
+def collect_variables(eqns: Sequence[Equation]) -> tuple[Var, ...]:
+    """The equations' variables in first-occurrence order, as checks bind them."""
     seen: dict[str, Var] = {}
     for eqn in eqns:
         for term in (eqn.lhs, eqn.rhs):
@@ -396,7 +392,6 @@ class _Check:
     hypotheses: tuple[Equation, ...]
     conclusion: Equation
     variables: tuple[Var, ...]
-    unchecked_arrow: bool = False
 
     def _run_compiled(self, var_level, headers: Sequence[str], fail: str, data: dict):
         """Compile the check with the given loops and run it over ``data``."""
@@ -405,7 +400,7 @@ class _Check:
         if alg.finite:
             params.update(P=alg.plus_table, S=alg.seq_table, A=alg.arrow_table, T=alg.star_table)
         params.update(plus=alg.plus, seq=alg.seq, star=alg.star, arrow=alg.arrow)
-        compiler = _Compiler(alg, self.variables, self.unchecked_arrow, var_level, len(headers) - 1)
+        compiler = _Compiler(alg, self.variables, var_level, len(headers) - 1)
         source = compiler.source(self.hypotheses, self.conclusion, headers, fail, tuple(params))
         namespace: dict = {}
         exec(source, namespace)
@@ -415,8 +410,8 @@ class _Check:
     def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
         alg = self.alg
         val = {v.name: el for v, el in zip(self.variables, vals)}
-        lhs_val = _evaluate(alg, self.conclusion.lhs, val, self.unchecked_arrow)
-        rhs_val = _evaluate(alg, self.conclusion.rhs, val, self.unchecked_arrow)
+        lhs_val = _evaluate(alg, self.conclusion.lhs, val)
+        rhs_val = _evaluate(alg, self.conclusion.rhs, val)
         return Verdict(
             status="refuted",
             mode=mode,
@@ -503,10 +498,9 @@ def check_equation(
     equation: Equation,
     strategy: Strategy = Exhaustive(),
     variables: Optional[Sequence[Var]] = None,
-    unchecked_arrow: bool = False,
 ) -> Verdict:
     """Check one equation (or inequation) over all/sampled valuations."""
-    return check_quasi_equation(alg, (), equation, strategy, variables, unchecked_arrow)
+    return check_quasi_equation(alg, (), equation, strategy, variables)
 
 
 def check_quasi_equation(
@@ -515,11 +509,10 @@ def check_quasi_equation(
     conclusion: Equation,
     strategy: Strategy = Exhaustive(),
     variables: Optional[Sequence[Var]] = None,
-    unchecked_arrow: bool = False,
 ) -> Verdict:
     """Check hypotheses => conclusion; vacuous valuations count as passes."""
     hyps = tuple(hypotheses)
     if variables is None:
-        variables = _collect_variables(list(hyps) + [conclusion])
-    chk = _Check(alg, hyps, conclusion, tuple(variables), unchecked_arrow)
+        variables = collect_variables(hyps + (conclusion,))
+    chk = _Check(alg, hyps, conclusion, tuple(variables))
     return chk.run(strategy)

@@ -370,6 +370,8 @@ def test_exhaustive_mode_respects_the_cap(capsys) -> None:
     [
         ("check-laws", "--construct", "mat:bool2:1", "--json"),
         ("construct", "mat:bool2:1", "--json"),
+        ("denest", "--construct", "mat:bool2:1", "--json"),
+        ("construct", "mat:bool2:1", "--suite", "kleene", "--json"),
     ],
 )
 def test_a_command_fingerprints_its_algebra_once(capsys, monkeypatch, argv) -> None:

@@ -6,13 +6,13 @@ import pytest
 
 from gkat_workbench.algebra import AlgebraError
 from gkat_workbench.hoare import (
+    ALL_RULES,
     ANNIHILATION_BRIDGE,
     COMMUTATION_NAMES,
     RULES,
     CommutationReport,
     HoareTriple,
     PreconditionError,
-    StaleReportError,
     check_demorgan,
     check_rule,
     commutation_conditions,
@@ -22,8 +22,8 @@ from gkat_workbench.hoare import (
     triple_to_equation,
 )
 from gkat_workbench.instances import STANDARD_FINITE, make_builtin
-from gkat_workbench.laws import run_law_suite
-from gkat_workbench.semantics import Equation, Exhaustive, check_quasi_equation
+from gkat_workbench.laws import Law
+from gkat_workbench.semantics import Equation, check_quasi_equation
 from gkat_workbench.terms import Seq, Sort, Var
 
 
@@ -82,6 +82,17 @@ def test_rule_lookup_by_either_name() -> None:
 def test_the_annihilation_bridge_is_not_a_listed_rule() -> None:
     assert ANNIHILATION_BRIDGE.name not in RULES
     assert ANNIHILATION_BRIDGE.render() == "b;p = b;p;c  =>  b;p;!c = 0"
+
+
+@pytest.mark.parametrize("spec", ["ex9", "lemma4"])
+def test_a_rule_is_a_law_checked_as_its_quasi_equation(spec: str) -> None:
+    # The rule binds its variables in the order the bare check would.
+    alg = make_builtin(spec)
+    for rule in ALL_RULES:
+        assert isinstance(rule, Law)
+        assert check_rule(alg, rule) == check_quasi_equation(
+            alg, rule.hypotheses, rule.conclusion
+        )
 
 
 def test_while_rules_share_one_formula() -> None:
@@ -172,6 +183,11 @@ def test_commutation_over_the_whole_carrier() -> None:
     assert (v.checked, v.space) == (7, 16)
 
 
+def test_carrier_mode_reports_the_input_algebras_fingerprint() -> None:
+    alg = make_builtin("lemma4")
+    assert commutation_conditions(alg, b_over="carrier").fingerprint == alg.fingerprint()
+
+
 def test_commutation_report_shape() -> None:
     rep = commutation_conditions(make_builtin("bool2"))
     assert all(v.ok for _, _, v in rep.entries)
@@ -242,40 +258,3 @@ def test_denesting_refuses_ex9() -> None:
         match="denesting side conditions fail in 'ex9': igkat:test-idem, demorgan:de-morgan",
     ):
         denesting_equivalence(make_builtin("ex9"))
-
-
-def test_denesting_accepts_matching_precomputed_side_reports() -> None:
-    alg = make_builtin("chain3")
-    sides = (
-        run_law_suite(alg, "igkat", Exhaustive()),
-        run_law_suite(alg, "demorgan", Exhaustive()),
-    )
-    rep = denesting_equivalence(alg, side_reports=sides)
-    assert rep.ok
-    assert rep.side_reports == sides
-
-
-def test_denesting_rejects_stale_side_reports() -> None:
-    sides = (
-        run_law_suite(make_builtin("bool2"), "igkat", Exhaustive()),
-        run_law_suite(make_builtin("bool2"), "demorgan", Exhaustive()),
-    )
-    with pytest.raises(StaleReportError, match="does not match algebra 'chain3'"):
-        denesting_equivalence(make_builtin("chain3"), side_reports=sides)
-
-
-def test_denesting_rejects_incomplete_side_reports() -> None:
-    alg = make_builtin("chain3")
-    only_igkat = (run_law_suite(alg, "igkat", Exhaustive()),)
-    with pytest.raises(ValueError, match="must cover the 'igkat' and 'demorgan' suites"):
-        denesting_equivalence(alg, side_reports=only_igkat)
-
-
-def test_denesting_rejects_failing_side_reports() -> None:
-    alg = make_builtin("ex9")
-    sides = (
-        run_law_suite(alg, "igkat", Exhaustive()),
-        run_law_suite(alg, "demorgan", Exhaustive()),
-    )
-    with pytest.raises(PreconditionError, match="igkat:test-idem"):
-        denesting_equivalence(alg, side_reports=sides)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -53,14 +54,19 @@ def test_eval_term_missing_binding():
         eval_term(c3, parse_term("a", SORTS), {})
 
 
+def _all_tests(alg):
+    """The view of a finite algebra in which every element is a test."""
+    return replace(alg, test_indices=tuple(alg.elements()))
+
+
 def test_eval_term_guards_test_sort():
     ex9 = make_builtin("ex9")
     n = ex9.resolve("n")  # not a test
     t = parse_term("!a", SORTS)
     with pytest.raises(SortError, match="test-sorted"):
         eval_term(ex9, t, {"a": n})
-    # The escape hatch reads the stored arrow row instead.
-    assert eval_term(ex9, t, {"a": n}, unchecked_arrow=True) == ex9.zero
+    # The all-tests view reads the stored arrow row instead.
+    assert eval_term(_all_tests(ex9), t, {"a": n}) == ex9.zero
 
 
 # -- exhaustive checking -----------------------------------------------------
@@ -186,7 +192,8 @@ def _quasi_equations(draw, carrier: bool = False):
     """0-2 hypotheses and a conclusion over at most three variables.
 
     Arrows take test-sorted operands, except in carrier mode, where they
-    take any operand and read the stored arrow table.
+    take any operand; checked over the all-tests view, they then read the
+    whole stored arrow table.
     """
     names = draw(st.lists(st.sampled_from("abpq"), min_size=1, max_size=3, unique=True))
     tests = [_TEST_VARS[n] for n in names if n in _TEST_VARS]
@@ -212,13 +219,13 @@ def _quasi_equations(draw, carrier: bool = False):
     return tuple(hyps), draw(eqns), variables
 
 
-def _reference(alg, hyps, concl, variables, valuations, mode, space, unchecked):
+def _reference(alg, hyps, concl, variables, valuations, mode, space):
     """The first failing valuation, found by evaluating each one in turn."""
     names = [v.name for v in variables]
 
     def holds(eqn, val):
-        lhs = eval_term(alg, eqn.lhs, val, unchecked)
-        rhs = eval_term(alg, eqn.rhs, val, unchecked)
+        lhs = eval_term(alg, eqn.lhs, val)
+        rhs = eval_term(alg, eqn.rhs, val)
         return lhs == rhs if eqn.rel == "eq" else alg.plus(lhs, rhs) == rhs
 
     count = 0
@@ -228,8 +235,8 @@ def _reference(alg, hyps, concl, variables, valuations, mode, space, unchecked):
             return Verdict(
                 "refuted", mode, count + 1, space,
                 {n: alg.el_name(e) for n, e in val.items()},
-                alg.el_name(eval_term(alg, concl.lhs, val, unchecked)),
-                alg.el_name(eval_term(alg, concl.rhs, val, unchecked)),
+                alg.el_name(eval_term(alg, concl.lhs, val)),
+                alg.el_name(eval_term(alg, concl.rhs, val)),
             )
         count += 1
     return Verdict("valid" if mode == "exhaustive" else "sampled-valid", mode, count, space)
@@ -239,7 +246,7 @@ def _domains(alg, variables, progs, tests):
     return [tests if v.sort is Sort.TEST else progs for v in variables]
 
 
-def _assert_agrees(alg, problem, strategy, unchecked=False):
+def _assert_agrees(alg, problem, strategy):
     hyps, concl, variables = problem
     if isinstance(strategy, Exhaustive):
         doms = _domains(alg, variables, alg.elements(), alg.tests())
@@ -255,12 +262,12 @@ def _assert_agrees(alg, problem, strategy, unchecked=False):
         for d in _domains(alg, variables, alg.elements(), alg.tests()):
             space *= len(d)
     try:
-        want = _reference(alg, hyps, concl, variables, valuations, mode, space, unchecked)
+        want = _reference(alg, hyps, concl, variables, valuations, mode, space)
     except Exception as exc:  # the compiled check must raise the same error
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            check_quasi_equation(alg, hyps, concl, strategy, variables, unchecked)
+            check_quasi_equation(alg, hyps, concl, strategy, variables)
         return
-    assert check_quasi_equation(alg, hyps, concl, strategy, variables, unchecked) == want
+    assert check_quasi_equation(alg, hyps, concl, strategy, variables) == want
 
 
 def test_checks_with_more_variables_than_nested_loops():
@@ -292,7 +299,7 @@ class TestCompiledAgainstReference:
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(_FINITE), _quasi_equations(carrier=True))
     def test_carrier_mode(self, spec, problem):
-        _assert_agrees(make_builtin(spec), problem, Exhaustive(), unchecked=True)
+        _assert_agrees(_all_tests(make_builtin(spec)), problem, Exhaustive())
 
 
 class TestEngineAgreement:
