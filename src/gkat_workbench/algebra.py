@@ -100,6 +100,9 @@ class FiniteAlgebra:
                 raise ClosureError(
                     f"{label} element {self.element_names[idx]!r} of {self.name!r} is not a test"
                 )
+        # A row is checked by one set comparison; only a failing row is walked
+        # cell by cell, to name its first bad cell.
+        indices = frozenset(range(n))
         for tname, table in (
             ("plus", self.plus_table),
             ("seq", self.seq_table),
@@ -113,6 +116,8 @@ class FiniteAlgebra:
                         f"table {tname} of {self.name!r}, row {self.element_names[i]!r}:"
                         f" {len(row)} entries, expected {n}"
                     )
+                if indices.issuperset(row):
+                    continue
                 for j, v in enumerate(row):
                     if not 0 <= v < n:
                         raise ClosureError(
@@ -121,20 +126,27 @@ class FiniteAlgebra:
                         )
         if len(self.star_table) != n:
             raise ClosureError(f"table star of {self.name!r} has {len(self.star_table)} entries, expected {n}")
-        for i, v in enumerate(self.star_table):
-            if not 0 <= v < n:
-                raise ClosureError(
-                    f"table star of {self.name!r}, column {self.element_names[i]!r}: index {v} out of range"
-                )
+        if not indices.issuperset(self.star_table):
+            for i, v in enumerate(self.star_table):
+                if not 0 <= v < n:
+                    raise ClosureError(
+                        f"table star of {self.name!r}, column {self.element_names[i]!r}:"
+                        f" index {v} out of range"
+                    )
         # The test region must be a sub-carrier: closed under plus, seq and arrow.
+        # When every element is a test, a test row's test cells are the whole row.
+        all_tests = len(self.test_indices) == n
         for tname, table in (
             ("plus", self.plus_table),
             ("seq", self.seq_table),
             ("arrow", self.arrow_table),
         ):
             for i in self.test_indices:
+                row = table[i]
+                if test_set.issuperset(row if all_tests else [row[j] for j in self.test_indices]):
+                    continue
                 for j in self.test_indices:
-                    v = table[i][j]
+                    v = row[j]
                     if v not in test_set:
                         raise ClosureError(
                             f"table {tname} of {self.name!r}, row {self.element_names[i]!r},"
@@ -214,11 +226,11 @@ class FiniteAlgebra:
             ("arrow", self.arrow_table),
         ):
             lines.append(f"table {tname}")
-            for row in table:
-                lines.append(" ".join(names[v] for v in row))
+            lines.extend(" ".join([names[v] for v in row]) for row in table)
         lines.append("table star")
-        lines.append(" ".join(names[v] for v in self.star_table))
-        return "\n".join(lines) + "\n"
+        lines.append(" ".join([names[v] for v in self.star_table]))
+        lines.append("")  # the text ends with a newline
+        return "\n".join(lines)
 
     def fingerprint(self) -> str:
         return "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()

@@ -26,7 +26,7 @@ canonical rendering, which this module parses back bit-identically.
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Optional, Union
 
 from .algebra import AlgebraError, FiniteAlgebra
 
@@ -35,29 +35,39 @@ class AlgFileError(AlgebraError):
     """Malformed algebra file; message pinpoints source line (and cell)."""
 
 
+def _body(raw: str) -> str:
+    """A line without its comment and surrounding whitespace."""
+    return raw.split("#", 1)[0].strip()
+
+
 class _Lines:
-    """Comment/blank-stripped lines with positions, consumed in order."""
+    """Comment/blank-stripped lines with positions, tokenised as they are read."""
 
     def __init__(self, text: str, source: str):
         self.source = source
-        self.rows: list[tuple[int, list[str]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((lineno, body.split()))
-        self.pos = 0
-        self.last_line = self.rows[-1][0] if self.rows else 0
+        self.raw = text.splitlines()
+        self.pos = 0  # index into ``raw`` of the next line to look at
+        self.last_line = next(
+            (lineno for lineno in range(len(self.raw), 0, -1) if _body(self.raw[lineno - 1])), 0
+        )
 
     def fail(self, lineno: int, message: str) -> "AlgFileError":
         return AlgFileError(f"{self.source}:{lineno}: {message}")
 
+    def _advance(self) -> Optional[tuple[int, list[str]]]:
+        while self.pos < len(self.raw):
+            self.pos += 1
+            body = _body(self.raw[self.pos - 1])
+            if body:
+                return self.pos, body.split()
+        return None
+
     def next(self, context: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.rows):
+        row = self._advance()
+        if row is None:
             raise AlgFileError(
                 f"{self.source}:{self.last_line}: file ends before {context}"
             )
-        row = self.rows[self.pos]
-        self.pos += 1
         return row
 
     def keyword(self, *want: str) -> tuple[int, list[str]]:
@@ -70,8 +80,9 @@ class _Lines:
         return lineno, toks[len(want) :]
 
     def done(self) -> None:
-        if self.pos < len(self.rows):
-            lineno, toks = self.rows[self.pos]
+        row = self._advance()
+        if row is not None:
+            lineno, toks = row
             raise self.fail(lineno, f"unexpected trailing content {' '.join(toks)!r}")
 
 
@@ -119,6 +130,15 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         raise lines.fail(lineno, "expected exactly one element name after 'one'")
     one = resolve(lineno, rest[0], "one")
 
+    def resolve_row(lineno: int, toks: list[str], context: str) -> tuple[int, ...]:
+        try:
+            return tuple(map(index.__getitem__, toks))
+        except KeyError:
+            # Word the error by the first unknown name in the row.
+            return tuple(
+                resolve(lineno, tok, f"{context}, column {j + 1}") for j, tok in enumerate(toks)
+            )
+
     def read_table(tname: str) -> tuple[tuple[int, ...], ...]:
         lineno, rest = lines.keyword("table", tname)
         if rest:
@@ -132,16 +152,7 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
                     f"table {tname} row for {names[i]!r} has {len(toks)} entries,"
                     f" expected {size}",
                 )
-            rows.append(
-                tuple(
-                    resolve(
-                        lineno,
-                        tok,
-                        f"table {tname}, row {names[i]!r}, column {j + 1}",
-                    )
-                    for j, tok in enumerate(toks)
-                )
-            )
+            rows.append(resolve_row(lineno, toks, f"table {tname}, row {names[i]!r}"))
         return tuple(rows)
 
     plus_table = read_table("plus")
@@ -154,9 +165,7 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
     lineno, toks = lines.next("the star row")
     if len(toks) != size:
         raise lines.fail(lineno, f"star row has {len(toks)} entries, expected {size}")
-    star_table = tuple(
-        resolve(lineno, tok, f"table star, column {j + 1}") for j, tok in enumerate(toks)
-    )
+    star_table = resolve_row(lineno, toks, "table star")
     lines.done()
 
     return FiniteAlgebra(

@@ -41,7 +41,7 @@ from .hoare import (
     rule_schema,
 )
 from .instances import BUILTIN_FORMS, make_builtin
-from .laws import SUITES, LawReport, _suite_report, classify, parse_equation, run_law_suite
+from .laws import SUITES, Law, LawReport, _suite_report, classify, parse_equation, run_law_suite
 from .semantics import (
     Auto,
     Exhaustive,
@@ -54,6 +54,7 @@ from .terms import (
     KEYWORDS,
     ParseError,
     Sort,
+    Var,
     desugar,
     free_vars,
     parse_program,
@@ -176,7 +177,10 @@ def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
         help="exhaustive enumeration, random sampling, or per-check choice (default)",
     )
     g.add_argument(
-        "--samples", type=positive_int, default=100_000, help="sample count (default 100000)"
+        "--samples",
+        type=positive_int,
+        default=Sampled.samples,
+        help=f"sample count (default {Sampled.samples})",
     )
     g.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     g.add_argument(
@@ -330,8 +334,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     hyps = tuple(parse_equation(h, sorts) for h in args.hyp or ())
     concl = parse_equation(args.concl, sorts)
     v = check_quasi_equation(alg, hyps, concl, _strategy(args))
-    stmt = (" & ".join(h.render() for h in hyps) + "  ⊢  " if hyps else "") + concl.render()
-    human = [f"{stmt}   on {alg.name}", *_verdict_lines(v)]
+    law = Law("prove", tuple(Var(n, s) for n, s in sorts.items()), hyps, concl)
+    human = [f"{law.render()}   on {alg.name}", *_verdict_lines(v)]
     payload = {
         "command": args.command_echo,
         "algebra": alg.name,

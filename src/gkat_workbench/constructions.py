@@ -2,10 +2,20 @@
 
 Each construction is given by a small kernel of value-level operations over
 a finite base algebra.  When the derived carrier is small enough (``cap``)
-the kernel is enumerated into an ordinary ``FiniteAlgebra`` with full
-tables, so every law can be checked exhaustively; otherwise the kernel is
-wrapped as a ``ProceduralAlgebra`` with seeded random draws (opt in via
+it becomes an ordinary ``FiniteAlgebra`` with full tables, so every law can
+be checked exhaustively; otherwise the kernel is wrapped as a
+``ProceduralAlgebra`` with seeded random draws (opt in via
 ``sampled=True`` — without it an oversized carrier raises ``SizeError``).
+
+Finite tables come from index arithmetic, not from one kernel call per
+cell.  ``itertools.product`` numbers each carrier in mixed radix: a graded
+set over T is a numeral of ``points`` digits in base |T| (each digit the
+position of a coordinate among the base tests), a matrix over K a
+row-major numeral of n² digits in base |K|.  The pointwise tables (graded
+set +, ; and ->, matrix +) are the base table applied digit by digit; the
+matrix product is read off a table of row-by-column dot products, folded
+as ``mat_mul`` folds.  Star, the matrix arrow on test cells, test
+membership and element names are computed per element from the kernel.
 
 Carriers and operations:
 
@@ -85,49 +95,34 @@ def _resolve_test_sort(
     return t_tests, arrow
 
 
-# --- finite enumeration ---------------------------------------------------
+# --- finite tables by index arithmetic ------------------------------------
+
+Table = tuple[tuple[int, ...], ...]
 
 
-def _enumerate_finite(
-    name: str,
-    values: list,
-    el_name: Callable,
-    is_test: Callable,
-    zero,
-    one,
-    plus: Callable,
-    seq: Callable,
-    arrow: Callable,
-    star: Callable,
-) -> FiniteAlgebra:
-    index = {v: i for i, v in enumerate(values)}
-    tests = tuple(i for i, v in enumerate(values) if is_test(v))
-    test_set = frozenset(tests)
-    zero_i = index[zero]
+def _numeral(digits, radix: int) -> int:
+    """The number written by ``digits`` in base ``radix``, leading digit first."""
+    i = 0
+    for d in digits:
+        i = i * radix + d
+    return i
 
-    def tab(op: Callable) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(index[op(v, w)] for w in values) for v in values)
 
-    # The residual is only meaningful between tests; remaining cells hold
-    # the zero index and are never reachable through the checked API.
-    arrow_table = tuple(
-        tuple(
-            index[arrow(v, w)] if i in test_set and j in test_set else zero_i
-            for j, w in enumerate(values)
+def _digitwise_table(op: Table, width: int) -> Table:
+    """The table of ``op`` applied to each digit of two ``width``-digit numerals.
+
+    By radix recursion: with M = len(op) ** w, the table on w + 1 digits is
+    T[u0·M + ur][v0·M + vr] = op[u0][v0]·M + T_w[ur][vr].
+    """
+    table = op
+    for _ in range(width - 1):
+        m = len(table)
+        # shifted[ur][h]: row ur of T_w under the leading digit h
+        shifted = [[tuple([h * m + x for x in row]) for h in range(len(op))] for row in table]
+        table = tuple(
+            sum(map(by_digit.__getitem__, op_row), ()) for op_row in op for by_digit in shifted
         )
-        for i, v in enumerate(values)
-    )
-    return FiniteAlgebra(
-        name=name,
-        element_names=tuple(el_name(v) for v in values),
-        test_indices=tests,
-        zero=zero_i,
-        one=index[one],
-        plus_table=tab(plus),
-        seq_table=tab(seq),
-        arrow_table=arrow_table,
-        star_table=tuple(index[star(v)] for v in values),
-    )
+    return table
 
 
 def _fits_cap(name: str, base: int, exp: int, cap: int, sampled: bool) -> bool:
@@ -190,9 +185,25 @@ def fset_algebra(
         return "(" + ",".join(base.el_name(a) for a in v) + ")"
 
     if finite:
-        values = [tuple(v) for v in itertools.product(tests, repeat=points)]
-        return _enumerate_finite(
-            name, values, el_name, lambda v: True, zero, one, plus, seq, arrow, star
+        pos = {t: d for d, t in enumerate(tests)}
+
+        def digit_table(op: Callable) -> Table:
+            return tuple(tuple(pos[op(a, b)] for b in tests) for a in tests)
+
+        def index(v) -> int:
+            return _numeral(map(pos.__getitem__, v), len(tests))
+
+        values = list(itertools.product(tests, repeat=points))
+        return FiniteAlgebra(
+            name=name,
+            element_names=tuple(map(el_name, values)),
+            test_indices=tuple(range(len(values))),
+            zero=index(zero),
+            one=index(one),
+            plus_table=_digitwise_table(digit_table(base.plus), points),
+            seq_table=_digitwise_table(digit_table(base.seq), points),
+            arrow_table=_digitwise_table(digit_table(base.arrow), points),
+            star_table=tuple(index(star(v)) for v in values),
         )
 
     def draw(rng: random.Random):
@@ -309,6 +320,42 @@ def mat_star(base: Algebra, m: Matrix) -> Matrix:
     dscf = mat_mul(base, mat_mul(base, ds, c), f)
     br = mat_add(base, ds, mat_mul(base, dscf, bds))
     return _assemble(f, tr, dscf, br)
+
+
+def _mat_seq_table(base: FiniteAlgebra, values: list) -> Table:
+    """The ``mat_mul`` table on the row-major numbering of n×n matrices.
+
+    Built from two smaller tables: ``dot[r][c]``, row vector r times column
+    vector c, folded from zero in ascending position exactly as ``mat_mul``
+    folds (no associativity or commutativity assumed); and ``vecmat[r][b]``,
+    the row vector r times matrix b.  With R = |K|^n row vectors, the
+    product of the matrix with rows r_0 … r_{n-1} and b is
+    Σ_i vecmat[r_i][b]·R^(n-1-i), built here row prefix by row prefix.
+    """
+    k, plus, seq = base.size, base.plus_table, base.seq_table
+    n = len(values[0])
+    vectors = list(itertools.product(range(k), repeat=n))
+    dot = []
+    for a in vectors:
+        out = []
+        for b in vectors:
+            acc = base.zero
+            for x, y in zip(a, b):
+                acc = plus[acc][seq[x][y]]
+            out.append(acc)
+        dot.append(out)
+    # columns[j][b]: the index of column j of matrix b, as a vector
+    columns = list(zip(*([_numeral(col, k) for col in zip(*m)] for m in values)))
+    vecmat = []
+    for d in dot:
+        row = [d[c] for c in columns[0]]
+        for cs in columns[1:]:
+            row = [x * k + d[c] for x, c in zip(row, cs)]
+        vecmat.append(row)
+    table = vecmat
+    for _ in range(n - 1):
+        table = [[x * len(vectors) + y for x, y in zip(p, v)] for p in table for v in vecmat]
+    return tuple(map(tuple, table))
 
 
 # --- graded languages -----------------------------------------------------
@@ -502,9 +549,31 @@ def _matrix_algebra(
 
     if finite:
         rows = itertools.product(kalg.elements(), repeat=n)
-        values = [tuple(v) for v in itertools.product(list(rows), repeat=n)]
-        return _enumerate_finite(
-            name, values, el_name, is_test, zero, one, plus, seq, arrow, star
+        values = list(itertools.product(list(rows), repeat=n))
+
+        def index(m: Matrix) -> int:
+            return _numeral(itertools.chain.from_iterable(m), kalg.size)
+
+        # The residual is only meaningful between tests; remaining cells hold
+        # the zero index and are never reachable through the checked API.
+        tests = tuple(i for i, m in enumerate(values) if is_test(m))
+        zero_row = (index(zero),) * len(values)
+        arrow_table = [zero_row] * len(values)
+        for i in tests:
+            row = list(zero_row)
+            for j in tests:
+                row[j] = index(arrow(values[i], values[j]))
+            arrow_table[i] = tuple(row)
+        return FiniteAlgebra(
+            name=name,
+            element_names=tuple(map(el_name, values)),
+            test_indices=tests,
+            zero=index(zero),
+            one=index(one),
+            plus_table=_digitwise_table(kalg.plus_table, n * n),
+            seq_table=_mat_seq_table(kalg, values),
+            arrow_table=tuple(arrow_table),
+            star_table=tuple(index(star(m)) for m in values),
         )
 
     def draw(rng: random.Random) -> Matrix:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -71,6 +72,29 @@ def test_out_of_range_cell_names_row_and_column():
         FiniteAlgebra(**_bool_kwargs(plus_table=((0, 1), (7, 1))))
 
 
+@pytest.mark.parametrize(
+    "over,message",
+    [
+        (
+            dict(plus_table=((0, 9), (7, 1))),
+            "table plus of 'tiny', row '0', column '1': index 9 out of range",
+        ),
+        (
+            dict(plus_table=((0, 1), (7, -1))),
+            "table plus of 'tiny', row '1', column '0': index 7 out of range",
+        ),
+        (
+            dict(seq_table=((0, 0), (0, 2)), arrow_table=((5, 1), (0, 1))),
+            "table seq of 'tiny', row '1', column '1': index 2 out of range",
+        ),
+        (dict(star_table=(5, -2)), "table star of 'tiny', column '0': index 5 out of range"),
+    ],
+)
+def test_two_out_of_range_cells_report_the_first(over, message):
+    with pytest.raises(ClosureError, match=re.escape(message) + r"\Z"):
+        FiniteAlgebra(**_bool_kwargs(**over))
+
+
 def test_test_region_closure_checked():
     # plus(1,1) escaping the test set is reported with the offending cell.
     broken = _bool_kwargs(
@@ -83,6 +107,46 @@ def test_test_region_closure_checked():
     )
     with pytest.raises(ClosureError, match="result 'p' is not a test"):
         FiniteAlgebra(**broken)
+
+
+def _four_kwargs(**over):
+    """Tests 0 and 1 closed under every table, p and q outside them."""
+    kwargs = dict(
+        name="tiny",
+        element_names=("0", "1", "p", "q"),
+        test_indices=(0, 1),
+        zero=0,
+        one=1,
+        plus_table=((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3)),
+        seq_table=((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 3, 3)),
+        arrow_table=((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+        star_table=(1, 1, 1, 1),
+    )
+    kwargs.update(over)
+    return kwargs
+
+
+@pytest.mark.parametrize(
+    "over,message",
+    [
+        (
+            dict(plus_table=((0, 1, 2, 3), (2, 3, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3))),
+            "table plus of 'tiny', row '1', column '0': result 'p' is not a test",
+        ),
+        (
+            dict(seq_table=((3, 2, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 3, 3))),
+            "table seq of 'tiny', row '0', column '0': result 'q' is not a test",
+        ),
+        (
+            dict(arrow_table=((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))),
+            "table arrow of 'tiny', row '0', column '1': result 'p' is not a test",
+        ),
+    ],
+)
+def test_two_closure_escapes_report_the_first(over, message):
+    FiniteAlgebra(**_four_kwargs())  # the unbroken tables are valid
+    with pytest.raises(ClosureError, match=re.escape(message) + r"\Z"):
+        FiniteAlgebra(**_four_kwargs(**over))
 
 
 def test_resolve_and_el_name_roundtrip():

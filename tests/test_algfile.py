@@ -105,6 +105,18 @@ def _swap(needle: str, replacement: str) -> str:
             _swap("0 0\n0 1", "0 q\n0 1"),
             r"12: table seq, row '0', column 2: unknown element name 'q'",
         ),
+        (
+            _swap("0 0\n0 1", "x q\n0 1"),
+            r"12: table seq, row '0', column 1: unknown element name 'x'",
+        ),
+        (
+            _swap("1 1\n0 1\ntable star", "1 y\n0 z\ntable star"),
+            r"15: table arrow, row '0', column 2: unknown element name 'y'",
+        ),
+        (
+            _swap("table star\n1 1\n", "table star\nw v\n"),
+            r"18: table star, column 1: unknown element name 'w'",
+        ),
         (_swap("table arrow", "table arro"), r"14: expected 'table arrow', found 'table arro'"),
         (_swap("table star\n1 1\n", "table star\n1\n"), r"18: star row has 1 entries, expected 2"),
         (GOOD + "leftover\n", r"19: unexpected trailing content 'leftover'"),

@@ -8,9 +8,10 @@ import pytest
 
 from gkat_workbench.algebra import FiniteAlgebra
 from gkat_workbench.algfile import load_algebra
-from gkat_workbench.cli import main
+from gkat_workbench.cli import _build_parser, main
 from gkat_workbench.constructions import fset_algebra, mat_algebra
 from gkat_workbench.instances import make_builtin
+from gkat_workbench.semantics import Sampled
 
 
 def run(capsys, *argv: str):
@@ -174,6 +175,9 @@ def test_prove_valid_quasi_equation(capsys) -> None:
     )
     assert code == 0
     assert "Valid  [exhaustive, checked 12 of 12]" in out
+    # the statement is joined as rule and law statements are
+    assert "b;p = p;b  =>  p;b = b;p   on ex9" in out
+    assert "⊢" not in out
 
 
 def test_prove_refuted_with_witness(capsys) -> None:
@@ -342,6 +346,11 @@ def test_sample_counts_below_one_are_rejected(capsys, argv) -> None:
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "argument --samples: must be at least 1" in err
+
+
+def test_samples_default_comes_from_sampled() -> None:
+    args = _build_parser().parse_args(["check-laws", "--builtin", "bool2"])
+    assert args.samples == Sampled().samples
 
 
 def test_oversized_construct_names_the_spec_and_the_cap(capsys) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
 
 import pytest
@@ -340,3 +342,152 @@ class TestMatrixProperties:
         s = mat_star(base, m)
         unfold = mat_add(base, mat_identity(base, 2), mat_mul(base, m, s))
         assert s == unfold
+
+
+# ---------------------------------------------------------------------------
+# Pinned fingerprints: every cell of every table the benchmark builds
+# ---------------------------------------------------------------------------
+
+# (kind, K, T or None, points, fingerprint); the derived-construct specs of
+# perfbench/workloads.py (full and tiny) and mat:bool2:3.  The fingerprints
+# were computed with the per-cell enumeration that the index arithmetic
+# replaced.
+PINNED = [
+    ("fset", "chain3", None, 2,
+     "74c7888da23c0930702ba4d41210e7a416dd65a16da16a32a3797fb873f421e5"),
+    ("fset", "powerset:xy", None, 3,
+     "6b764c836599ea2e345df78bf6cc20c12255187318b78a6662868f2503b2027c"),
+    ("fset", "luka:3", None, 3,
+     "cf65de481aeeb8acd010938097d3b3833121335b53dbe1b84900228d34b06f5e"),
+    ("fset", "godel:4", None, 3,
+     "72bb8fb4585887569d0f6309946bd82206ee4602282fae96730d5465abd45c77"),
+    ("fset", "chain3", None, 5,
+     "ae9d0a9debc25ee6833a91b96fec508db79aed99d17ca351d084203dae7f50e2"),
+    ("fset", "luka:2", None, 5,
+     "c7a0a9157f6d37c496407572133f639df41d596eba71947e8daa34ca2aef31da"),
+    ("fset", "wajsberg:4", None, 4,
+     "671c54f433c7ed2f9ad2117e899880c25eb3ed889bcfb7a8e753810e01ed534c"),
+    ("frel", "bool2", None, 2,
+     "c42e8e90eab79ea6d08f5231d9256dee84eb871201b896fcbb7fdf711cd2c4b4"),
+    ("frel", "chain3", None, 2,
+     "07244361a90aaf24c111c2753bdbe0f1e30e27d386548b3091c16cd273efd120"),
+    ("frel", "chain3", "bool2", 2,
+     "d334a4d78e6a1edb2dfbcb1bedc38e6d1f49b5ef999305a42edde542e2fc8061"),
+    ("frel", "godel:2", "bool2", 2,
+     "61457e00eba2abdc0a9527fff51486ee50c4c0ab9e323076a004ba7a325baa8e"),
+    ("frel", "ex9", "bool2", 2,
+     "6846c3949a88842d433efc8a2c62f6e869ee155636579426e33a0fc88d2cbbcd"),
+    ("mat", "bool2", None, 2,
+     "39771a3b5214e70e8e2f9f89d8ea31551594ec0e649829228a739faad2940f45"),
+    ("mat", "chain3", None, 2,
+     "86916af8909481a45d59eae4eecf5673169e44b01d44c38e16173fd5a8fda951"),
+    ("mat", "luka:2", None, 2,
+     "cbd1de4a716a6dacd4317205b17ae48baab0053414d730eef49b65e9f5ae27ce"),
+    ("mat", "ex9", None, 2,
+     "f45f0273a5ffa7557695847d147a097b904842a470efc1407f9912b52f632809"),
+    ("mat", "lemma4", None, 2,
+     "5976ba652344b78f93c561415cd2d73e3ad3fa2621845ac626601cf9d330c317"),
+    ("frel", "chain3", "bool2", 1,
+     "edf8b6c0e6605b1a0e7e618f7eaa0453b54c52eb5c0f27281a10986adb9e1313"),
+    ("mat", "bool2", None, 3,
+     "1a3a2d234e3f228c5ea42a0acd9bace59970479ac6264a23f6cac57059cd0d73"),
+]
+
+
+def _build(kind: str, k: str, t, points: int):
+    if kind == "fset":
+        return fset_algebra(make_builtin(k), points)
+    if kind == "frel":
+        return frel_algebra(make_builtin(k), None if t is None else make_builtin(t), points)
+    return mat_algebra(make_builtin(k), points)
+
+
+@pytest.mark.parametrize(
+    ("kind", "k", "t", "points", "digest"),
+    PINNED,
+    ids=[f"{kind}:{k}:{t + ':' if t else ''}{p}" for kind, k, t, p, _ in PINNED],
+)
+def test_derived_table_fingerprints_are_pinned(kind, k, t, points, digest) -> None:
+    assert _build(kind, k, t, points).fingerprint() == "sha256:" + digest
+
+
+# ---------------------------------------------------------------------------
+# The index-arithmetic tables against the value-level kernels
+# ---------------------------------------------------------------------------
+
+ORACLE_CARRIERS = [
+    ("fset", "chain3", None, 2),
+    ("fset", "luka:2", None, 3),
+    ("fset", "powerset:xy", None, 2),
+    ("frel", "chain3", "bool2", 2),
+    ("frel", "ex9", "bool2", 1),
+    ("mat", "bool2", None, 3),
+    ("mat", "ex9", None, 2),
+    ("mat", "lemma4", None, 1),
+]
+# Tables of at most this many elements have every cell checked; larger
+# ones every cell of a fixed seeded sample of rows.
+FULL_CELL_CHECK = 81
+SAMPLED_ROWS = 12
+
+
+def _kernels(kind: str, k: str, t, points: int):
+    """Carrier values in ``itertools.product`` order, their names, and value ops."""
+    kalg = make_builtin(k)
+    if kind == "fset":
+        values = list(itertools.product(kalg.tests(), repeat=points))
+
+        def pointwise(op):
+            return lambda v, w: tuple(op(a, b) for a, b in zip(v, w))
+
+        names = ["(" + ",".join(map(kalg.el_name, v)) + ")" for v in values]
+        plus, seq, arrow = (pointwise(op) for op in (kalg.plus, kalg.seq, kalg.arrow))
+        return values, names, list(range(len(values))), plus, seq, arrow
+    talg = kalg if t is None else make_builtin(t)
+    rows = list(itertools.product(kalg.elements(), repeat=points))
+    values = list(itertools.product(rows, repeat=points))
+    names = ["[" + ";".join(",".join(map(kalg.el_name, r)) for r in m) + "]" for m in values]
+    t_names = {talg.el_name(x) for x in talg.tests()}
+    diagonal = [(i, j) for i in range(points) for j in range(points)]
+    tests = [
+        n for n, m in enumerate(values)
+        if all((kalg.el_name(m[i][j]) in t_names) if i == j else m[i][j] == kalg.zero
+               for i, j in diagonal)
+    ]
+
+    def t_arrow(a: int, b: int) -> int:
+        # the residual of T, carried to K by element name
+        got = talg.arrow(talg.resolve(kalg.el_name(a)), talg.resolve(kalg.el_name(b)))
+        return kalg.resolve(talg.el_name(got))
+
+    def arrow(a, b):
+        return tuple(
+            tuple(t_arrow(a[i][i], b[i][i]) if i == j else kalg.zero for j in range(points))
+            for i in range(points)
+        )
+
+    return (values, names, tests, lambda a, b: mat_add(kalg, a, b),
+            lambda a, b: mat_mul(kalg, a, b), arrow)
+
+
+@pytest.mark.parametrize(
+    ("kind", "k", "t", "points"),
+    ORACLE_CARRIERS,
+    ids=[f"{kind}:{k}:{t + ':' if t else ''}{p}" for kind, k, t, p in ORACLE_CARRIERS],
+)
+def test_radix_tables_match_the_value_level_kernels(kind, k, t, points) -> None:
+    alg = _build(kind, k, t, points)
+    values, names, tests, plus, seq, arrow = _kernels(kind, k, t, points)
+    assert alg.element_names == tuple(names)
+    assert alg.tests() == tuple(tests)
+    index = {v: i for i, v in enumerate(values)}
+    rows = range(alg.size)
+    if alg.size > FULL_CELL_CHECK:
+        rows = sorted(random.Random(0).sample(rows, SAMPLED_ROWS))
+    for i in rows:
+        for j, w in enumerate(values):
+            assert alg.plus_table[i][j] == index[plus(values[i], w)], (i, j)
+            assert alg.seq_table[i][j] == index[seq(values[i], w)], (i, j)
+    for i in tests:
+        for j in tests:
+            assert alg.arrow_table[i][j] == index[arrow(values[i], values[j])], (i, j)
