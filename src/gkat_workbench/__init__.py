@@ -34,7 +34,6 @@ from .hoare import (
     RULES,
     CommutationReport,
     DenestReport,
-    HoareTriple,
     PreconditionError,
     RuleSchema,
     check_demorgan,
@@ -43,7 +42,6 @@ from .hoare import (
     denesting_equivalence,
     rule_schema,
     triple_forms_equivalent,
-    triple_to_equation,
 )
 from .instances import STANDARD_FINITE, make_builtin
 from .laws import (
@@ -70,7 +68,6 @@ from .terms import (
     Sort,
     Term,
     Var,
-    desugar,
     free_vars,
     parse_program,
     parse_term,
@@ -94,7 +91,6 @@ __all__ = [
     "Equation",
     "Exhaustive",
     "FiniteAlgebra",
-    "HoareTriple",
     "Law",
     "LawReport",
     "ParseError",
@@ -120,7 +116,6 @@ __all__ = [
     "commutation_conditions",
     "denesting_equivalence",
     "derived_leq",
-    "desugar",
     "dump_algebra",
     "eval_term",
     "flang_algebra",
@@ -140,5 +135,4 @@ __all__ = [
     "run_law_suite",
     "star_lfp",
     "triple_forms_equivalent",
-    "triple_to_equation",
 ]

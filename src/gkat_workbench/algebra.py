@@ -58,6 +58,15 @@ class SizeError(AlgebraError):
     """A valuation space exceeds the configured exhaustive cap."""
 
 
+def _cell_fault(v: object, n: int) -> Optional[str]:
+    """Why ``v`` is not an element index of an ``n``-element algebra, if it is not."""
+    if type(v) is not int:
+        return f"index {v!r} is not an int"
+    if not 0 <= v < n:
+        return f"index {v} out of range"
+    return None
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite algebra given by explicit operation tables.
@@ -88,21 +97,23 @@ class FiniteAlgebra:
         if len(set(self.element_names)) != n:
             raise ClosureError(f"algebra {self.name!r} has duplicate element names")
         for i in self.test_indices:
-            if not 0 <= i < n:
-                raise ClosureError(f"test index {i} out of range in {self.name!r}")
+            if fault := _cell_fault(i, n):
+                raise ClosureError(f"test {fault} in {self.name!r}")
         if tuple(sorted(set(self.test_indices))) != self.test_indices:
             raise ClosureError(f"test indices of {self.name!r} must be ascending and distinct")
         test_set = set(self.test_indices)
         for label, idx in (("zero", self.zero), ("one", self.one)):
-            if not 0 <= idx < n:
-                raise ClosureError(f"{label} index {idx} out of range in {self.name!r}")
+            if fault := _cell_fault(idx, n):
+                raise ClosureError(f"{label} {fault} in {self.name!r}")
             if idx not in test_set:
                 raise ClosureError(
                     f"{label} element {self.element_names[idx]!r} of {self.name!r} is not a test"
                 )
-        # A row is checked by one set comparison; only a failing row is walked
-        # cell by cell, to name its first bad cell.
+        # A row is checked by one set comparison of its cells and one list
+        # comparison of their types (1.0 and True equal 1 in a set); only a
+        # failing row is walked cell by cell, to name its first bad cell.
         indices = frozenset(range(n))
+        int_row = [int] * n
         for tname, table in (
             ("plus", self.plus_table),
             ("seq", self.seq_table),
@@ -116,34 +127,34 @@ class FiniteAlgebra:
                         f"table {tname} of {self.name!r}, row {self.element_names[i]!r}:"
                         f" {len(row)} entries, expected {n}"
                     )
-                if indices.issuperset(row):
+                if indices.issuperset(row) and list(map(type, row)) == int_row:
                     continue
                 for j, v in enumerate(row):
-                    if not 0 <= v < n:
+                    if fault := _cell_fault(v, n):
                         raise ClosureError(
                             f"table {tname} of {self.name!r}, row {self.element_names[i]!r},"
-                            f" column {self.element_names[j]!r}: index {v} out of range"
+                            f" column {self.element_names[j]!r}: {fault}"
                         )
         if len(self.star_table) != n:
             raise ClosureError(f"table star of {self.name!r} has {len(self.star_table)} entries, expected {n}")
-        if not indices.issuperset(self.star_table):
-            for i, v in enumerate(self.star_table):
-                if not 0 <= v < n:
+        star = self.star_table
+        if not (indices.issuperset(star) and list(map(type, star)) == int_row):
+            for i, v in enumerate(star):
+                if fault := _cell_fault(v, n):
                     raise ClosureError(
-                        f"table star of {self.name!r}, column {self.element_names[i]!r}:"
-                        f" index {v} out of range"
+                        f"table star of {self.name!r}, column {self.element_names[i]!r}: {fault}"
                     )
         # The test region must be a sub-carrier: closed under plus, seq and arrow.
-        # When every element is a test, a test row's test cells are the whole row.
-        all_tests = len(self.test_indices) == n
-        for tname, table in (
-            ("plus", self.plus_table),
-            ("seq", self.seq_table),
-            ("arrow", self.arrow_table),
-        ):
+        # When every element is a test, the range check above has shown it.
+        closure_tables = (
+            (("plus", self.plus_table), ("seq", self.seq_table), ("arrow", self.arrow_table))
+            if len(test_set) < n
+            else ()
+        )
+        for tname, table in closure_tables:
             for i in self.test_indices:
                 row = table[i]
-                if test_set.issuperset(row if all_tests else [row[j] for j in self.test_indices]):
+                if test_set.issuperset([row[j] for j in self.test_indices]):
                     continue
                 for j in self.test_indices:
                     v = row[j]

@@ -55,7 +55,6 @@ from .terms import (
     ParseError,
     Sort,
     Var,
-    desugar,
     free_vars,
     parse_program,
     parse_term,
@@ -301,7 +300,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.expr is not None:
         term = parse_term(text, sorts)
     else:
-        term = desugar(parse_program(text, sorts))
+        term = parse_program(text, sorts)
     valuation = {
         v.name: lets[v.name] if v.name in lets else alg.resolve(v.name)
         for v in free_vars(term)

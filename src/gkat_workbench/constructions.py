@@ -1,9 +1,9 @@
 """Derived algebras: graded sets, matrices (graded relations), graded languages.
 
 Each construction is given by a small kernel of value-level operations over
-a finite base algebra.  When the derived carrier is small enough (``cap``)
-it becomes an ordinary ``FiniteAlgebra`` with full tables, so every law can
-be checked exhaustively; otherwise the kernel is wrapped as a
+a finite base algebra.  When the derived carrier has at most ``DEFAULT_CAP``
+elements it becomes an ordinary ``FiniteAlgebra`` with full tables, so every
+law can be checked exhaustively; otherwise the kernel is wrapped as a
 ``ProceduralAlgebra`` with seeded random draws (opt in via
 ``sampled=True`` — without it an oversized carrier raises ``SizeError``).
 
@@ -125,25 +125,25 @@ def _digitwise_table(op: Table, width: int) -> Table:
     return table
 
 
-def _fits_cap(name: str, base: int, exp: int, cap: int, sampled: bool) -> bool:
-    """Whether a carrier of ``base ** exp`` elements fits under ``cap``.
+def _fits_cap(name: str, base: int, exp: int, sampled: bool) -> bool:
+    """Whether a carrier of ``base ** exp`` elements fits under ``DEFAULT_CAP``.
 
     The power is built only when its exponent is below the cap's bit length
-    (otherwise it is at least ``2 ** exp > cap``), so an oversized request
+    (otherwise it is at least ``2 ** exp > DEFAULT_CAP``), so an oversized request
     fails at once.  An oversized carrier raises ``SizeError`` unless
     ``sampled``.
     """
     if base <= 1:
         return True
-    if exp < cap.bit_length():
+    if exp < DEFAULT_CAP.bit_length():
         size = base**exp
-        if size <= cap:
+        if size <= DEFAULT_CAP:
             return True
         shown = str(size)
     else:
         shown = f"{base}^{exp}"
     if not sampled:
-        raise SizeError(f"{name}: carrier size {shown} exceeds cap {cap}")
+        raise SizeError(f"{name}: carrier size {shown} exceeds cap {DEFAULT_CAP}")
     return False
 
 
@@ -156,16 +156,14 @@ def _require_finite(base: Algebra, what: str) -> FiniteAlgebra:
 # --- graded sets ----------------------------------------------------------
 
 
-def fset_algebra(
-    base: Algebra, points: int, cap: int = DEFAULT_CAP, sampled: bool = False
-) -> Algebra:
+def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebra:
     """Vectors of base tests over ``points`` coordinates, pointwise."""
     base = _require_finite(base, "fset")
     if points < 1:
         raise ValueError("fset needs at least one point")
     tests = base.tests()
     name = f"fset:{base.name}:{points}"
-    finite = _fits_cap(name, len(tests), points, cap, sampled)
+    finite = _fits_cap(name, len(tests), points, sampled)
     zero = (base.zero,) * points
     one = (base.one,) * points
 
@@ -513,12 +511,12 @@ def _draw_lang(
 
 
 def _matrix_algebra(
-    name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, cap: int, sampled: bool
+    name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, sampled: bool
 ) -> Algebra:
     """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests."""
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     t_test_set = frozenset(t_tests)
-    finite = _fits_cap(name, kalg.size, n * n, cap, sampled)
+    finite = _fits_cap(name, kalg.size, n * n, sampled)
     zero = mat_zero(kalg, n)
     one = mat_identity(kalg, n)
 
@@ -613,7 +611,7 @@ def frel_algebra(
     kalg: Algebra,
     talg: Optional[Algebra] = None,
     points: int = 2,
-    cap: int = DEFAULT_CAP,
+    *,
     sampled: bool = False,
 ) -> Algebra:
     """Relations X×X → K with diagonal T-valued tests (T defaults to K)."""
@@ -622,14 +620,12 @@ def frel_algebra(
     if points < 1:
         raise ValueError("frel needs at least one point")
     name = f"frel:{kalg.name}:{talg.name}:{points}"
-    return _matrix_algebra(name, kalg, talg, points, cap, sampled)
+    return _matrix_algebra(name, kalg, talg, points, sampled)
 
 
-def mat_algebra(
-    base: Algebra, n: int, cap: int = DEFAULT_CAP, sampled: bool = False
-) -> Algebra:
+def mat_algebra(base: Algebra, n: int, *, sampled: bool = False) -> Algebra:
     """n×n matrices over the base, star by block recursion."""
     base = _require_finite(base, "mat")
     if n < 1:
         raise ValueError("mat needs n >= 1")
-    return _matrix_algebra(f"mat:{base.name}:{n}", base, base, n, cap, sampled)
+    return _matrix_algebra(f"mat:{base.name}:{n}", base, base, n, sampled)

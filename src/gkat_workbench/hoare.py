@@ -1,12 +1,12 @@
 """Hoare triples, proof-rule schemas, commutation conditions, denesting.
 
-A partial-correctness triple {b} p {c} is encoded as an order statement
-``b;p <= b;p;c`` or, equivalently in these algebras, as the equation
-``b;p = b;p;c`` (``triple_forms_equivalent`` checks the equivalence holds
-pointwise in a given algebra).  The classic proof rules are then plain
-quasi-equations between such encodings, so a rule is a ``Law`` (see
-laws.py) and model-checking it means enumerating valuations of its schema
-variables, in first-occurrence order.
+A partial-correctness triple {b} p {c} is encoded, after Kozen, as the
+order statement ``b;p <= b;p;c`` or, equivalently in these algebras, as
+the equation ``b;p = b;p;c`` (``triple_forms_equivalent`` checks the
+equivalence holds pointwise in a given algebra).  The classic proof rules
+are then plain quasi-equations between such encodings, written here in the
+law syntax of laws.py, so a rule is a ``Law`` and model-checking it means
+enumerating valuations of its schema variables, in first-occurrence order.
 
 Rule names: Composition, Conditional, WeakenStrengthen, WhileGKAT and
 WhileIGKAT (one formula, listed under both names because its soundness
@@ -17,10 +17,11 @@ KAT-Conditional, KAT-While, KAT-Weaken.
 Also here, each a ``Law`` checked by ``check_law``: the two triple-form
 implications, the three guard-commutation conditions and their six
 pairwise implications (the lemma4/lemma6 builtins separate them), the De
-Morgan side condition, and the while-loop denesting transformation
-together with the sliding and star-denesting identities, guarded by their
-side conditions (test idempotence plus De Morgan).  Commutation over the
-whole carrier checks the same laws over the all-tests view of the algebra.
+Morgan side condition, and the while-loop denesting transformation, whose
+two sides are while-programs, together with the sliding and star-denesting
+identities, guarded by their side conditions (test idempotence plus De
+Morgan).  Commutation over the whole carrier checks the same laws over the
+all-tests view of the algebra.
 """
 
 from __future__ import annotations
@@ -28,53 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .algebra import Algebra, AlgebraError
-from .laws import DEMORGAN_LAW, Law, LawReport, _suite_report, check_law, check_laws
-from .semantics import (
-    Equation,
-    Exhaustive,
-    Strategy,
-    Verdict,
-    collect_variables,
-    describe_strategy,
+from .laws import (
+    _SORTS,
+    DEMORGAN_LAW,
+    Law,
+    LawReport,
+    _law,
+    _suite_report,
+    check_law,
+    check_laws,
+    parse_equation,
 )
-from .terms import (
-    Atom,
-    If,
-    IfThen,
-    Plus,
-    Seq,
-    SeqProg,
-    Sort,
-    Star,
-    Term,
-    Var,
-    While,
-    Zero,
-    desugar,
-    mk_not,
-    pretty,
-)
-
-
-@dataclass(frozen=True)
-class HoareTriple:
-    """Partial-correctness triple: precondition, program, postcondition."""
-
-    pre: Term
-    prog: Term
-    post: Term
-
-    def render(self) -> str:
-        return f"{{{pretty(self.pre)}}} {pretty(self.prog)} {{{pretty(self.post)}}}"
-
-
-def triple_to_equation(triple: HoareTriple, form: str = "leq") -> Equation:
-    """Encode a triple as ``pre;prog <= pre;prog;post`` (or with ``=``)."""
-    if form not in ("leq", "eq"):
-        raise ValueError(f"form must be 'leq' or 'eq', got {form!r}")
-    run = Seq(triple.pre, triple.prog)
-    return Equation(run, Seq(run, triple.post), form)
-
+from .semantics import Equation, Exhaustive, Strategy, Verdict, describe_strategy
+from .terms import Var, free_vars, parse_program
 
 # --- rule schemas ---------------------------------------------------------
 
@@ -86,104 +53,42 @@ class RuleSchema(Law):
     cli_name: str
 
 
-def _rule(
-    name: str, cli_name: str, hypotheses: tuple[Equation, ...], conclusion: Equation
-) -> RuleSchema:
-    variables = collect_variables((*hypotheses, conclusion))
-    return RuleSchema(name, variables, hypotheses, conclusion, cli_name)
+def _rule(name: str, cli_name: str, conclusion: str, *hypotheses: str) -> RuleSchema:
+    """A rule over its variables in first-occurrence order, hypotheses first."""
+    hyps = tuple(parse_equation(h, _SORTS) for h in hypotheses)
+    concl = parse_equation(conclusion, _SORTS)
+    variables = free_vars(*(t for e in (*hyps, concl) for t in (e.lhs, e.rhs)))
+    return RuleSchema(name, variables, hyps, concl, cli_name)
 
 
-def _t(name: str) -> Var:
-    return Var(name, Sort.TEST)
-
-
-def _p(name: str) -> Var:
-    return Var(name, Sort.PROGRAM)
-
-
-_a, _b, _c, _d = _t("a"), _t("b"), _t("c"), _t("d")
-_pp, _q = _p("p"), _p("q")
-
-
-def _rules() -> dict[str, RuleSchema]:
-    t = HoareTriple
-    enc = triple_to_equation
-    if_term = Plus(Seq(_b, _pp), Seq(mk_not(_b), _q))
-    while_term = Seq(Star(Seq(_b, _pp)), mk_not(_b))
-    not_b_and_c = Seq(mk_not(_b), _c)
-    leq = lambda l, r: Equation(l, r, "leq")  # noqa: E731
-
-    specs = [
-        _rule(
-            "Composition",
-            "composition",
-            (enc(t(_b, _pp, _c)), enc(t(_c, _q, _d))),
-            enc(t(_b, Seq(_pp, _q), _d), form="eq"),
-        ),
-        _rule(
-            "Conditional",
-            "conditional",
-            (enc(t(Seq(_b, _c), _pp, _d)), enc(t(Seq(mk_not(_b), _c), _q, _d))),
-            enc(t(_c, if_term, _d)),
-        ),
-        _rule(
-            "WeakenStrengthen",
-            "weaken-strengthen",
-            (leq(_a, _b), enc(t(_b, _pp, _c)), leq(_c, _d)),
-            enc(t(_a, _pp, _d)),
-        ),
-        _rule(
-            "WhileGKAT",
-            "while-gkat",
-            (enc(t(Seq(_b, _c), _pp, _c)),),
-            enc(t(_c, while_term, not_b_and_c)),
-        ),
-        _rule(
-            "WhileIGKAT",
-            "while-igkat",
-            (enc(t(Seq(_b, _c), _pp, _c)),),
-            enc(t(_c, while_term, not_b_and_c)),
-        ),
-        _rule(
-            "KAT-Composition",
-            "kat-composition",
-            (enc(t(_b, _pp, _c), "eq"), enc(t(_c, _q, _d), "eq")),
-            enc(t(_b, Seq(_pp, _q), _d), "eq"),
-        ),
-        _rule(
-            "KAT-Conditional",
-            "kat-conditional",
-            (
-                enc(t(Seq(_b, _c), _pp, _d), "eq"),
-                enc(t(Seq(mk_not(_b), _c), _q, _d), "eq"),
-            ),
-            enc(t(_c, if_term, _d), "eq"),
-        ),
-        _rule(
-            "KAT-While",
-            "kat-while",
-            (enc(t(Seq(_b, _c), _pp, _c), "eq"),),
-            enc(t(_c, while_term, not_b_and_c), "eq"),
-        ),
-        _rule(
-            "KAT-Weaken",
-            "kat-weaken",
-            (leq(_a, _b), enc(t(_b, _pp, _c), "eq"), leq(_c, _d)),
-            enc(t(_a, _pp, _d), "eq"),
-        ),
-    ]
-    return {r.name: r for r in specs}
-
-
-RULES: dict[str, RuleSchema] = _rules()
+# {b} p {c} reads b;p <= b;p;c, and b;p = b;p;c in the KAT- variants.
+# b;p+!b;q and (b;p)*;!b are the terms parse_program gives for
+# "if b then { p } else { q }" and "while b do { p }".
+RULES: dict[str, RuleSchema] = {r.name: r for r in (
+    _rule("Composition", "composition",
+          "b;(p;q) = b;(p;q);d", "b;p <= b;p;c", "c;q <= c;q;d"),
+    _rule("Conditional", "conditional",
+          "c;(b;p+!b;q) <= c;(b;p+!b;q);d", "b;c;p <= b;c;p;d", "!b;c;q <= !b;c;q;d"),
+    _rule("WeakenStrengthen", "weaken-strengthen",
+          "a;p <= a;p;d", "a <= b", "b;p <= b;p;c", "c <= d"),
+    _rule("WhileGKAT", "while-gkat",
+          "c;((b;p)*;!b) <= c;((b;p)*;!b);(!b;c)", "b;c;p <= b;c;p;c"),
+    _rule("WhileIGKAT", "while-igkat",
+          "c;((b;p)*;!b) <= c;((b;p)*;!b);(!b;c)", "b;c;p <= b;c;p;c"),
+    _rule("KAT-Composition", "kat-composition",
+          "b;(p;q) = b;(p;q);d", "b;p = b;p;c", "c;q = c;q;d"),
+    _rule("KAT-Conditional", "kat-conditional",
+          "c;(b;p+!b;q) = c;(b;p+!b;q);d", "b;c;p = b;c;p;d", "!b;c;q = !b;c;q;d"),
+    _rule("KAT-While", "kat-while",
+          "c;((b;p)*;!b) = c;((b;p)*;!b);(!b;c)", "b;c;p = b;c;p;c"),
+    _rule("KAT-Weaken", "kat-weaken",
+          "a;p = a;p;d", "a <= b", "b;p = b;p;c", "c <= d"),
+)}
 
 #: Consequence of the triple encoding used by the denesting proof: an
 #: established postcondition annihilates its own negation.
 ANNIHILATION_BRIDGE = _rule(
-    "PostconditionAnnihilation",
-    "postcondition-annihilation",
-    (triple_to_equation(HoareTriple(_b, _pp, _c), "eq"),),
-    Equation(Seq(Seq(_b, _pp), mk_not(_c)), Zero(), "eq"),
+    "PostconditionAnnihilation", "postcondition-annihilation", "b;p;!c = 0", "b;p = b;p;c"
 )
 
 
@@ -208,11 +113,9 @@ def check_rule(
     return check_law(alg, rule, strategy)
 
 
-_AS_LEQ = triple_to_equation(HoareTriple(_b, _pp, _c), "leq")
-_AS_EQ = triple_to_equation(HoareTriple(_b, _pp, _c), "eq")
 _TRIPLE_FORM_LAWS = (
-    Law("leq-implies-eq", (_b, _pp, _c), (_AS_LEQ,), _AS_EQ),
-    Law("eq-implies-leq", (_b, _pp, _c), (_AS_EQ,), _AS_LEQ),
+    _law("leq-implies-eq", "b p c", "b;p = b;p;c", "b;p <= b;p;c"),
+    _law("eq-implies-leq", "b p c", "b;p <= b;p;c", "b;p = b;p;c"),
 )
 
 
@@ -230,7 +133,13 @@ def triple_forms_equivalent(
 
 # --- commutation conditions -----------------------------------------------
 
-COMMUTATION_NAMES = ("test-commutes", "negation-commutes", "crossings-vanish")
+_COMMUTATION_CONDITIONS = {
+    "test-commutes": "b;p = p;b",
+    "negation-commutes": "!b;p = p;!b",
+    "crossings-vanish": "b;p;!b+!b;p;b = 0",
+}
+
+COMMUTATION_NAMES = tuple(_COMMUTATION_CONDITIONS)
 
 #: The six directed implications, strongest separations first.
 COMMUTATION_PAIRS = (
@@ -242,21 +151,11 @@ COMMUTATION_PAIRS = (
     ("crossings-vanish", "negation-commutes"),
 )
 
-
-def _commutation_laws() -> tuple[Law, ...]:
-    """One law per entry of ``COMMUTATION_PAIRS``, in the same order."""
-    b, not_b, p = _b, mk_not(_b), _pp
-    conds = {
-        "test-commutes": Equation(Seq(b, p), Seq(p, b), "eq"),
-        "negation-commutes": Equation(Seq(not_b, p), Seq(p, not_b), "eq"),
-        "crossings-vanish": Equation(
-            Plus(Seq(Seq(b, p), not_b), Seq(Seq(not_b, p), b)), Zero(), "eq"
-        ),
-    }
-    return tuple(
-        Law(f"{src} => {dst}", (b, p), (conds[src],), conds[dst])
-        for src, dst in COMMUTATION_PAIRS
-    )
+#: One law per entry of ``COMMUTATION_PAIRS``, in the same order.
+_COMMUTATION_LAWS = tuple(
+    _law(f"{src} => {dst}", "b p", _COMMUTATION_CONDITIONS[dst], _COMMUTATION_CONDITIONS[src])
+    for src, dst in COMMUTATION_PAIRS
+)
 
 
 @dataclass(frozen=True)
@@ -307,7 +206,7 @@ def commutation_conditions(
         raise AlgebraError("carrier-mode commutation checking needs a finite algebra")
     fingerprint = alg.fingerprint()
     view = replace(alg, test_indices=tuple(alg.elements())) if b_over == "carrier" else alg
-    verdicts, elapsed = check_laws(view, _commutation_laws(), strategy)
+    verdicts, elapsed = check_laws(view, _COMMUTATION_LAWS, strategy)
     entries = tuple((src, dst, v) for (src, dst), v in zip(COMMUTATION_PAIRS, verdicts))
     return CommutationReport(
         alg.name, fingerprint, b_over, describe_strategy(strategy), entries, elapsed
@@ -326,21 +225,20 @@ class PreconditionError(AlgebraError):
     """A transformation's side conditions fail in the given algebra."""
 
 
-def _denesting_laws() -> tuple[Law, ...]:
-    b, c, p, q = _b, _c, _pp, _q
-    ap, aq = Atom("p"), Atom("q")
-    # while b do { p; while c do { q } }
-    lhs_prog = While(b, SeqProg(ap, While(c, aq)))
-    # if b then { p; while b+c do { if c then { q } else { p } } }
-    rhs_prog = IfThen(b, SeqProg(ap, While(Plus(b, c), If(c, aq, ap))))
-    loop = Equation(desugar(lhs_prog), desugar(rhs_prog), "eq")
-    sliding = Equation(Seq(p, Star(Seq(q, p))), Seq(Star(Seq(p, q)), p), "eq")
-    star_denest = Equation(Seq(Star(p), Star(Seq(q, Star(p)))), Star(Plus(p, q)), "eq")
-    return (
-        Law("loop-denesting", (b, c, p, q), (), loop),
-        Law("sliding", (p, q), (), sliding),
-        Law("star-denesting", (p, q), (), star_denest),
-    )
+_DENESTING_LAWS = (
+    Law(
+        "loop-denesting",
+        tuple(Var(v, _SORTS[v]) for v in "bcpq"),
+        (),
+        Equation(
+            parse_program("while b do { p; while c do { q } }", _SORTS),
+            parse_program("if b then { p; while b+c do { if c then { q } else { p } } }", _SORTS),
+            "eq",
+        ),
+    ),
+    _law("sliding", "p q", "p;(q;p)* = (p;q)*;p"),
+    _law("star-denesting", "p q", "p*;(q;p*)* = (p+q)*"),
+)
 
 
 @dataclass(frozen=True)
@@ -388,7 +286,8 @@ def denesting_equivalence(alg: Algebra, strategy: Strategy = Exhaustive()) -> De
         raise PreconditionError(
             f"denesting side conditions fail in {alg.name!r}: {detail}"
         )
-    laws = _denesting_laws()
-    verdicts, elapsed = check_laws(alg, laws, strategy)
-    entries = tuple((law.name, law.conclusion, v) for law, v in zip(laws, verdicts))
+    verdicts, elapsed = check_laws(alg, _DENESTING_LAWS, strategy)
+    entries = tuple(
+        (law.name, law.conclusion, v) for law, v in zip(_DENESTING_LAWS, verdicts)
+    )
     return DenestReport(alg.name, fp, describe_strategy(strategy), sides, entries, elapsed)

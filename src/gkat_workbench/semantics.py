@@ -338,20 +338,6 @@ class _Compiler:
 # -- valuation enumeration --------------------------------------------------
 
 
-def collect_variables(eqns: Sequence[Equation]) -> tuple[Var, ...]:
-    """The equations' variables in first-occurrence order, as checks bind them."""
-    seen: dict[str, Var] = {}
-    for eqn in eqns:
-        for term in (eqn.lhs, eqn.rhs):
-            for v in free_vars(term):
-                prev = seen.get(v.name)
-                if prev is None:
-                    seen[v.name] = v
-                elif prev.sort is not v.sort:
-                    raise SortError(f"variable {v.name!r} is used at two different sorts")
-    return tuple(seen.values())
-
-
 def _finite_domains(alg: Algebra, variables: Sequence[Var]) -> list[Sequence[Element]]:
     return [
         alg.tests() if v.sort is Sort.TEST else alg.elements()  # type: ignore[union-attr]
@@ -513,6 +499,6 @@ def check_quasi_equation(
     """Check hypotheses => conclusion; vacuous valuations count as passes."""
     hyps = tuple(hypotheses)
     if variables is None:
-        variables = collect_variables(hyps + (conclusion,))
+        variables = free_vars(*(t for e in (*hyps, conclusion) for t in (e.lhs, e.rhs)))
     chk = _Check(alg, hyps, conclusion, tuple(variables))
     return chk.run(strategy)

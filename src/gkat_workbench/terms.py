@@ -1,4 +1,4 @@
-"""Terms, sorts, surface syntax, and while-program desugaring.
+"""Terms, sorts and surface syntax, for terms and for while-programs.
 
 Term surface syntax (ASCII), loosest to tightest binding:
 
@@ -15,7 +15,8 @@ two-sorted: tests are closed under ``+``, ``;`` and ``->`` and contain the
 constants; ``*`` always produces a program, and ``->`` demands test-sorted
 operands on both sides.
 
-While-programs are a separate small layer that desugars onto terms:
+While-programs are surface syntax only: ``parse_program`` reads one
+straight to the term it stands for.
 
     program := unit (";" unit)*
     unit    := "skip" | "halt" | ident
@@ -23,8 +24,10 @@ While-programs are a separate small layer that desugars onto terms:
              | "while" term "do" "{" program "}"
              | "(" program ")"
 
-An ``if`` without ``else`` takes a dummy skip branch: it desugars to
-``b;p + !b``.  Loops desugar to ``(b;p)*;!b``.
+``skip`` is ``1``, ``halt`` is ``0`` and ``;`` is sequencing;
+``if b then { p } else { q }`` is ``b;p + !b;q``, an ``if`` without
+``else`` takes a skip branch (``b;p + !b``), and ``while b do { p }`` is
+``(b;p)*;!b``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .algebra import SortError
 
@@ -120,8 +123,11 @@ def mk_not(t: Term) -> Arrow:
     return mk_arrow(t, Zero())
 
 
-def free_vars(t: Term) -> tuple[Var, ...]:
-    """Free variables in first-occurrence order; rejects sort-conflicting reuse."""
+def free_vars(*terms: Term) -> tuple[Var, ...]:
+    """The terms' variables in first-occurrence order, as checks bind them.
+
+    Rejects a name used at two sorts.
+    """
     seen: dict[str, Var] = {}
 
     def walk(u: Term) -> None:
@@ -140,7 +146,8 @@ def free_vars(t: Term) -> tuple[Var, ...]:
             case _:
                 pass
 
-    walk(t)
+    for t in terms:
+        walk(t)
     return tuple(seen.values())
 
 
@@ -254,45 +261,37 @@ class _Parser:
 
     # program grammar
 
-    def program(self) -> "WhileProgram":
+    def program(self) -> Term:
         p = self.unit()
         while self.peek() == ";":
             self.next()
-            p = SeqProg(p, self.unit())
+            p = Seq(p, self.unit())
         return p
 
-    def unit(self) -> "WhileProgram":
+    def unit(self) -> Term:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"unexpected end of input in {self.text!r}")
         if tok == "skip":
             self.next()
-            return Skip()
+            return One()
         if tok == "halt":
             self.next()
-            return Halt()
+            return Zero()
         if tok == "if":
             self.next()
             test = self.guard("then")
             self.expect("then")
-            self.expect("{")
-            then_branch = self.program()
-            self.expect("}")
+            then_branch = Seq(test, self.block())
             if self.peek() == "else":
                 self.next()
-                self.expect("{")
-                else_branch = self.program()
-                self.expect("}")
-                return If(test, then_branch, else_branch)
-            return IfThen(test, then_branch)
+                return Plus(then_branch, Seq(mk_not(test), self.block()))
+            return Plus(then_branch, mk_not(test))
         if tok == "while":
             self.next()
             test = self.guard("do")
             self.expect("do")
-            self.expect("{")
-            body = self.program()
-            self.expect("}")
-            return While(test, body)
+            return Seq(Star(Seq(test, self.block())), mk_not(test))
         if tok == "(":
             self.next()
             p = self.program()
@@ -304,8 +303,14 @@ class _Parser:
             if sort is None:
                 known = ", ".join(sorted(self.sorts)) or "none"
                 raise ParseError(f"unknown identifier {tok!r}; declared names: {known}")
-            return Atom(tok, sort)
+            return Var(tok, sort)
         raise ParseError(f"unexpected token {tok!r} in program")
+
+    def block(self) -> Term:
+        self.expect("{")
+        p = self.program()
+        self.expect("}")
+        return p
 
     def guard(self, stop: str) -> Term:
         t = self.term()
@@ -316,14 +321,23 @@ class _Parser:
         return t
 
 
-def parse_term(text: str, sorts: Mapping[str, Sort]) -> Term:
-    """Parse a term; every identifier must appear in ``sorts``."""
+def _parse(text: str, sorts: Mapping[str, Sort], rule: Callable[[_Parser], Term]) -> Term:
     p = _Parser(text, sorts)
-    t = p.term()
+    t = rule(p)
     if not p.at_end():
         tok, at = p.tokens[p.pos]
         raise ParseError(f"trailing input starting at {tok!r} (position {at})")
     return t
+
+
+def parse_term(text: str, sorts: Mapping[str, Sort]) -> Term:
+    """Parse a term; every identifier must appear in ``sorts``."""
+    return _parse(text, sorts, _Parser.term)
+
+
+def parse_program(text: str, sorts: Mapping[str, Sort]) -> Term:
+    """Parse a while-program to the term it stands for."""
+    return _parse(text, sorts, _Parser.program)
 
 
 # -- pretty-printing --------------------------------------------------------
@@ -363,88 +377,3 @@ def _render(t: Term, level: int) -> str:
         case Star(inner):
             return _render(inner, _LVL_ATOM) + "*"
     raise TypeError(f"not a term: {t!r}")
-
-
-# -- while-programs ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    sort: Sort = Sort.PROGRAM
-
-
-@dataclass(frozen=True)
-class Skip:
-    pass
-
-
-@dataclass(frozen=True)
-class Halt:
-    pass
-
-
-@dataclass(frozen=True)
-class SeqProg:
-    first: "WhileProgram"
-    second: "WhileProgram"
-
-
-@dataclass(frozen=True)
-class If:
-    test: Term
-    then_branch: "WhileProgram"
-    else_branch: "WhileProgram"
-
-
-@dataclass(frozen=True)
-class IfThen:
-    test: Term
-    then_branch: "WhileProgram"
-
-
-@dataclass(frozen=True)
-class While:
-    test: Term
-    body: "WhileProgram"
-
-
-WhileProgram = Union[Atom, Skip, Halt, SeqProg, If, IfThen, While]
-
-
-def parse_program(text: str, sorts: Mapping[str, Sort]) -> WhileProgram:
-    p = _Parser(text, sorts)
-    prog = p.program()
-    if not p.at_end():
-        tok, at = p.tokens[p.pos]
-        raise ParseError(f"trailing input starting at {tok!r} (position {at})")
-    return prog
-
-
-def desugar(prog: WhileProgram) -> Term:
-    """Translate a while-program to a term.
-
-    skip -> 1, halt -> 0, sequencing -> ;,
-    if b then p else q -> b;p + !b;q,
-    if b then p -> b;p + !b   (dummy skip else-branch),
-    while b do p -> (b;p)*;!b.
-    """
-    match prog:
-        case Atom(name, sort):
-            return Var(name, sort)
-        case Skip():
-            return One()
-        case Halt():
-            return Zero()
-        case SeqProg(first, second):
-            return Seq(desugar(first), desugar(second))
-        case If(test, then_branch, else_branch):
-            return Plus(
-                Seq(test, desugar(then_branch)),
-                Seq(mk_not(test), desugar(else_branch)),
-            )
-        case IfThen(test, then_branch):
-            return Plus(Seq(test, desugar(then_branch)), mk_not(test))
-        case While(test, body):
-            return Seq(Star(Seq(test, desugar(body))), mk_not(test))
-    raise TypeError(f"not a while-program: {prog!r}")

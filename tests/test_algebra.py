@@ -57,6 +57,21 @@ def test_constants_must_be_tests():
         FiniteAlgebra(**_bool_kwargs(test_indices=(0,)))
 
 
+@pytest.mark.parametrize(
+    "over,message",
+    [
+        (dict(test_indices=(0, 1.0)), "test index 1.0 is not an int in 'tiny'"),
+        (dict(test_indices=(0, 2)), "test index 2 out of range in 'tiny'"),
+        (dict(one=1.0), "one index 1.0 is not an int in 'tiny'"),
+        (dict(zero=False), "zero index False is not an int in 'tiny'"),
+        (dict(one=5), "one index 5 out of range in 'tiny'"),
+    ],
+)
+def test_test_indices_and_constants_are_int_indices(over, message):
+    with pytest.raises(ClosureError, match=re.escape(message) + r"\Z"):
+        FiniteAlgebra(**_bool_kwargs(**over))
+
+
 def test_test_indices_must_be_ascending():
     with pytest.raises(ClosureError, match="ascending"):
         FiniteAlgebra(**_bool_kwargs(test_indices=(1, 0)))
@@ -145,6 +160,37 @@ def _four_kwargs(**over):
 )
 def test_two_closure_escapes_report_the_first(over, message):
     FiniteAlgebra(**_four_kwargs())  # the unbroken tables are valid
+    with pytest.raises(ClosureError, match=re.escape(message) + r"\Z"):
+        FiniteAlgebra(**_four_kwargs(**over))
+
+
+@pytest.mark.parametrize(
+    "over,message",
+    [
+        (
+            dict(plus_table=((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 2, 1.5), (3, 3, 3, 3))),
+            "table plus of 'tiny', row 'p', column 'q': index 1.5 is not an int",
+        ),
+        (
+            dict(seq_table=((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 3), (0, 3, 1.0, 3))),
+            "table seq of 'tiny', row 'q', column 'p': index 1.0 is not an int",
+        ),
+        (
+            dict(plus_table=((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 2, 3), (3, True, 3, 9))),
+            "table plus of 'tiny', row 'q', column '1': index True is not an int",
+        ),
+        (
+            dict(arrow_table=((1, 0.5, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))),
+            "table arrow of 'tiny', row '0', column '1': index 0.5 is not an int",
+        ),
+        (
+            dict(star_table=(1, 1, 1.0, 1)),
+            "table star of 'tiny', column 'p': index 1.0 is not an int",
+        ),
+    ],
+)
+def test_non_int_cells_name_row_and_column(over, message):
+    # 1.0 and True equal 1, so a set comparison alone would let them through.
     with pytest.raises(ClosureError, match=re.escape(message) + r"\Z"):
         FiniteAlgebra(**_four_kwargs(**over))
 

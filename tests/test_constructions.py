@@ -211,6 +211,8 @@ def test_mat_algebra_shape_and_tests() -> None:
 def test_mat_algebra_over_cap_raises_unless_sampled() -> None:
     with pytest.raises(SizeError, match=r"mat:ex9:3: carrier size 262144 exceeds cap 4096"):
         mat_algebra(make_builtin("ex9"), 3)
+    with pytest.raises(TypeError):  # no positional cap or sampled flag
+        mat_algebra(make_builtin("ex9"), 3, 4096)
     alg = mat_algebra(make_builtin("ex9"), 3, sampled=True)
     assert not alg.finite
     assert alg.member_pred is not None and alg.member_pred(alg.one)

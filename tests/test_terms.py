@@ -1,4 +1,4 @@
-"""Surface syntax: parsing, precedence, pretty-printing, desugaring."""
+"""Surface syntax: parsing terms and while-programs, precedence, pretty-printing."""
 
 from __future__ import annotations
 
@@ -7,23 +7,15 @@ from hypothesis import given, strategies as st
 
 from gkat_workbench.terms import (
     Arrow,
-    Atom,
-    Halt,
-    If,
-    IfThen,
     One,
     ParseError,
     Plus,
     Seq,
-    SeqProg,
-    Skip,
     Sort,
     SortError,
     Star,
     Var,
-    While,
     Zero,
-    desugar,
     free_vars,
     mk_arrow,
     mk_not,
@@ -96,12 +88,15 @@ def test_sorts_of_compound_terms():
 def test_free_vars_in_first_occurrence_order():
     t = parse_term("q;(a+p)+q", SORTS)
     assert free_vars(t) == (_q, _a, _p)
+    assert free_vars(parse_term("p;b", SORTS), t) == (_p, _b, _q, _a)
 
 
 def test_free_vars_rejects_sort_conflicts():
     clash = Plus(Var("x", Sort.TEST), Var("x", Sort.PROGRAM))
     with pytest.raises(SortError, match="two different sorts"):
         free_vars(clash)
+    with pytest.raises(SortError, match="two different sorts"):
+        free_vars(Var("x", Sort.TEST), Var("x", Sort.PROGRAM))
 
 
 # -- while-programs ----------------------------------------------------------
@@ -109,17 +104,18 @@ def test_free_vars_rejects_sort_conflicts():
 
 def test_program_surface_forms():
     prog = parse_program("while a do { p }; q", SORTS)
-    assert prog == SeqProg(While(_a, Atom("p", Sort.PROGRAM)), Atom("q", Sort.PROGRAM))
+    assert prog == Seq(Seq(Star(Seq(_a, _p)), mk_not(_a)), _q)
 
 
 def test_desugar_shapes():
-    ap = Atom("p", Sort.PROGRAM)
-    aq = Atom("q", Sort.PROGRAM)
-    assert desugar(Skip()) == One()
-    assert desugar(Halt()) == Zero()
-    assert desugar(While(_a, ap)) == Seq(Star(Seq(_a, _p)), mk_not(_a))
-    assert desugar(If(_a, ap, aq)) == Plus(Seq(_a, _p), Seq(mk_not(_a), _q))
-    assert desugar(IfThen(_a, ap)) == Plus(Seq(_a, _p), mk_not(_a))
+    assert parse_program("skip", SORTS) == One()
+    assert parse_program("halt", SORTS) == Zero()
+    assert parse_program("(p)", SORTS) == _p
+    assert parse_program("while a do { p }", SORTS) == Seq(Star(Seq(_a, _p)), mk_not(_a))
+    assert parse_program("if a then { p } else { q }", SORTS) == Plus(
+        Seq(_a, _p), Seq(mk_not(_a), _q)
+    )
+    assert parse_program("if a then { p }", SORTS) == Plus(Seq(_a, _p), mk_not(_a))
 
 
 def test_program_guard_must_be_test():
@@ -129,7 +125,7 @@ def test_program_guard_must_be_test():
 
 def test_if_without_else_parses():
     prog = parse_program("if a+b then { p }", SORTS)
-    assert prog == IfThen(Plus(_a, _b), Atom("p", Sort.PROGRAM))
+    assert prog == Plus(Seq(Plus(_a, _b), _p), mk_not(Plus(_a, _b)))
 
 
 def test_reserved_words_stay_reserved():
