@@ -18,7 +18,7 @@ Two realisations are provided:
 
 * ``ProceduralAlgebra`` -- operations given as functions over arbitrary
   hashable values, with a declared sample list (always containing 0 and 1)
-  and an optional seeded generator for drawing further elements.  These
+  and a seeded generator for drawing further elements.  These
   support sampled checking only.
 """
 
@@ -252,9 +252,10 @@ class ProceduralAlgebra:
     """An algebra given by operation functions over hashable values.
 
     ``samples`` is the declared candidate pool for sampled checking and must
-    contain ``zero`` and ``one``.  ``draw``, when present, generates further
-    elements from a seeded ``random.Random``.  ``test_pred`` decides test
-    membership; the arrow function is only ever applied between tests.
+    contain ``zero`` and ``one``.  ``draw`` generates further elements from a
+    seeded ``random.Random``, ``fmt`` names an element and ``member_pred``
+    decides membership.  ``test_pred`` decides test membership; the arrow
+    function is only ever applied between tests.
     """
 
     name: str
@@ -266,9 +267,9 @@ class ProceduralAlgebra:
     arrow_fn: Callable[[Element, Element], Element]
     test_pred: Callable[[Element], bool]
     samples: tuple[Element, ...]
-    draw: Optional[Callable[[Any], Element]] = None
-    fmt: Optional[Callable[[Element], str]] = None
-    member_pred: Optional[Callable[[Element], bool]] = None
+    draw: Callable[[Any], Element]
+    fmt: Callable[[Element], str]
+    member_pred: Callable[[Element], bool]
 
     finite = False
 
@@ -282,10 +283,10 @@ class ProceduralAlgebra:
         return self.test_pred(a)
 
     def el_name(self, a: Element) -> str:
-        return self.fmt(a) if self.fmt is not None else str(a)
+        return self.fmt(a)
 
     def check_member(self, a: Element) -> None:
-        if self.member_pred is not None and not self.member_pred(a):
+        if not self.member_pred(a):
             raise DomainError(f"{self.el_name(a)!r} is not an element of algebra {self.name!r}")
 
     def plus(self, a: Element, b: Element) -> Element:

@@ -22,6 +22,7 @@ Exit status: 0 when every requested check passed, 1 when something was refuted
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import shlex
@@ -454,6 +455,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkat",

@@ -1,11 +1,12 @@
 """Derived algebras: graded sets, matrices (graded relations), graded languages.
 
 Each construction is given by a small kernel of value-level operations over
-a finite base algebra.  When the derived carrier has at most ``DEFAULT_CAP``
-elements it becomes an ordinary ``FiniteAlgebra`` with full tables, so every
-law can be checked exhaustively; otherwise the kernel is wrapped as a
-``ProceduralAlgebra`` with seeded random draws (opt in via
-``sampled=True`` — without it an oversized carrier raises ``SizeError``).
+a finite base algebra; the kernels read the base's operation tables.  When
+the derived carrier has at most ``DEFAULT_CAP`` elements it becomes an
+ordinary ``FiniteAlgebra`` with full tables, so every law can be checked
+exhaustively; otherwise the kernel is wrapped as a ``ProceduralAlgebra``
+with seeded random draws (opt in via ``sampled=True`` — without it an
+oversized carrier raises ``SizeError``).
 
 Finite tables come from index arithmetic, not from one kernel call per
 cell.  ``itertools.product`` numbers each carrier in mixed radix: a graded
@@ -13,9 +14,10 @@ set over T is a numeral of ``points`` digits in base |T| (each digit the
 position of a coordinate among the base tests), a matrix over K a
 row-major numeral of n² digits in base |K|.  The pointwise tables (graded
 set +, ; and ->, matrix +) are the base table applied digit by digit; the
-matrix product is read off a table of row-by-column dot products, folded
-as ``mat_mul`` folds.  Star, the matrix arrow on test cells, test
-membership and element names are computed per element from the kernel.
+matrix product is read off a table of row-by-column dot products.  The dot
+product is written once, as ``_dot``, which ``mat_mul`` calls as well.
+Star, the matrix arrow on test cells, test membership and element names
+are computed per element from the kernel.
 
 Carriers and operations:
 
@@ -148,7 +150,7 @@ def _fits_cap(name: str, base: int, exp: int, sampled: bool) -> bool:
 
 
 def _require_finite(base: Algebra, what: str) -> FiniteAlgebra:
-    if not base.finite:
+    if not isinstance(base, FiniteAlgebra):
         raise ValueError(f"{what} needs a finite base algebra, got {base.name!r}")
     return base
 
@@ -167,15 +169,6 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
     zero = (base.zero,) * points
     one = (base.one,) * points
 
-    def plus(v, w):
-        return tuple(base.plus(a, b) for a, b in zip(v, w))
-
-    def seq(v, w):
-        return tuple(base.seq(a, b) for a, b in zip(v, w))
-
-    def arrow(v, w):
-        return tuple(base.arrow(a, b) for a, b in zip(v, w))
-
     def star(v):
         return tuple(star_lfp(base, a) for a in v)
 
@@ -185,8 +178,8 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
     if finite:
         pos = {t: d for d, t in enumerate(tests)}
 
-        def digit_table(op: Callable) -> Table:
-            return tuple(tuple(pos[op(a, b)] for b in tests) for a in tests)
+        def digit_table(table: Table) -> Table:
+            return tuple(tuple(pos[table[a][b]] for b in tests) for a in tests)
 
         def index(v) -> int:
             return _numeral(map(pos.__getitem__, v), len(tests))
@@ -198,11 +191,14 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
             test_indices=tuple(range(len(values))),
             zero=index(zero),
             one=index(one),
-            plus_table=_digitwise_table(digit_table(base.plus), points),
-            seq_table=_digitwise_table(digit_table(base.seq), points),
-            arrow_table=_digitwise_table(digit_table(base.arrow), points),
+            plus_table=_digitwise_table(digit_table(base.plus_table), points),
+            seq_table=_digitwise_table(digit_table(base.seq_table), points),
+            arrow_table=_digitwise_table(digit_table(base.arrow_table), points),
             star_table=tuple(index(star(v)) for v in values),
         )
+
+    def pointwise(table: Table) -> Callable:
+        return lambda v, w: tuple([table[a][b] for a, b in zip(v, w)])
 
     def draw(rng: random.Random):
         return tuple(rng.choice(tests) for _ in range(points))
@@ -211,10 +207,10 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
         name=name,
         zero=zero,
         one=one,
-        plus_fn=plus,
-        seq_fn=seq,
+        plus_fn=pointwise(base.plus_table),
+        seq_fn=pointwise(base.seq_table),
         star_fn=star,
-        arrow_fn=arrow,
+        arrow_fn=pointwise(base.arrow_table),
         test_pred=lambda v: True,
         samples=(zero, one),
         draw=draw,
@@ -228,61 +224,58 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
 # --- matrix arithmetic ---------------------------------------------------
 
 
-def _msum(base: Algebra, items) -> int:
+def _dot(base: FiniteAlgebra, row, col) -> int:
+    """Σ row[z];col[z], folded from zero in ascending position.
+
+    No associativity or commutativity of + is assumed, so every matrix
+    product, by value or by table, goes through this one fold.
+    """
+    plus, seq = base.plus_table, base.seq_table
     acc = base.zero
-    for x in items:
-        acc = base.plus(acc, x)
+    for x, y in zip(row, col):
+        acc = plus[acc][seq[x][y]]
     return acc
 
 
-def mat_zero(base: Algebra, n: int) -> Matrix:
+def mat_zero(base: FiniteAlgebra, n: int) -> Matrix:
     return tuple((base.zero,) * n for _ in range(n))
 
 
-def mat_identity(base: Algebra, n: int) -> Matrix:
+def mat_identity(base: FiniteAlgebra, n: int) -> Matrix:
     return tuple(
         tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
     )
 
 
-def mat_add(base: Algebra, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(base.plus(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def mat_add(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
+    plus = base.plus_table
+    return tuple(tuple([plus[x][y] for x, y in zip(ra, rb)]) for ra, rb in zip(a, b))
 
 
-def mat_mul(base: Algebra, a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0]) if b else 0
-    k = len(b)
-    return tuple(
-        tuple(_msum(base, (base.seq(a[i][z], b[z][j]) for z in range(k))) for j in range(m))
-        for i in range(n)
-    )
+def mat_mul(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple([_dot(base, row, col) for col in cols]) for row in a)
 
 
-def _mat_name(base: Algebra, m: Matrix) -> str:
+def _mat_name(base: FiniteAlgebra, m: Matrix) -> str:
     return "[" + ";".join(",".join(base.el_name(x) for x in row) for row in m) + "]"
 
 
-def mat_star_iter(base: Algebra, m: Matrix, max_steps: Optional[int] = None) -> Matrix:
+def mat_star_iter(base: FiniteAlgebra, m: Matrix) -> Matrix:
     """Star as the stabilised partial-sum iteration S = I + M·S.
 
     Independent of the block recursion; kept as an oracle for it.
     """
     n = len(m)
-    if max_steps is None:
-        max_steps = n * n * base.size + 2 if base.finite else 10_000
+    steps = n * n * base.size + 2
     ident = mat_identity(base, n)
     cur = ident
-    for _ in range(max_steps):
+    for _ in range(steps):
         nxt = mat_add(base, ident, mat_mul(base, m, cur))
         if nxt == cur:
             return cur
         cur = nxt
-    raise DivergenceError(
-        f"matrix star did not stabilise within {max_steps} steps over {base.name}"
-    )
+    raise DivergenceError(f"matrix star did not stabilise within {steps} steps over {base.name}")
 
 
 def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
@@ -295,7 +288,7 @@ def _assemble(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     return top + bottom
 
 
-def mat_star(base: Algebra, m: Matrix) -> Matrix:
+def mat_star(base: FiniteAlgebra, m: Matrix) -> Matrix:
     """Star by two-by-two block recursion.
 
     For M = [[A, B], [C, D]] with F = (A + B·D*·C)*:
@@ -305,7 +298,7 @@ def mat_star(base: Algebra, m: Matrix) -> Matrix:
     if n == 0:
         return ()
     if n == 1:
-        return ((base.star(m[0][0]),),)
+        return ((base.star_table[m[0][0]],),)
     k = n // 2
     a = _block(m, 0, k, 0, k)
     b = _block(m, 0, k, k, n)
@@ -324,24 +317,15 @@ def _mat_seq_table(base: FiniteAlgebra, values: list) -> Table:
     """The ``mat_mul`` table on the row-major numbering of n×n matrices.
 
     Built from two smaller tables: ``dot[r][c]``, row vector r times column
-    vector c, folded from zero in ascending position exactly as ``mat_mul``
-    folds (no associativity or commutativity assumed); and ``vecmat[r][b]``,
-    the row vector r times matrix b.  With R = |K|^n row vectors, the
-    product of the matrix with rows r_0 … r_{n-1} and b is
-    Σ_i vecmat[r_i][b]·R^(n-1-i), built here row prefix by row prefix.
+    vector c by ``_dot``; and ``vecmat[r][b]``, the row vector r times
+    matrix b.  With R = |K|^n row vectors, the product of the matrix with
+    rows r_0 … r_{n-1} and b is Σ_i vecmat[r_i][b]·R^(n-1-i), built here
+    row prefix by row prefix.
     """
-    k, plus, seq = base.size, base.plus_table, base.seq_table
+    k = base.size
     n = len(values[0])
     vectors = list(itertools.product(range(k), repeat=n))
-    dot = []
-    for a in vectors:
-        out = []
-        for b in vectors:
-            acc = base.zero
-            for x, y in zip(a, b):
-                acc = plus[acc][seq[x][y]]
-            out.append(acc)
-        dot.append(out)
+    dot = [[_dot(base, a, b) for b in vectors] for a in vectors]
     # columns[j][b]: the index of column j of matrix b, as a vector
     columns = list(zip(*([_numeral(col, k) for col in zip(*m)] for m in values)))
     vecmat = []
@@ -361,7 +345,7 @@ def _mat_seq_table(base: FiniteAlgebra, values: list) -> Table:
 Language = tuple[tuple[str, int], ...]
 
 
-def _lang_norm(base: Algebra, items: dict, maxlen: int) -> Language:
+def _lang_norm(base: FiniteAlgebra, items: dict, maxlen: int) -> Language:
     return tuple(
         sorted(
             ((w, v) for w, v in items.items() if v != base.zero and len(w) <= maxlen),
@@ -370,45 +354,40 @@ def _lang_norm(base: Algebra, items: dict, maxlen: int) -> Language:
     )
 
 
-def flang_union(base: Algebra, l1: Language, l2: Language, maxlen: int) -> Language:
+def flang_union(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
+    plus = base.plus_table
     acc = dict(l1)
     for w, v in l2:
-        acc[w] = base.plus(acc[w], v) if w in acc else v
+        acc[w] = plus[acc[w]][v] if w in acc else v
     return _lang_norm(base, acc, maxlen)
 
 
-def flang_concat(base: Algebra, l1: Language, l2: Language, maxlen: int) -> Language:
+def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
     """(l1·l2)(w) sums l1(u);l2(v) over every split w = uv, ε splits included."""
+    plus, seq = base.plus_table, base.seq_table
     acc: dict = {}
     for u, a in l1:
         for v, b in l2:
             w = u + v
             if len(w) > maxlen:
                 continue
-            piece = base.seq(a, b)
-            acc[w] = base.plus(acc[w], piece) if w in acc else piece
+            piece = seq[a][b]
+            acc[w] = plus[acc[w]][piece] if w in acc else piece
     return _lang_norm(base, acc, maxlen)
 
 
-def flang_star(
-    base: Algebra, lang: Language, maxlen: int, max_steps: Optional[int] = None
-) -> Language:
+def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
     """Least fixpoint of S = ε ∪ l·S, observed up to ``maxlen``."""
-    if max_steps is None:
-        words = sum(len(base_alphabet(lang)) ** k for k in range(maxlen + 1))
-        max_steps = words * (base.size if base.finite else 64) + 2
+    letters = len({c for w, _ in lang for c in w})
+    steps = sum(letters**k for k in range(maxlen + 1)) * base.size + 2
     eps: Language = ((("", base.one),) if base.one != base.zero else ())
     cur = eps
-    for _ in range(max_steps):
+    for _ in range(steps):
         nxt = flang_union(base, eps, flang_concat(base, lang, cur, maxlen), maxlen)
         if nxt == cur:
             return cur
         cur = nxt
-    raise DivergenceError(f"language star did not stabilise within {max_steps} steps")
-
-
-def base_alphabet(lang: Language) -> set[str]:
-    return {c for w, _ in lang for c in w}
+    raise DivergenceError(f"language star did not stabilise within {steps} steps")
 
 
 def flang_algebra(
@@ -416,13 +395,12 @@ def flang_algebra(
     talg: Optional[Algebra] = None,
     alphabet: str = "ab",
     maxlen: int = 4,
-    pool: int = 12,
 ) -> ProceduralAlgebra:
     """Finitely-supported word-weighted languages, observed up to ``maxlen``.
 
     Always procedural: equality means agreement on every word of length at
     most ``maxlen``, which the canonical support representation makes a
-    plain tuple comparison.  ``pool`` seeded random languages join the
+    plain tuple comparison.  Twelve seeded random languages join the
     declared sample pool.
     """
     kalg = _require_finite(kalg, "flang")
@@ -457,7 +435,7 @@ def flang_algebra(
     samples += [((c, kalg.one),) for c in alphabet]
     samples += [(("", t),) for t in t_tests if t not in (kalg.zero, kalg.one)]
     rng = random.Random(0xF1A)
-    while len(samples) < 2 + len(alphabet) + len(t_tests) + pool:
+    while len(samples) < 2 + len(alphabet) + len(t_tests) + 12:
         samples.append(_draw_lang(rng, kalg, alphabet, maxlen, nonzero))
 
     def draw(r: random.Random) -> Language:

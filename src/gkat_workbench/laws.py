@@ -208,16 +208,12 @@ def _suite_report(
     )
 
 
-CLASS_NAMES = ("KAT", "IGKAT-not-KAT", "GKAT-not-IGKAT", "NotGKAT")
-
-
 @dataclass(frozen=True)
 class Classification:
     algebra_name: str
     class_name: str
     witness_law: Optional[str]
     witness: Optional[Verdict]
-    base_report: LawReport
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -240,11 +236,11 @@ def classify(alg: Algebra, strategy: Strategy = Auto()) -> Classification:
     base = run_law_suite(alg, "gkat", strategy)
     if not base.ok:
         law, verdict = base.failing()[0]
-        return Classification(alg.name, "NotGKAT", law.name, verdict, base)
+        return Classification(alg.name, "NotGKAT", law.name, verdict)
     idem = check_law(alg, TEST_IDEM_LAW, strategy)
     if not idem.ok:
-        return Classification(alg.name, "GKAT-not-IGKAT", TEST_IDEM_LAW.name, idem, base)
+        return Classification(alg.name, "GKAT-not-IGKAT", TEST_IDEM_LAW.name, idem)
     excl = check_law(alg, EXCLUDED_MIDDLE_LAW, strategy)
     if not excl.ok:
-        return Classification(alg.name, "IGKAT-not-KAT", EXCLUDED_MIDDLE_LAW.name, excl, base)
-    return Classification(alg.name, "KAT", None, None, base)
+        return Classification(alg.name, "IGKAT-not-KAT", EXCLUDED_MIDDLE_LAW.name, excl)
+    return Classification(alg.name, "KAT", None, None)

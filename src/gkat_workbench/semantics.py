@@ -345,14 +345,12 @@ def _finite_domains(alg: Algebra, variables: Sequence[Var]) -> list[Sequence[Ele
     ]
 
 
-def _sample_pools(alg: Algebra, rng: random.Random, pool_extra: int = 48):
+def _sample_pools(alg: Algebra, rng: random.Random):
     if alg.finite:
         progs: Sequence[Element] = list(alg.elements())
         tests: Sequence[Element] = list(alg.tests())
         return progs, tests
-    pool = list(alg.samples)
-    if alg.draw is not None:
-        pool.extend(alg.draw(rng) for _ in range(pool_extra))
+    pool = [*alg.samples, *(alg.draw(rng) for _ in range(48))]
     uniq: list[Element] = []
     seen = set()
     for el in pool:

@@ -298,13 +298,10 @@ class _Parser:
             self.expect(")")
             return p
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok) and tok not in KEYWORDS:
-            self.next()
-            sort = self.sorts.get(tok)
-            if sort is None:
-                known = ", ".join(sorted(self.sorts)) or "none"
-                raise ParseError(f"unknown identifier {tok!r}; declared names: {known}")
-            return Var(tok, sort)
-        raise ParseError(f"unexpected token {tok!r} in program")
+            return self.atom()
+        raise ParseError(
+            f"unexpected token {tok!r} at position {self.tokens[self.pos][1]} in program"
+        )
 
     def block(self) -> Term:
         self.expect("{")

@@ -254,6 +254,9 @@ def test_procedural_samples_must_hold_constants():
             arrow_fn=lambda x, y: 1,
             test_pred=lambda v: True,
             samples=(0,),
+            draw=lambda rng: rng.randint(0, 1),
+            fmt=str,
+            member_pred=lambda v: v in (0, 1),
         )
 
 

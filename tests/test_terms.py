@@ -128,6 +128,13 @@ def test_if_without_else_parses():
     assert prog == Plus(Seq(Plus(_a, _b), _p), mk_not(Plus(_a, _b)))
 
 
+def test_program_errors_name_the_position():
+    with pytest.raises(ParseError, match="unknown identifier 'zz' at position 13; declared"):
+        parse_program("while a do { zz }", SORTS)
+    with pytest.raises(ParseError, match="unexpected token '1' at position 12 in program"):
+        parse_program("if a then { 1 }", SORTS)
+
+
 def test_reserved_words_stay_reserved():
     with pytest.raises(ParseError, match="reserved word"):
         parse_term("while", SORTS)
