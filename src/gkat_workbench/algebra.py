@@ -287,7 +287,7 @@ class ProceduralAlgebra:
 
     def check_member(self, a: Element) -> None:
         if not self.member_pred(a):
-            raise DomainError(f"{self.el_name(a)!r} is not an element of algebra {self.name!r}")
+            raise DomainError(f"{a!r} is not an element of algebra {self.name!r}")
 
     def plus(self, a: Element, b: Element) -> Element:
         return self.plus_fn(a, b)

@@ -288,6 +288,8 @@ def _eval_sorts(alg: Algebra, text: str, lets: dict[str, int]) -> dict[str, Sort
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
+    if not alg.finite:
+        raise ValueError(f"eval needs a finite algebra, and {alg.name!r} is procedural")
     text = args.expr if args.expr is not None else args.prog
     if text is None or (args.expr is not None and args.prog is not None):
         raise ValueError("pick exactly one of --expr, --prog")

@@ -26,6 +26,14 @@ Each check is compiled into one Python function (see ``_Compiler``):
   drawn up front from the seed.  On procedural carriers the body calls
   ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables.
 
+The function is generated and compiled once per process for each check
+shape (``_compile``, an LRU cache of 512 shapes).  The key is exactly
+what the source depends on: whether the carrier is finite, the
+hypotheses, the conclusion, the variables, the loop each variable is bound
+in, the loop headers, the failure statement and the parameter names.  It
+holds no algebra, element or seed; the function reads every domain, table
+and operation through its parameters.
+
 Evaluation order: only pure table lookups are hoisted.  Whatever can
 raise -- every procedural operation, and the guarded arrow on an operand
 that is not test-sorted -- runs in the innermost loop, left to right: a
@@ -45,6 +53,7 @@ cell (see ``hoare.commutation_conditions``).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -209,8 +218,8 @@ class _Compiler:
     integers, never a variable or element name.
     """
 
-    def __init__(self, alg: Algebra, variables, var_level, inner: int):
-        self.finite = alg.finite
+    def __init__(self, finite: bool, variables, var_level, inner: int):
+        self.finite = finite
         self.var_pos = {v.name: (j, v.sort) for j, v in enumerate(variables)}
         self.var_level = var_level
         self.inner = inner
@@ -335,6 +344,24 @@ class _Compiler:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=512)
+def _compile(finite: bool, hypotheses: tuple[Equation, ...], conclusion: Equation,
+             variables: tuple[Var, ...], var_level: tuple[tuple[int, int], ...],
+             headers: tuple[str, ...], fail: str, params: tuple[str, ...]):
+    """The compiled ``check`` function of one check shape.
+
+    The arguments are everything the generated source depends on, and the
+    function reads every domain, table and operation through its
+    parameters, so one function serves every check of the same shape.
+    """
+    compiler = _Compiler(finite, variables, dict(var_level), len(headers) - 1)
+    source = compiler.source(hypotheses, conclusion, headers, fail, params)
+    namespace: dict = {}
+    exec(source, namespace)
+    # Popped, so that the function and its globals form no reference cycle.
+    return namespace.pop("check")
+
+
 # -- valuation enumeration --------------------------------------------------
 
 
@@ -377,19 +404,16 @@ class _Check:
     conclusion: Equation
     variables: tuple[Var, ...]
 
-    def _run_compiled(self, var_level, headers: Sequence[str], fail: str, data: dict):
+    def _run_compiled(self, var_level: dict, headers: Sequence[str], fail: str, data: dict):
         """Compile the check with the given loops and run it over ``data``."""
         alg = self.alg
         params = dict(data, zero=alg.zero, one=alg.one, product=iproduct)
         if alg.finite:
             params.update(P=alg.plus_table, S=alg.seq_table, A=alg.arrow_table, T=alg.star_table)
         params.update(plus=alg.plus, seq=alg.seq, star=alg.star, arrow=alg.arrow)
-        compiler = _Compiler(alg, self.variables, var_level, len(headers) - 1)
-        source = compiler.source(self.hypotheses, self.conclusion, headers, fail, tuple(params))
-        namespace: dict = {}
-        exec(source, namespace)
-        # Popped, so that the function and its globals form no reference cycle.
-        return namespace.pop("check")(**params)
+        check = _compile(alg.finite, self.hypotheses, self.conclusion, self.variables,
+                         tuple(var_level.items()), tuple(headers), fail, tuple(params))
+        return check(**params)
 
     def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
         alg = self.alg

@@ -158,6 +158,16 @@ def test_eval_rejects_unbound_identifiers(capsys) -> None:
     assert "neither bound by --let nor an element of 'ex9'" in err
 
 
+@pytest.mark.parametrize(
+    "spec, argv",
+    [("product", ("--expr", "p", "--let", "p=1/2")), ("tropical", ("--expr", "inf"))],
+)
+def test_eval_refuses_procedural_algebras(capsys, spec, argv) -> None:
+    code, out, err = run(capsys, "eval", "--builtin", spec, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: eval needs a finite algebra, and {spec!r} is procedural\n"
+
+
 def test_prove_valid_quasi_equation(capsys) -> None:
     code, out, _ = run(
         capsys,

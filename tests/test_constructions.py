@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkat_workbench.algebra import SizeError
+from gkat_workbench.algebra import DomainError, SizeError
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
     flang_algebra,
@@ -234,6 +234,22 @@ def test_mat_algebra_star_agrees_with_the_block_helper() -> None:
 def test_mat_algebra_passes_the_gkat_suite_sampled() -> None:
     rep = run_law_suite(mat_algebra(make_builtin("chain3"), 2), "gkat", Sampled(200, seed=0))
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), 5),
+        (lambda: fset_algebra(make_builtin("luka:5"), 6, sampled=True), 5),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), ((99, 0, 0),) * 3),
+    ],
+    ids=["mat-int", "fset-int", "mat-cell-99"],
+)
+def test_sampled_carriers_name_a_rejected_value_by_its_repr(build, value) -> None:
+    alg = build()
+    with pytest.raises(DomainError) as exc:
+        alg.check_member(value)
+    assert str(exc.value) == f"{value!r} is not an element of algebra {alg.name!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ from gkat_workbench import (
     make_builtin,
     mat_algebra,
 )
-from gkat_workbench.semantics import Verdict, _sample_pools, describe_strategy
-from gkat_workbench.terms import Arrow, One, Plus, Seq, Sort, Star, Var, Zero, parse_term
+from gkat_workbench.laws import SUITES, check_law
+from gkat_workbench.semantics import Verdict, _compile, _sample_pools, describe_strategy
+from gkat_workbench.terms import (
+    Arrow, One, Plus, Seq, Sort, Star, Var, Zero, free_vars, parse_term,
+)
 
 SORTS = {name: Sort.TEST for name in "abcd"} | {name: Sort.PROGRAM for name in "pqrs"}
 
@@ -293,6 +296,85 @@ def test_checks_with_more_variables_than_nested_loops():
     concl = Equation(Plus(total, tail), Plus(tail, total))
     _assert_agrees(make_builtin("bool2"), ((), concl, tuple(ps)), Exhaustive())
     _assert_agrees(make_builtin("bool2"), ((), Equation(total, tail), tuple(ps)), Exhaustive())
+
+
+# -- the compile cache ----------------------------------------------------------
+
+
+def _cache_sweep(clear: bool) -> list[dict]:
+    """Every suite law's verdict on a fixed set of carriers and strategies."""
+    finite = [make_builtin(spec) for spec in ("luka:5", "godel:5", "ex9")]
+    sampled = [*finite, _all_tests(finite[2]), make_builtin("product"), make_builtin("tropical")]
+    runs = [(alg, Sampled(300, 1)) for alg in sampled] + [(alg, Exhaustive()) for alg in finite]
+    out = []
+    for alg, strategy in runs:
+        for laws in SUITES.values():
+            for law in laws:
+                if clear:
+                    _compile.cache_clear()
+                out.append(check_law(alg, law, strategy).to_dict())
+    return out
+
+
+def test_a_warm_compile_cache_gives_the_cold_verdicts():
+    cold = _cache_sweep(clear=True)
+    assert _cache_sweep(clear=False) == cold
+
+
+def test_one_shape_on_two_tables_compiles_once():
+    law = next(law for laws in SUITES.values() for law in laws if law.name == "plus-assoc")
+    _compile.cache_clear()
+    check_law(make_builtin("luka:5"), law)
+    check_law(make_builtin("godel:5"), law)
+    info = _compile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _sum_of(n: int) -> tuple:
+    ps = tuple(Var(f"p{i}", Sort.PROGRAM) for i in range(n))
+    total = ps[0]
+    for p in ps[1:]:
+        total = Plus(total, p)
+    return (), Equation(total, Seq(total, total)), ps
+
+
+_X_TEST, _X_PROG = Var("x", Sort.TEST), Var("x", Sort.PROGRAM)
+
+# Pairs of checks that differ in one thing the generated source depends on.
+_SHAPE_PAIRS = {
+    "finite vs procedural": (
+        ("luka:5", ((), _eqn("p;q = q;p"), None), Sampled(50, 0)),
+        ("product", ((), _eqn("p;q = q;p"), None), Sampled(50, 0)),
+    ),
+    "= vs <=": (
+        ("ex9", ((), _eqn("p;q = q;p"), None), Exhaustive()),
+        ("ex9", ((), _eqn("p;q <= q;p"), None), Exhaustive()),
+    ),
+    "test vs program sort": (
+        ("luka:5", ((), Equation(Seq(Arrow(_X_TEST, Zero()), _X_TEST), Zero()), (_X_TEST,)),
+         Exhaustive()),
+        ("luka:5", ((), Equation(Seq(Arrow(_X_PROG, Zero()), _X_PROG), Zero()), (_X_PROG,)),
+         Exhaustive()),
+    ),
+    "exhaustive vs sampled": (
+        ("ex9", ((), _eqn("p;q = q;p"), None), Exhaustive()),
+        ("ex9", ((), _eqn("p;q = q;p"), None), Sampled(50, 0)),
+    ),
+    "grouped vs nested loops": (
+        ("bool2", _sum_of(11), Exhaustive()),
+        ("bool2", _sum_of(10), Exhaustive()),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", _SHAPE_PAIRS)
+def test_the_compile_key_separates_what_changes_the_source(pair):
+    _compile.cache_clear()
+    for spec, (hyps, concl, variables), strategy in _SHAPE_PAIRS[pair]:
+        if variables is None:
+            variables = free_vars(concl.lhs, concl.rhs)
+        _assert_agrees(make_builtin(spec), (hyps, concl, variables), strategy)
+    assert _compile.cache_info().currsize == 2
 
 
 class TestCompiledAgainstReference:
