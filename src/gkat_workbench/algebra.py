@@ -18,15 +18,18 @@ Two realisations are provided:
 
 * ``ProceduralAlgebra`` -- operations given as functions over arbitrary
   hashable values, with a declared sample list (always containing 0 and 1)
-  and a seeded generator for drawing further elements.  These
-  support sampled checking only.
+  and a seeded generator for drawing further elements.  The fields
+  ``plus``, ``seq``, ``star``, ``is_test`` and ``el_name`` are those
+  functions, called directly; only ``arrow`` (over ``arrow_fn``, between
+  tests only) and ``check_member`` (over ``member_pred``) have a body.
+  These support sampled checking only.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Optional, Union
 
 Element = Hashable
 
@@ -251,24 +254,27 @@ class FiniteAlgebra:
 class ProceduralAlgebra:
     """An algebra given by operation functions over hashable values.
 
-    ``samples`` is the declared candidate pool for sampled checking and must
-    contain ``zero`` and ``one``.  ``draw`` generates further elements from a
-    seeded ``random.Random``, ``fmt`` names an element and ``member_pred``
-    decides membership.  ``test_pred`` decides test membership; the arrow
-    function is only ever applied between tests.
+    The fields ``plus``, ``seq`` and ``star`` are the operations themselves,
+    ``is_test`` decides test membership, ``el_name`` names an element and
+    ``member_pred`` decides membership.  ``samples`` is the declared
+    candidate pool for sampled checking and must contain ``zero`` and
+    ``one``; ``draw`` generates further elements from a seeded
+    ``random.Random``.  Only two methods wrap a field: ``arrow`` applies
+    ``arrow_fn`` between tests only, and ``check_member`` raises on what
+    ``member_pred`` rejects.
     """
 
     name: str
     zero: Element
     one: Element
-    plus_fn: Callable[[Element, Element], Element]
-    seq_fn: Callable[[Element, Element], Element]
-    star_fn: Callable[[Element], Element]
+    plus: Callable[[Element, Element], Element]
+    seq: Callable[[Element, Element], Element]
+    star: Callable[[Element], Element]
     arrow_fn: Callable[[Element, Element], Element]
-    test_pred: Callable[[Element], bool]
+    is_test: Callable[[Element], bool]
     samples: tuple[Element, ...]
     draw: Callable[[Any], Element]
-    fmt: Callable[[Element], str]
+    el_name: Callable[[Element], str]
     member_pred: Callable[[Element], bool]
 
     finite = False
@@ -276,31 +282,16 @@ class ProceduralAlgebra:
     def __post_init__(self) -> None:
         if self.zero not in self.samples or self.one not in self.samples:
             raise ClosureError(f"sample list of {self.name!r} must contain both constants")
-        if not any(self.test_pred(s) for s in self.samples):
+        if not any(self.is_test(s) for s in self.samples):
             raise ClosureError(f"sample list of {self.name!r} contains no tests")
-
-    def is_test(self, a: Element) -> bool:
-        return self.test_pred(a)
-
-    def el_name(self, a: Element) -> str:
-        return self.fmt(a)
 
     def check_member(self, a: Element) -> None:
         if not self.member_pred(a):
             raise DomainError(f"{a!r} is not an element of algebra {self.name!r}")
 
-    def plus(self, a: Element, b: Element) -> Element:
-        return self.plus_fn(a, b)
-
-    def seq(self, a: Element, b: Element) -> Element:
-        return self.seq_fn(a, b)
-
-    def star(self, a: Element) -> Element:
-        return self.star_fn(a)
-
     def arrow(self, a: Element, b: Element) -> Element:
-        if not self.test_pred(a) or not self.test_pred(b):
-            bad = a if not self.test_pred(a) else b
+        if not self.is_test(a) or not self.is_test(b):
+            bad = a if not self.is_test(a) else b
             raise SortError(
                 f"arrow is defined only between tests; {self.el_name(bad)!r}"
                 f" is not a test of {self.name!r}"
@@ -322,28 +313,23 @@ def derived_leq(alg: Algebra, a: Element, b: Element) -> bool:
     return alg.plus(a, b) == b
 
 
-def star_lfp(alg: Algebra, a: Element, max_steps: Optional[int] = None) -> Element:
+def star_lfp(alg: FiniteAlgebra, a: int) -> int:
     """Least-fixpoint iterate of iteration: s0 = 1, s_{k+1} = 1 + a;s_k.
 
-    Stops at the first stabilised iterate and returns it.  On a finite
-    algebra the bound defaults to |K| + 1 steps; a procedural algebra needs
-    an explicit ``max_steps``.  Raises ``DivergenceError`` if the iteration
-    has not stabilised within the bound.
+    Reads ``alg``'s plus and seq tables and returns the first stabilised
+    iterate.  Raises ``DivergenceError`` if the iteration has not stabilised
+    within |K| + 1 steps.
     """
     alg.check_member(a)
-    if max_steps is None:
-        if not alg.finite:
-            raise DivergenceError(
-                f"star_lfp on procedural algebra {alg.name!r} needs an explicit max_steps"
-            )
-        max_steps = alg.size + 1
-    s = alg.one
-    for _ in range(max_steps):
-        nxt = alg.plus(alg.one, alg.seq(a, s))
+    plus, seq, one = alg.plus_table, alg.seq_table, alg.one
+    steps = alg.size + 1
+    s = one
+    for _ in range(steps):
+        nxt = plus[one][seq[a][s]]
         if nxt == s:
             return s
         s = nxt
     raise DivergenceError(
         f"iteration of {alg.el_name(a)!r} in {alg.name!r} did not stabilise"
-        f" within {max_steps} steps"
+        f" within {steps} steps"
     )

@@ -42,7 +42,16 @@ from .hoare import (
     rule_schema,
 )
 from .instances import BUILTIN_FORMS, make_builtin
-from .laws import SUITES, Law, LawReport, _suite_report, classify, parse_equation, run_law_suite
+from .laws import (
+    DEMORGAN_LAW,
+    SUITES,
+    Law,
+    LawReport,
+    _suite_report,
+    classify,
+    parse_equation,
+    run_law_suite,
+)
 from .semantics import (
     Auto,
     Exhaustive,
@@ -235,9 +244,18 @@ def _law_lines(rep: LawReport) -> list[str]:
 
 def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": args.command_echo, **payload}, indent=2))
     else:
         print("\n".join(human))
+
+
+def _emit_verdict(
+    args: argparse.Namespace, alg: Algebra, v: Verdict, head: list[str], **fields
+) -> int:
+    """Report one verdict under ``head``, with ``fields`` ahead of it in the payload."""
+    payload = {"algebra": alg.name, "fingerprint": alg.fingerprint(), **fields, **v.to_dict()}
+    _emit(args, payload, [*head, *_verdict_lines(v)])
+    return 0 if v.ok else 1
 
 
 # -- subcommands ------------------------------------------------------------
@@ -252,7 +270,7 @@ def _cmd_check_laws(args: argparse.Namespace) -> int:
         "all laws hold" if rep.ok else f"{len(bad)} law(s) fail: "
         + ", ".join(law.name for law, _ in bad)
     )
-    _emit(args, {"command": args.command_echo, **rep.to_dict()}, human)
+    _emit(args, rep.to_dict(), human)
     return 0 if rep.ok else 1
 
 
@@ -263,7 +281,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if cls.witness is not None:
         human.append(f"  witness law: {cls.witness_law}")
         human.extend(_verdict_lines(cls.witness))
-    _emit(args, {"command": args.command_echo, **cls.to_dict()}, human)
+    _emit(args, cls.to_dict(), human)
     return 1 if cls.class_name == "NotGKAT" else 0
 
 
@@ -311,7 +329,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     result = eval_term(alg, term, valuation)
     name = alg.el_name(result)
     payload = {
-        "command": args.command_echo,
         "algebra": alg.name,
         "fingerprint": alg.fingerprint(),
         "input": text,
@@ -337,17 +354,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     concl = parse_equation(args.concl, sorts)
     v = check_quasi_equation(alg, hyps, concl, _strategy(args))
     law = Law("prove", tuple(Var(n, s) for n, s in sorts.items()), hyps, concl)
-    human = [f"{law.render()}   on {alg.name}", *_verdict_lines(v)]
-    payload = {
-        "command": args.command_echo,
-        "algebra": alg.name,
-        "fingerprint": alg.fingerprint(),
-        "hypotheses": [h.render() for h in hyps],
-        "conclusion": concl.render(),
-        **v.to_dict(),
-    }
-    _emit(args, payload, human)
-    return 0 if v.ok else 1
+    head = [f"{law.render()}   on {alg.name}"]
+    hypotheses = [h.render() for h in hyps]
+    return _emit_verdict(args, alg, v, head, hypotheses=hypotheses, conclusion=concl.render())
 
 
 def _cmd_rule(args: argparse.Namespace) -> int:
@@ -363,17 +372,8 @@ def _cmd_rule(args: argparse.Namespace) -> int:
         raise ValueError(exc.args[0]) from None
     alg = _algebra_from(args)
     v = check_rule(alg, rule, _strategy(args))
-    human = [f"{rule.name}: {rule.render()}", f"on {alg.name}:", *_verdict_lines(v)]
-    payload = {
-        "command": args.command_echo,
-        "algebra": alg.name,
-        "fingerprint": alg.fingerprint(),
-        "rule": rule.cli_name,
-        "statement": rule.render(),
-        **v.to_dict(),
-    }
-    _emit(args, payload, human)
-    return 0 if v.ok else 1
+    head = [f"{rule.name}: {rule.render()}", f"on {alg.name}:"]
+    return _emit_verdict(args, alg, v, head, rule=rule.cli_name, statement=rule.render())
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
@@ -385,22 +385,14 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         ok = ok and v.ok
         human.append(f"  {src} => {dst}:")
         human.extend(_verdict_lines(v, indent="    "))
-    _emit(args, {"command": args.command_echo, **rep.to_dict()}, human)
+    _emit(args, rep.to_dict(), human)
     return 0 if ok else 1
 
 
 def _cmd_demorgan(args: argparse.Namespace) -> int:
     alg = _algebra_from(args)
     v = check_demorgan(alg, _strategy(args))
-    human = [f"!(a+b) = !a;!b   on {alg.name}", *_verdict_lines(v)]
-    payload = {
-        "command": args.command_echo,
-        "algebra": alg.name,
-        "fingerprint": alg.fingerprint(),
-        **v.to_dict(),
-    }
-    _emit(args, payload, human)
-    return 0 if v.ok else 1
+    return _emit_verdict(args, alg, v, [f"{DEMORGAN_LAW.render()}   on {alg.name}"])
 
 
 def _cmd_denest(args: argparse.Namespace) -> int:
@@ -408,17 +400,13 @@ def _cmd_denest(args: argparse.Namespace) -> int:
     try:
         rep = denesting_equivalence(alg, _strategy(args))
     except PreconditionError as exc:
-        _emit(
-            args,
-            {"command": args.command_echo, "algebra": alg.name, "error": str(exc)},
-            [str(exc)],
-        )
+        _emit(args, {"algebra": alg.name, "error": str(exc)}, [str(exc)])
         return 1
     human = [f"denesting on {alg.name} (side conditions hold)"]
     for name, eqn, v in rep.entries:
         human.append(f"  {name}: {eqn.render()}")
         human.extend(_verdict_lines(v, indent="    "))
-    _emit(args, {"command": args.command_echo, **rep.to_dict()}, human)
+    _emit(args, rep.to_dict(), human)
     return 0 if rep.ok else 1
 
 
@@ -427,7 +415,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     human = [f"{alg.name}: " + (f"{alg.size} elements" if alg.finite else "procedural")]
     fingerprint = alg.fingerprint()
     payload: dict = {
-        "command": args.command_echo,
         "algebra": alg.name,
         "fingerprint": fingerprint,
         "finite": alg.finite,

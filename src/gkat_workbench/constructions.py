@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from typing import Callable, Optional
 
 from .algebra import (
@@ -207,14 +208,14 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
         name=name,
         zero=zero,
         one=one,
-        plus_fn=pointwise(base.plus_table),
-        seq_fn=pointwise(base.seq_table),
-        star_fn=star,
+        plus=pointwise(base.plus_table),
+        seq=pointwise(base.seq_table),
+        star=star,
         arrow_fn=pointwise(base.arrow_table),
-        test_pred=lambda v: True,
+        is_test=lambda v: True,
         samples=(zero, one),
         draw=draw,
-        fmt=el_name,
+        el_name=el_name,
         member_pred=lambda v: isinstance(v, tuple)
         and len(v) == points
         and all(a in tests for a in v),
@@ -424,9 +425,6 @@ def flang_algebra(
         r = t_arrow(a, b)
         return ((("", r),) if r != kalg.zero else ())
 
-    def star(lang: Language) -> Language:
-        return flang_star(kalg, lang, maxlen)
-
     def el_name(lang: Language) -> str:
         return "{" + ",".join(f"{w or 'eps'}:{kalg.el_name(v)}" for w, v in lang) + "}"
 
@@ -462,14 +460,14 @@ def flang_algebra(
         name=name,
         zero=zero,
         one=one,
-        plus_fn=lambda a, b: flang_union(kalg, a, b, maxlen),
-        seq_fn=lambda a, b: flang_concat(kalg, a, b, maxlen),
-        star_fn=star,
+        plus=partial(flang_union, kalg, maxlen=maxlen),
+        seq=partial(flang_concat, kalg, maxlen=maxlen),
+        star=partial(flang_star, kalg, maxlen=maxlen),
         arrow_fn=arrow,
-        test_pred=is_test,
+        is_test=is_test,
         samples=tuple(dict.fromkeys(samples)),
         draw=draw,
-        fmt=el_name,
+        el_name=el_name,
         member_pred=member,
     )
 
@@ -511,18 +509,6 @@ def _matrix_algebra(
             for i in range(n)
         )
 
-    def plus(a: Matrix, b: Matrix) -> Matrix:
-        return mat_add(kalg, a, b)
-
-    def seq(a: Matrix, b: Matrix) -> Matrix:
-        return mat_mul(kalg, a, b)
-
-    def star(m: Matrix) -> Matrix:
-        return mat_star(kalg, m)
-
-    def el_name(m: Matrix) -> str:
-        return _mat_name(kalg, m)
-
     if finite:
         rows = itertools.product(kalg.elements(), repeat=n)
         values = list(itertools.product(list(rows), repeat=n))
@@ -542,14 +528,14 @@ def _matrix_algebra(
             arrow_table[i] = tuple(row)
         return FiniteAlgebra(
             name=name,
-            element_names=tuple(map(el_name, values)),
+            element_names=tuple(_mat_name(kalg, m) for m in values),
             test_indices=tests,
             zero=index(zero),
             one=index(one),
             plus_table=_digitwise_table(kalg.plus_table, n * n),
             seq_table=_mat_seq_table(kalg, values),
             arrow_table=tuple(arrow_table),
-            star_table=tuple(index(star(m)) for m in values),
+            star_table=tuple(index(mat_star(kalg, m)) for m in values),
         )
 
     def draw(rng: random.Random) -> Matrix:
@@ -566,14 +552,14 @@ def _matrix_algebra(
         name=name,
         zero=zero,
         one=one,
-        plus_fn=plus,
-        seq_fn=seq,
-        star_fn=star,
+        plus=partial(mat_add, kalg),
+        seq=partial(mat_mul, kalg),
+        star=partial(mat_star, kalg),
         arrow_fn=arrow,
-        test_pred=is_test,
+        is_test=is_test,
         samples=(zero, one),
         draw=draw,
-        fmt=el_name,
+        el_name=partial(_mat_name, kalg),
         member_pred=lambda m: isinstance(m, tuple)
         and len(m) == n
         and all(

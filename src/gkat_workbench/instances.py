@@ -18,6 +18,7 @@ names in ``_BUILDERS``.  Three kinds of builder sit behind the forms:
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import partial
@@ -30,10 +31,6 @@ from .algfile import load_algebra
 INF = float("inf")
 
 _DATA = Path(__file__).parent / "data"
-
-
-def _tbl(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in rows)
 
 
 def _chain(
@@ -55,9 +52,9 @@ def _chain(
         test_indices=tuple(rng),
         zero=zero,
         one=one,
-        plus_table=_tbl([[plus(i, j) for j in rng] for i in rng]),
-        seq_table=_tbl([[seq(i, j) for j in rng] for i in rng]),
-        arrow_table=_tbl([[arrow(i, j) for j in rng] for i in rng]),
+        plus_table=tuple(tuple([plus(i, j) for j in rng]) for i in rng),
+        seq_table=tuple(tuple([seq(i, j) for j in rng]) for i in rng),
+        arrow_table=tuple(tuple([arrow(i, j) for j in rng]) for i in rng),
         star_table=tuple(star_to for _ in rng),
     )
 
@@ -77,22 +74,20 @@ def _powerset(ground: str) -> FiniteAlgebra:
         raise ValueError(f"powerset ground set has repeated characters: {ground!r}")
     if len(ground) > 8:
         raise ValueError("powerset ground set capped at 8 characters")
-    size = 1 << len(ground)
-    full = size - 1
+    full = (1 << len(ground)) - 1
 
     def name(mask: int) -> str:
         return "{" + ",".join(c for j, c in enumerate(ground) if mask >> j & 1) + "}"
 
-    return FiniteAlgebra(
-        name=f"powerset:{ground}",
-        element_names=tuple(name(m) for m in range(size)),
-        test_indices=tuple(range(size)),
+    return _chain(
+        f"powerset:{ground}",
+        [name(m) for m in range(full + 1)],
+        plus=operator.or_,
+        seq=operator.and_,
+        arrow=lambda i, j: (full & ~i) | j,
+        star_to=full,
         zero=0,
         one=full,
-        plus_table=_tbl([[i | j for j in range(size)] for i in range(size)]),
-        seq_table=_tbl([[i & j for j in range(size)] for i in range(size)]),
-        arrow_table=_tbl([[(full & ~i) | j for j in range(size)] for i in range(size)]),
-        star_table=tuple(full for _ in range(size)),
     )
 
 
@@ -185,14 +180,14 @@ def _product_algebra() -> ProceduralAlgebra:
         name="product",
         zero=zero,
         one=one,
-        plus_fn=max,
-        seq_fn=lambda x, y: x * y,
-        star_fn=lambda x: one,
+        plus=max,
+        seq=lambda x, y: x * y,
+        star=lambda x: one,
         arrow_fn=arrow,
-        test_pred=lambda v: True,
+        is_test=lambda v: True,
         samples=_PRODUCT_POOL,
         draw=draw,
-        fmt=str,
+        el_name=str,
         member_pred=lambda v: isinstance(v, Fraction) and zero <= v <= one,
     )
 
@@ -225,14 +220,14 @@ def _tropical_algebra() -> ProceduralAlgebra:
         name="tropical",
         zero=INF,
         one=one,
-        plus_fn=min,
-        seq_fn=seq,
-        star_fn=lambda x: one,
+        plus=min,
+        seq=seq,
+        star=lambda x: one,
         arrow_fn=arrow,
-        test_pred=lambda v: True,
+        is_test=lambda v: True,
         samples=_TROPICAL_POOL,
         draw=draw,
-        fmt=lambda v: "inf" if v == INF else str(v),
+        el_name=lambda v: "inf" if v == INF else str(v),
         member_pred=lambda v: v == INF or (isinstance(v, Fraction) and v >= 0),
     )
 

@@ -233,10 +233,11 @@ def classify(alg: Algebra, strategy: Strategy = Auto()) -> Classification:
     pass, e.g. the test-idempotence counterexample for an algebra that is
     graded but not idempotent.
     """
-    base = run_law_suite(alg, "gkat", strategy)
-    if not base.ok:
-        law, verdict = base.failing()[0]
-        return Classification(alg.name, "NotGKAT", law.name, verdict)
+    laws = SUITES["gkat"]
+    verdicts, _ = check_laws(alg, laws, strategy)
+    for law, verdict in zip(laws, verdicts):
+        if not verdict.ok:
+            return Classification(alg.name, "NotGKAT", law.name, verdict)
     idem = check_law(alg, TEST_IDEM_LAW, strategy)
     if not idem.ok:
         return Classification(alg.name, "GKAT-not-IGKAT", TEST_IDEM_LAW.name, idem)

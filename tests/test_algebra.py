@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from gkat_workbench import (
     ClosureError,
-    DivergenceError,
     DomainError,
     FiniteAlgebra,
     ProceduralAlgebra,
@@ -235,27 +234,20 @@ def test_star_lfp_agrees_with_star_tables(spec):
         assert star_lfp(alg, a) == alg.star(a)
 
 
-def test_star_lfp_on_procedural_needs_bound():
-    prod = make_builtin("product")
-    with pytest.raises(DivergenceError, match="needs an explicit max_steps"):
-        star_lfp(prod, prod.one)
-    assert star_lfp(prod, prod.zero, max_steps=4) == prod.one
-
-
 def test_procedural_samples_must_hold_constants():
     with pytest.raises(ClosureError, match="must contain both constants"):
         ProceduralAlgebra(
             name="broken",
             zero=0,
             one=1,
-            plus_fn=max,
-            seq_fn=min,
-            star_fn=lambda x: 1,
+            plus=max,
+            seq=min,
+            star=lambda x: 1,
             arrow_fn=lambda x, y: 1,
-            test_pred=lambda v: True,
+            is_test=lambda v: True,
             samples=(0,),
             draw=lambda rng: rng.randint(0, 1),
-            fmt=str,
+            el_name=str,
             member_pred=lambda v: v in (0, 1),
         )
 

@@ -384,17 +384,9 @@ def test_exhaustive_mode_respects_the_cap(capsys) -> None:
     assert "exceeds the exhaustive cap 100" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("check-laws", "--construct", "mat:bool2:1", "--json"),
-        ("construct", "mat:bool2:1", "--json"),
-        ("denest", "--construct", "mat:bool2:1", "--json"),
-        ("construct", "mat:bool2:1", "--suite", "kleene", "--json"),
-    ],
-)
-def test_a_command_fingerprints_its_algebra_once(capsys, monkeypatch, argv) -> None:
-    calls = []
+def _count_fingerprints(monkeypatch) -> list[str]:
+    """Record the algebra name of every ``FiniteAlgebra.fingerprint`` call."""
+    calls: list[str] = []
     real = FiniteAlgebra.fingerprint
 
     def counted(self):
@@ -402,7 +394,33 @@ def test_a_command_fingerprints_its_algebra_once(capsys, monkeypatch, argv) -> N
         return real(self)
 
     monkeypatch.setattr(FiniteAlgebra, "fingerprint", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-laws", "--construct", "mat:bool2:1", "--json"),
+        ("construct", "mat:bool2:1", "--json"),
+        ("denest", "--construct", "mat:bool2:1", "--json"),
+        ("construct", "mat:bool2:1", "--suite", "kleene", "--json"),
+        ("prove", "--construct", "mat:bool2:1", "--progs", "p", "--concl", "p+p = p", "--json"),
+        ("rule", "--construct", "mat:bool2:1", "--name", "composition", "--json"),
+        ("demorgan", "--construct", "mat:bool2:1", "--json"),
+    ],
+)
+def test_a_command_fingerprints_its_algebra_once(capsys, monkeypatch, argv) -> None:
+    real = FiniteAlgebra.fingerprint
+    calls = _count_fingerprints(monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert calls == ["mat:bool2:1"]
     assert json.loads(out)["fingerprint"] == real(mat_algebra(make_builtin("bool2"), 1))
+
+
+def test_classify_prints_no_fingerprint_and_computes_none(capsys, monkeypatch) -> None:
+    calls = _count_fingerprints(monkeypatch)
+    code, out, _ = run(capsys, "classify", "--construct", "mat:bool2:1", "--json")
+    assert code == 0
+    assert "fingerprint" not in json.loads(out)
+    assert calls == []

@@ -292,10 +292,10 @@ def test_flang_tests_live_on_the_empty_word() -> None:
     c3 = make_builtin("chain3")
     fl = flang_algebra(c3, c3, alphabet="ab", maxlen=4)
     u = c3.resolve("u")
-    assert fl.test_pred(fl.one)
-    assert fl.test_pred((("", u),))
-    assert fl.test_pred(fl.zero)
-    assert not fl.test_pred((("ab", u),))
+    assert fl.is_test(fl.one)
+    assert fl.is_test((("", u),))
+    assert fl.is_test(fl.zero)
+    assert not fl.is_test((("ab", u),))
 
 
 def test_flang_membership_rejects_foreign_weights() -> None:
