@@ -17,7 +17,6 @@ from .algebra import (
     ProceduralAlgebra,
     SizeError,
     SortError,
-    derived_leq,
     star_lfp,
 )
 from .algfile import AlgFileError, dump_algebra, load_algebra, loads_algebra
@@ -27,7 +26,6 @@ from .constructions import (
     fset_algebra,
     mat_algebra,
     mat_star,
-    mat_star_iter,
 )
 from .hoare import (
     ANNIHILATION_BRIDGE,
@@ -115,7 +113,6 @@ __all__ = [
     "classify",
     "commutation_conditions",
     "denesting_equivalence",
-    "derived_leq",
     "dump_algebra",
     "eval_term",
     "flang_algebra",
@@ -127,7 +124,6 @@ __all__ = [
     "make_builtin",
     "mat_algebra",
     "mat_star",
-    "mat_star_iter",
     "parse_program",
     "parse_term",
     "pretty",

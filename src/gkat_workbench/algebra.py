@@ -247,7 +247,12 @@ class FiniteAlgebra:
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
-        return "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        """sha256 of ``canonical_text``, computed once per object."""
+        fp = self.__dict__.get("_fingerprint")
+        if fp is None:
+            fp = "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
 
 
 @dataclass(frozen=True)
@@ -304,13 +309,6 @@ class ProceduralAlgebra:
 
 
 Algebra = Union[FiniteAlgebra, ProceduralAlgebra]
-
-
-def derived_leq(alg: Algebra, a: Element, b: Element) -> bool:
-    """The natural order: a <= b iff a + b = b."""
-    alg.check_member(a)
-    alg.check_member(b)
-    return alg.plus(a, b) == b
 
 
 def star_lfp(alg: FiniteAlgebra, a: int) -> int:

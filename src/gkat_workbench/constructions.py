@@ -25,9 +25,9 @@ Carriers and operations:
   taken pointwise as the least fixpoint of s = 1 + t;s in the base;
 * n×n matrices over K with diagonal T-valued tests: ring-style
   addition/multiplication, the residual acting on the diagonal, star by
-  two-by-two block recursion (Kozen's matrices over a Kleene algebra),
-  with an independent iterative fixpoint (``mat_star_iter``) kept as an
-  oracle.  Graded relations over n points (``frel:K:T:n``) and matrices
+  two-by-two block recursion (Kozen's matrices over a Kleene algebra;
+  the tests hold an independent iterative fixpoint as its oracle).
+  Graded relations over n points (``frel:K:T:n``) and matrices
   (``mat:K:n``, where T = K) are this one carrier: the relational product
   is the matrix product and the relational star, the least fixpoint of
   S = Id ∪ (M ∘ S), is the matrix star;
@@ -36,14 +36,24 @@ Carriers and operations:
   (including the empty prefix and suffix); observation is cut off at
   words of length ``maxlen``; always procedural.
 
-A matrix value is a tuple of row tuples of base element indices.
+The tuple kernels (``mat_add``, ``mat_mul``, ``mat_star``) take a matrix
+as a tuple of row tuples of base element indices.  A sampled matrix value
+is coded instead as the tuple of its n row numbers: a row's number is the
+numeral of its cells in base |K|, the digits of the finite numbering.  Sum
+and product of codes look up the sum of two row numbers and the product of
+a row number and a column number, each computed on its first use and kept
+with the carrier while its R² entries stay small (R = |K|ⁿ ≤
+``_KEPT_PAIR_ROWS``); star, the arrow and element names decode to the
+tuple kernels, and so do sum and product of larger carriers.  Element
+names are the same either way.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 from .algebra import (
@@ -262,23 +272,6 @@ def _mat_name(base: FiniteAlgebra, m: Matrix) -> str:
     return "[" + ";".join(",".join(base.el_name(x) for x in row) for row in m) + "]"
 
 
-def mat_star_iter(base: FiniteAlgebra, m: Matrix) -> Matrix:
-    """Star as the stabilised partial-sum iteration S = I + M·S.
-
-    Independent of the block recursion; kept as an oracle for it.
-    """
-    n = len(m)
-    steps = n * n * base.size + 2
-    ident = mat_identity(base, n)
-    cur = ident
-    for _ in range(steps):
-        nxt = mat_add(base, ident, mat_mul(base, m, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise DivergenceError(f"matrix star did not stabilise within {steps} steps over {base.name}")
-
-
 def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
     return tuple(row[c0:c1] for row in m[r0:r1])
 
@@ -486,88 +479,166 @@ def _draw_lang(
 # --- matrices and relations -----------------------------------------------
 
 
+def _mat_is_test(base: FiniteAlgebra, t_test_set: frozenset, m: Matrix) -> bool:
+    """Whether ``m`` is diagonal with test cells: T-tests on it, zero off it."""
+    return all(
+        (x in t_test_set) if i == j else (x == base.zero)
+        for i, row in enumerate(m)
+        for j, x in enumerate(row)
+    )
+
+
+def _mat_arrow(base: FiniteAlgebra, t_arrow: Callable, s: Matrix, e: Matrix) -> Matrix:
+    """The residual of two test matrices, diagonal cell by diagonal cell."""
+    n = len(s)
+    return tuple(
+        tuple(t_arrow(s[i][i], e[i][i]) if i == j else base.zero for j in range(n))
+        for i in range(n)
+    )
+
+
 def _matrix_algebra(
     name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, sampled: bool
 ) -> Algebra:
     """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests."""
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
+    if not _fits_cap(name, kalg.size, n * n, sampled):
+        return _sampled_matrix_algebra(name, kalg, t_tests, t_arrow, n)
     t_test_set = frozenset(t_tests)
-    finite = _fits_cap(name, kalg.size, n * n, sampled)
-    zero = mat_zero(kalg, n)
-    one = mat_identity(kalg, n)
+    rows = itertools.product(kalg.elements(), repeat=n)
+    values = list(itertools.product(list(rows), repeat=n))
 
-    def is_test(m: Matrix) -> bool:
-        return all(
-            (m[i][j] in t_test_set) if i == j else (m[i][j] == kalg.zero)
-            for i in range(n)
-            for j in range(n)
-        )
+    def index(m: Matrix) -> int:
+        return _numeral(itertools.chain.from_iterable(m), kalg.size)
 
-    def arrow(s: Matrix, e: Matrix) -> Matrix:
-        return tuple(
-            tuple(t_arrow(s[i][i], e[i][i]) if i == j else kalg.zero for j in range(n))
-            for i in range(n)
-        )
+    # The residual is only meaningful between tests; remaining cells hold
+    # the zero index and are never reachable through the checked API.
+    tests = tuple(i for i, m in enumerate(values) if _mat_is_test(kalg, t_test_set, m))
+    zero = index(mat_zero(kalg, n))
+    zero_row = (zero,) * len(values)
+    arrow_table = [zero_row] * len(values)
+    for i in tests:
+        row = list(zero_row)
+        for j in tests:
+            row[j] = index(_mat_arrow(kalg, t_arrow, values[i], values[j]))
+        arrow_table[i] = tuple(row)
+    return FiniteAlgebra(
+        name=name,
+        element_names=tuple(_mat_name(kalg, m) for m in values),
+        test_indices=tests,
+        zero=zero,
+        one=index(mat_identity(kalg, n)),
+        plus_table=_digitwise_table(kalg.plus_table, n * n),
+        seq_table=_mat_seq_table(kalg, values),
+        arrow_table=tuple(arrow_table),
+        star_table=tuple(index(mat_star(kalg, m)) for m in values),
+    )
 
-    if finite:
-        rows = itertools.product(kalg.elements(), repeat=n)
-        values = list(itertools.product(list(rows), repeat=n))
 
-        def index(m: Matrix) -> int:
-            return _numeral(itertools.chain.from_iterable(m), kalg.size)
+# A sampled matrix carrier keeps the row-pair entries it computes only
+# while all R² of them stay small: every entry at R = 256 took 5.3 MB
+# (tracemalloc, ex9 at n = 4), and above that the kept entries grow with
+# every check run on the carrier (2-4 MB a law-suite round at R = 4096), so
+# larger carriers decode each operand to the tuple kernels instead.
+_KEPT_PAIR_ROWS = 256
 
-        # The residual is only meaningful between tests; remaining cells hold
-        # the zero index and are never reachable through the checked API.
-        tests = tuple(i for i, m in enumerate(values) if is_test(m))
-        zero_row = (index(zero),) * len(values)
-        arrow_table = [zero_row] * len(values)
-        for i in tests:
-            row = list(zero_row)
-            for j in tests:
-                row[j] = index(arrow(values[i], values[j]))
-            arrow_table[i] = tuple(row)
-        return FiniteAlgebra(
-            name=name,
-            element_names=tuple(_mat_name(kalg, m) for m in values),
-            test_indices=tests,
-            zero=index(zero),
-            one=index(one),
-            plus_table=_digitwise_table(kalg.plus_table, n * n),
-            seq_table=_mat_seq_table(kalg, values),
-            arrow_table=tuple(arrow_table),
-            star_table=tuple(index(mat_star(kalg, m)) for m in values),
-        )
+RowCode = tuple[int, ...]
 
-    def draw(rng: random.Random) -> Matrix:
+
+def _digits(r: int, radix: int, width: int) -> tuple[int, ...]:
+    """The ``width`` digits of ``r`` in base ``radix``; inverse of ``_numeral``."""
+    out = [0] * width
+    for j in range(width - 1, -1, -1):
+        r, out[j] = divmod(r, radix)
+    return tuple(out)
+
+
+def _sampled_matrix_algebra(
+    name: str, kalg: FiniteAlgebra, t_tests: tuple[int, ...], t_arrow: Callable, n: int
+) -> ProceduralAlgebra:
+    """n×n matrices over ``kalg`` coded as the tuples of their row numbers.
+
+    A row's number is the numeral of its cells in base |K|.  Up to
+    ``_KEPT_PAIR_ROWS`` row numbers, sum and product combine them through
+    row-plus and dot entries, each folded once on first use; star, the
+    arrow and element names, and sum and product of larger carriers,
+    decode to the tuple kernels and encode their result.
+    """
+    k, zero = kalg.size, kalg.zero
+    n_rows = k**n
+
+    def encode(m: Matrix) -> RowCode:
+        return tuple([_numeral(row, k) for row in m])
+
+    def decode(code: RowCode) -> Matrix:
+        return tuple(map(cells, code))
+
+    # cells(r): the digits of row number r, at most R of them kept
+    cells = cache(partial(_digits, radix=k, width=n))
+
+    if n_rows <= _KEPT_PAIR_ROWS:
+        plus_table = kalg.plus_table
+
+        @cache
+        def row_plus(x: int) -> Callable[[int], int]:
+            """row_plus(x)(y): the number of row x plus row y."""
+            u = cells(x)
+            return cache(lambda y: _numeral([plus_table[i][j] for i, j in zip(u, cells(y))], k))
+
+        @cache
+        def dot(r: int) -> Callable[[int], int]:
+            """dot(r)(c): row r times the column numbered c."""
+            u = cells(r)
+            return cache(lambda c: _dot(kalg, u, cells(c)))
+
+        def plus(a: RowCode, b: RowCode) -> RowCode:
+            return tuple([row_plus(x)(y) for x, y in zip(a, b)])
+
+        def seq(a: RowCode, b: RowCode) -> RowCode:
+            cols = [_numeral(col, k) for col in zip(*map(cells, b))]
+            return tuple([_numeral(map(d, cols), k) for d in map(dot, a)])
+
+    else:
+
+        def plus(a: RowCode, b: RowCode) -> RowCode:
+            return encode(mat_add(kalg, decode(a), decode(b)))
+
+        def seq(a: RowCode, b: RowCode) -> RowCode:
+            return encode(mat_mul(kalg, decode(a), decode(b)))
+
+    # test_rows[i]: the numbers of row i of the tests, a T-test at i and zero elsewhere
+    test_rows = [
+        frozenset(_numeral([t if j == i else zero for j in range(n)], k) for t in t_tests)
+        for i in range(n)
+    ]
+
+    def draw(rng: random.Random) -> RowCode:
         if rng.random() < 0.25:  # keep tests in the pool
-            return tuple(
-                tuple(rng.choice(t_tests) if i == j else kalg.zero for j in range(n))
+            m = tuple(
+                tuple(rng.choice(t_tests) if i == j else zero for j in range(n))
                 for i in range(n)
             )
-        return tuple(
-            tuple(rng.randrange(kalg.size) for _ in range(n)) for _ in range(n)
-        )
+        else:
+            m = tuple(tuple(rng.randrange(k) for _ in range(n)) for _ in range(n))
+        return encode(m)
 
+    zero_code = encode(mat_zero(kalg, n))
+    one_code = encode(mat_identity(kalg, n))
     return ProceduralAlgebra(
         name=name,
-        zero=zero,
-        one=one,
-        plus=partial(mat_add, kalg),
-        seq=partial(mat_mul, kalg),
-        star=partial(mat_star, kalg),
-        arrow_fn=arrow,
-        is_test=is_test,
-        samples=(zero, one),
+        zero=zero_code,
+        one=one_code,
+        plus=plus,
+        seq=seq,
+        star=lambda m: encode(mat_star(kalg, decode(m))),
+        arrow_fn=lambda s, e: encode(_mat_arrow(kalg, t_arrow, decode(s), decode(e))),
+        is_test=lambda m: all(map(operator.contains, test_rows, m)),
+        samples=(zero_code, one_code),
         draw=draw,
-        el_name=partial(_mat_name, kalg),
+        el_name=lambda m: _mat_name(kalg, decode(m)),
         member_pred=lambda m: isinstance(m, tuple)
         and len(m) == n
-        and all(
-            isinstance(r, tuple)
-            and len(r) == n
-            and all(isinstance(x, int) and 0 <= x < kalg.size for x in r)
-            for r in m
-        ),
+        and all(type(r) is int and 0 <= r < n_rows for r in m),
     )
 
 

@@ -24,7 +24,10 @@ Each check is compiled into one Python function (see ``_Compiler``):
   follows from the loop indices.
 * A sampled check runs the same body in one loop over valuation tuples
   drawn up front from the seed.  On procedural carriers the body calls
-  ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables.
+  ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables;
+  ``star`` is passed through a ``functools.cache`` made fresh for each
+  run, so the check stars each distinct value once (a star that raises is
+  not stored, and raises again at the same valuation).
 
 The function is generated and compiled once per process for each check
 shape (``_compile``, an LRU cache of 512 shapes).  The key is exactly
@@ -410,7 +413,10 @@ class _Check:
         params = dict(data, zero=alg.zero, one=alg.one, product=iproduct)
         if alg.finite:
             params.update(P=alg.plus_table, S=alg.seq_table, A=alg.arrow_table, T=alg.star_table)
-        params.update(plus=alg.plus, seq=alg.seq, star=alg.star, arrow=alg.arrow)
+            star = alg.star
+        else:
+            star = functools.cache(alg.star)
+        params.update(plus=alg.plus, seq=alg.seq, star=star, arrow=alg.arrow)
         check = _compile(alg.finite, self.hypotheses, self.conclusion, self.variables,
                          tuple(var_level.items()), tuple(headers), fail, tuple(params))
         return check(**params)

@@ -22,7 +22,6 @@ from gkat_workbench.constructions import (
     fset_algebra,
     mat_algebra,
     mat_star,
-    mat_star_iter,
 )
 from gkat_workbench.hoare import (
     check_rule,
@@ -34,6 +33,7 @@ from gkat_workbench.hoare import (
 from gkat_workbench.instances import STANDARD_FINITE, make_builtin
 from gkat_workbench.laws import classify, run_law_suite
 from gkat_workbench.semantics import Auto, Exhaustive, Sampled
+from oracles import mat_star_iter
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

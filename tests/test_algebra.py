@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -14,12 +15,12 @@ from gkat_workbench import (
     FiniteAlgebra,
     ProceduralAlgebra,
     SortError,
-    derived_leq,
     make_builtin,
     star_lfp,
 )
 from gkat_workbench.cli import build_construct
 from gkat_workbench.instances import STANDARD_FINITE
+from oracles import derived_leq
 
 
 def _bool_kwargs(**over):
@@ -258,6 +259,20 @@ def test_fingerprint_tracks_tables():
     assert a.fingerprint().startswith("sha256:")
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == FiniteAlgebra(**_bool_kwargs()).fingerprint()
+
+
+def test_fingerprint_hashes_the_canonical_text_once_per_object(monkeypatch):
+    alg = make_builtin("ex9")
+    want = "sha256:" + hashlib.sha256(alg.canonical_text().encode()).hexdigest()
+    renders = []
+    real = FiniteAlgebra.canonical_text
+    monkeypatch.setattr(FiniteAlgebra, "canonical_text", lambda self: renders.append(1) or real(self))
+    assert alg.fingerprint() == want
+    assert alg.fingerprint() == want
+    assert len(renders) == 1
+    # The all-tests view is a new object, with its own tables' fingerprint.
+    assert replace(alg, test_indices=tuple(alg.elements())).fingerprint() != want
+    assert len(renders) == 2
 
 
 class TestOrderProperties:

@@ -424,3 +424,11 @@ def test_classify_prints_no_fingerprint_and_computes_none(capsys, monkeypatch) -
     assert code == 0
     assert "fingerprint" not in json.loads(out)
     assert calls == []
+
+
+def test_a_refused_denest_computes_no_fingerprint(capsys, monkeypatch) -> None:
+    calls = _count_fingerprints(monkeypatch)
+    code, out, _ = run(capsys, "denest", "--builtin", "ex9", "--json")
+    assert code == 1
+    assert "fingerprint" not in json.loads(out)
+    assert calls == []

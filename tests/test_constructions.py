@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -13,6 +14,11 @@ from hypothesis import strategies as st
 from gkat_workbench.algebra import DomainError, SizeError
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
+    _mat_arrow,
+    _mat_is_test,
+    _mat_name,
+    _resolve_test_sort,
+    _sampled_matrix_algebra,
     flang_algebra,
     flang_concat,
     flang_star,
@@ -24,12 +30,12 @@ from gkat_workbench.constructions import (
     mat_identity,
     mat_mul,
     mat_star,
-    mat_star_iter,
     mat_zero,
 )
 from gkat_workbench.instances import make_builtin
 from gkat_workbench.laws import run_law_suite
 from gkat_workbench.semantics import Exhaustive, Sampled
+from oracles import mat_star_iter
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,14 @@ def test_mat_algebra_passes_the_gkat_suite_sampled() -> None:
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), 5),
         (lambda: fset_algebra(make_builtin("luka:5"), 6, sampled=True), 5),
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), ((99, 0, 0),) * 3),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, 0)),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, 0, 0, 0)),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, 27, 0)),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, -1, 0)),
+        (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, True, 0)),
     ],
-    ids=["mat-int", "fset-int", "mat-cell-99"],
+    ids=["mat-int", "fset-int", "mat-cell-99", "mat-short-code", "mat-long-code",
+         "mat-row-27", "mat-row-negative", "mat-row-bool"],
 )
 def test_sampled_carriers_name_a_rejected_value_by_its_repr(build, value) -> None:
     alg = build()
@@ -360,6 +372,67 @@ class TestMatrixProperties:
         s = mat_star(base, m)
         unfold = mat_add(base, mat_identity(base, 2), mat_mul(base, m, s))
         assert s == unfold
+
+
+# (K, T or None, n) of the row-coded sampled kernels: n = 1..4 over three
+# bases and over chain3 with bool2 tests, and one carrier past
+# ``_KEPT_PAIR_ROWS`` (3^6 = 729 row numbers), whose sum and product decode.
+_CODED = [
+    *((k, t, n) for k, t in (("chain3", None), ("ex9", None), ("lemma4", None),
+                             ("chain3", "bool2")) for n in range(1, 5)),
+    ("chain3", None, 6),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _coded(k: str, t, n: int):
+    kalg = make_builtin(k)
+    t_tests, t_arrow = _resolve_test_sort(kalg, kalg if t is None else make_builtin(t))
+    alg = _sampled_matrix_algebra(f"coded:{k}:{n}", kalg, t_tests, t_arrow, n)
+    return kalg, t_tests, t_arrow, alg
+
+
+def _row_code(base_size: int, m) -> tuple[int, ...]:
+    n = len(m)
+    return tuple(sum(x * base_size ** (n - 1 - j) for j, x in enumerate(row)) for row in m)
+
+
+def _test_matrices(zero: int, t_tests, n: int):
+    diagonal = st.lists(st.sampled_from(t_tests), min_size=n, max_size=n)
+    return diagonal.map(
+        lambda d: tuple(tuple(d[i] if i == j else zero for j in range(n)) for i in range(n))
+    )
+
+
+class TestRowCodedMatrices:
+    """Sampled matrices coded by row numbers compute what the tuple kernels compute."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(_CODED), st.data())
+    def test_coded_kernels_match_the_tuple_kernels(self, spec, data: st.DataObject) -> None:
+        kalg, t_tests, t_arrow, alg = _coded(*spec)
+        n = spec[2]
+        code = functools.partial(_row_code, kalg.size)
+        a, b = data.draw(_matrices(kalg.size, n)), data.draw(_matrices(kalg.size, n))
+        s, e = (data.draw(_test_matrices(kalg.zero, t_tests, n)) for _ in range(2))
+        alg.check_member(code(a))
+        assert alg.plus(code(a), code(b)) == code(mat_add(kalg, a, b))
+        assert alg.seq(code(a), code(b)) == code(mat_mul(kalg, a, b))
+        assert alg.star(code(a)) == code(mat_star(kalg, a))
+        assert alg.el_name(code(a)) == _mat_name(kalg, a)
+        assert alg.is_test(code(a)) == _mat_is_test(kalg, frozenset(t_tests), a)
+        assert alg.is_test(code(s)) and alg.is_test(code(e))
+        assert alg.arrow(code(s), code(e)) == code(_mat_arrow(kalg, t_arrow, s, e))
+
+    def test_constants_and_draws_are_coded_members(self) -> None:
+        kalg, _, _, alg = _coded("ex9", None, 3)
+        assert alg.zero == _row_code(kalg.size, mat_zero(kalg, 3))
+        assert alg.one == _row_code(kalg.size, mat_identity(kalg, 3))
+        rng = random.Random(3)
+        draws = [alg.draw(rng) for _ in range(100)]
+        for m in draws:
+            alg.check_member(m)
+        assert any(alg.is_test(m) for m in draws) and not all(alg.is_test(m) for m in draws)
 
 
 # ---------------------------------------------------------------------------

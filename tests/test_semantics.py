@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from gkat_workbench import (
     AlgebraError,
     Auto,
+    DivergenceError,
     Equation,
     Exhaustive,
+    ProceduralAlgebra,
     Sampled,
     SizeError,
     SortError,
@@ -22,6 +24,7 @@ from gkat_workbench import (
     check_quasi_equation,
     eval_term,
     flang_algebra,
+    frel_algebra,
     fset_algebra,
     make_builtin,
     mat_algebra,
@@ -196,6 +199,10 @@ _FINITE = ("bool2", "chain3", "ex9", "lemma4", "lemma6", "luka:3", "godel:3", "p
 # the sampled checks evaluate.
 _SAMPLED_DERIVED = {
     "mat:chain3:3": lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True),
+    "mat:ex9:3": lambda: mat_algebra(make_builtin("ex9"), 3, sampled=True),
+    "frel:chain3:bool2:3": lambda: frel_algebra(
+        make_builtin("chain3"), make_builtin("bool2"), 3, sampled=True
+    ),
     "fset:luka:5:6": lambda: fset_algebra(make_builtin("luka:5"), 6, sampled=True),
     "flang:chain3:chain3:ab:2": lambda: flang_algebra(
         make_builtin("chain3"), make_builtin("chain3"), "ab", 2
@@ -375,6 +382,39 @@ def test_the_compile_key_separates_what_changes_the_source(pair):
             variables = free_vars(concl.lhs, concl.rhs)
         _assert_agrees(make_builtin(spec), (hyps, concl, variables), strategy)
     assert _compile.cache_info().currsize == 2
+
+
+def _goedel_chain_with_a_diverging_star(bad: int) -> ProceduralAlgebra:
+    """The Gödel chain 0 < 1 < … < 4, except that the star of ``bad`` raises."""
+
+    def star(x: int) -> int:
+        if x == bad:
+            raise DivergenceError(f"star of {x} diverges")
+        return 4
+
+    return ProceduralAlgebra(
+        name=f"goedel5-star-raises-at-{bad}",
+        zero=0,
+        one=4,
+        plus=max,
+        seq=min,
+        star=star,
+        arrow_fn=lambda x, y: 4 if x <= y else y,
+        is_test=lambda v: True,
+        samples=(0, 4),
+        draw=lambda rng: rng.randrange(5),
+        el_name=str,
+        member_pred=lambda v: v in range(5),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), _quasi_equations(), st.integers(0, 3))
+def test_a_star_that_raises_raises_where_the_reference_does(bad, problem, seed):
+    # The reference evaluates each valuation in turn with no memo: a
+    # refutation found before the first raising star wins, and otherwise
+    # the compiled check raises that star's error.
+    _assert_agrees(_goedel_chain_with_a_diverging_star(bad), problem, Sampled(40, seed))
 
 
 class TestCompiledAgainstReference:
