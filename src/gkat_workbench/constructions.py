@@ -11,13 +11,9 @@ oversized carrier raises ``SizeError``).
 Finite tables come from index arithmetic, not from one kernel call per
 cell.  ``itertools.product`` numbers each carrier in mixed radix: a graded
 set over T is a numeral of ``points`` digits in base |T| (each digit the
-position of a coordinate among the base tests), a matrix over K a
-row-major numeral of n² digits in base |K|.  The pointwise tables (graded
-set +, ; and ->, matrix +) are the base table applied digit by digit; the
-matrix product is read off a table of row-by-column dot products.  The dot
-product is written once, as ``_dot``, which ``mat_mul`` calls as well.
-Star, the matrix arrow on test cells, test membership and element names
-are computed per element from the kernel.
+position of a coordinate among the base tests), and its tables are the
+base tables applied digit by digit.  Star and element names are computed
+per element from the kernel.
 
 Carriers and operations:
 
@@ -36,16 +32,18 @@ Carriers and operations:
   (including the empty prefix and suffix); observation is cut off at
   words of length ``maxlen``; always procedural.
 
-The tuple kernels (``mat_add``, ``mat_mul``, ``mat_star``) take a matrix
-as a tuple of row tuples of base element indices.  A sampled matrix value
-is coded instead as the tuple of its n row numbers: a row's number is the
-numeral of its cells in base |K|, the digits of the finite numbering.  Sum
-and product of codes look up the sum of two row numbers and the product of
-a row number and a column number, each computed on its first use and kept
-with the carrier while its R² entries stay small (R = |K|ⁿ ≤
-``_KEPT_PAIR_ROWS``); star, the arrow and element names decode to the
-tuple kernels, and so do sum and product of larger carriers.  Element
-names are the same either way.
+Every matrix carrier is built on row codes: an n×n matrix is the tuple of
+its n row numbers, a row's number being the numeral of its cells in base
+|K|.  ``_row_tables`` gives, over the R = |K|ⁿ row numbers, the sum of two
+rows and a row scaled on the left by one cell, so a sum of codes is a
+lookup per row and row i of a product is Σ_z scale[A_iz][B_z], folded by
+the same ``_dot`` that ``mat_mul`` folds over cells.  A finite carrier
+numbers each code in base R, which is the row-major numbering of its
+cells, and tabulates the code kernels; a sampled one computes on codes,
+with row tables up to ``_ROW_TABLE_ROWS`` row numbers and by decoding to
+the tuple kernels (``mat_add``, ``mat_mul``, which take a matrix as a
+tuple of row tuples) above.  Star and element names always decode, to
+``mat_star`` and the base's names.
 """
 
 from __future__ import annotations
@@ -228,34 +226,25 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
         el_name=el_name,
         member_pred=lambda v: isinstance(v, tuple)
         and len(v) == points
-        and all(a in tests for a in v),
+        and all(type(a) is int and a in tests for a in v),
     )
 
 
 # --- matrix arithmetic ---------------------------------------------------
 
 
-def _dot(base: FiniteAlgebra, row, col) -> int:
-    """Σ row[z];col[z], folded from zero in ascending position.
+def _dot(plus: Table, seq: Table, acc: int, row, col) -> int:
+    """acc + Σ row[z];col[z] by the tables ``plus`` and ``seq``, in ascending z.
 
     No associativity or commutativity of + is assumed, so every matrix
-    product, by value or by table, goes through this one fold.
+    product goes through this one fold: ``mat_mul`` folds cells from the
+    base's zero with the base's tables, and a row-coded product folds row
+    numbers from the zero row with ``_row_tables``, which is the same fold
+    cell by cell.
     """
-    plus, seq = base.plus_table, base.seq_table
-    acc = base.zero
     for x, y in zip(row, col):
         acc = plus[acc][seq[x][y]]
     return acc
-
-
-def mat_zero(base: FiniteAlgebra, n: int) -> Matrix:
-    return tuple((base.zero,) * n for _ in range(n))
-
-
-def mat_identity(base: FiniteAlgebra, n: int) -> Matrix:
-    return tuple(
-        tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_add(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
@@ -264,8 +253,9 @@ def mat_add(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_mul(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
+    plus, seq, zero = base.plus_table, base.seq_table, base.zero
     cols = tuple(zip(*b))
-    return tuple(tuple([_dot(base, row, col) for col in cols]) for row in a)
+    return tuple(tuple([_dot(plus, seq, zero, row, col) for col in cols]) for row in a)
 
 
 def _mat_name(base: FiniteAlgebra, m: Matrix) -> str:
@@ -305,33 +295,6 @@ def mat_star(base: FiniteAlgebra, m: Matrix) -> Matrix:
     dscf = mat_mul(base, mat_mul(base, ds, c), f)
     br = mat_add(base, ds, mat_mul(base, dscf, bds))
     return _assemble(f, tr, dscf, br)
-
-
-def _mat_seq_table(base: FiniteAlgebra, values: list) -> Table:
-    """The ``mat_mul`` table on the row-major numbering of n×n matrices.
-
-    Built from two smaller tables: ``dot[r][c]``, row vector r times column
-    vector c by ``_dot``; and ``vecmat[r][b]``, the row vector r times
-    matrix b.  With R = |K|^n row vectors, the product of the matrix with
-    rows r_0 … r_{n-1} and b is Σ_i vecmat[r_i][b]·R^(n-1-i), built here
-    row prefix by row prefix.
-    """
-    k = base.size
-    n = len(values[0])
-    vectors = list(itertools.product(range(k), repeat=n))
-    dot = [[_dot(base, a, b) for b in vectors] for a in vectors]
-    # columns[j][b]: the index of column j of matrix b, as a vector
-    columns = list(zip(*([_numeral(col, k) for col in zip(*m)] for m in values)))
-    vecmat = []
-    for d in dot:
-        row = [d[c] for c in columns[0]]
-        for cs in columns[1:]:
-            row = [x * k + d[c] for x, c in zip(row, cs)]
-        vecmat.append(row)
-    table = vecmat
-    for _ in range(n - 1):
-        table = [[x * len(vectors) + y for x, y in zip(p, v)] for p in table for v in vecmat]
-    return tuple(map(tuple, table))
 
 
 # --- graded languages -----------------------------------------------------
@@ -440,7 +403,7 @@ def flang_algebra(
             isinstance(w, str)
             and len(w) <= maxlen
             and all(c in alphabet for c in w)
-            and isinstance(v, int)
+            and type(v) is int
             and 0 <= v < kalg.size
             and v != kalg.zero
             for w, v in lang
@@ -479,68 +442,28 @@ def _draw_lang(
 # --- matrices and relations -----------------------------------------------
 
 
-def _mat_is_test(base: FiniteAlgebra, t_test_set: frozenset, m: Matrix) -> bool:
-    """Whether ``m`` is diagonal with test cells: T-tests on it, zero off it."""
-    return all(
-        (x in t_test_set) if i == j else (x == base.zero)
-        for i, row in enumerate(m)
-        for j, x in enumerate(row)
+def _row_tables(base: FiniteAlgebra, n: int) -> tuple[Table, Table]:
+    """The sum and scaling tables on the |K|ⁿ numbers of n-cell rows.
+
+    ``plus[x][y]`` is the number of row x plus row y, cell by cell, and
+    ``scale[a][y]`` that of row y with every cell c replaced by a;c, so
+    row i of A·B is Σ_z scale[A_iz][B_z].
+    """
+    k = base.size
+    scale = tuple(
+        tuple(_numeral(row, k) for row in itertools.product(seq_row, repeat=n))
+        for seq_row in base.seq_table
     )
+    return _digitwise_table(base.plus_table, n), scale
 
 
-def _mat_arrow(base: FiniteAlgebra, t_arrow: Callable, s: Matrix, e: Matrix) -> Matrix:
-    """The residual of two test matrices, diagonal cell by diagonal cell."""
-    n = len(s)
-    return tuple(
-        tuple(t_arrow(s[i][i], e[i][i]) if i == j else base.zero for j in range(n))
-        for i in range(n)
-    )
-
-
-def _matrix_algebra(
-    name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, sampled: bool
-) -> Algebra:
-    """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests."""
-    t_tests, t_arrow = _resolve_test_sort(kalg, talg)
-    if not _fits_cap(name, kalg.size, n * n, sampled):
-        return _sampled_matrix_algebra(name, kalg, t_tests, t_arrow, n)
-    t_test_set = frozenset(t_tests)
-    rows = itertools.product(kalg.elements(), repeat=n)
-    values = list(itertools.product(list(rows), repeat=n))
-
-    def index(m: Matrix) -> int:
-        return _numeral(itertools.chain.from_iterable(m), kalg.size)
-
-    # The residual is only meaningful between tests; remaining cells hold
-    # the zero index and are never reachable through the checked API.
-    tests = tuple(i for i, m in enumerate(values) if _mat_is_test(kalg, t_test_set, m))
-    zero = index(mat_zero(kalg, n))
-    zero_row = (zero,) * len(values)
-    arrow_table = [zero_row] * len(values)
-    for i in tests:
-        row = list(zero_row)
-        for j in tests:
-            row[j] = index(_mat_arrow(kalg, t_arrow, values[i], values[j]))
-        arrow_table[i] = tuple(row)
-    return FiniteAlgebra(
-        name=name,
-        element_names=tuple(_mat_name(kalg, m) for m in values),
-        test_indices=tests,
-        zero=zero,
-        one=index(mat_identity(kalg, n)),
-        plus_table=_digitwise_table(kalg.plus_table, n * n),
-        seq_table=_mat_seq_table(kalg, values),
-        arrow_table=tuple(arrow_table),
-        star_table=tuple(index(mat_star(kalg, m)) for m in values),
-    )
-
-
-# A sampled matrix carrier keeps the row-pair entries it computes only
-# while all R² of them stay small: every entry at R = 256 took 5.3 MB
-# (tracemalloc, ex9 at n = 4), and above that the kept entries grow with
-# every check run on the carrier (2-4 MB a law-suite round at R = 4096), so
-# larger carriers decode each operand to the tuple kernels instead.
-_KEPT_PAIR_ROWS = 256
+# Sampled carriers build row tables only up to this many row numbers.  The
+# tables hold R² + |K|·R numbers: 0.55 MB at R = 256, 8.1 MB at 729 and
+# 15 MB at 1024 (tracemalloc; built in 2, 36 and 47 ms), and they grow to
+# hundreds of MB by R = 4096.  Larger carriers decode each operand to
+# ``mat_add``/``mat_mul`` instead, which made a 100-sample gkat suite at
+# R = 729 and 1024 take 0.12-0.17 s against 0.04-0.08 s with tables.
+_ROW_TABLE_ROWS = 256
 
 RowCode = tuple[int, ...]
 
@@ -553,19 +476,19 @@ def _digits(r: int, radix: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sampled_matrix_algebra(
-    name: str, kalg: FiniteAlgebra, t_tests: tuple[int, ...], t_arrow: Callable, n: int
-) -> ProceduralAlgebra:
-    """n×n matrices over ``kalg`` coded as the tuples of their row numbers.
+def _matrix_algebra(
+    name: str, kalg: FiniteAlgebra, talg: FiniteAlgebra, n: int, sampled: bool
+) -> Algebra:
+    """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests.
 
-    A row's number is the numeral of its cells in base |K|.  Up to
-    ``_KEPT_PAIR_ROWS`` row numbers, sum and product combine them through
-    row-plus and dot entries, each folded once on first use; star, the
-    arrow and element names, and sum and product of larger carriers,
-    decode to the tuple kernels and encode their result.
+    The kernels take row codes; a finite carrier tabulates them, numbering
+    each code in base R = |K|ⁿ.
     """
+    t_tests, t_arrow = _resolve_test_sort(kalg, talg)
+    finite = _fits_cap(name, kalg.size, n * n, sampled)
     k, zero = kalg.size, kalg.zero
     n_rows = k**n
+    zero_row = _numeral((zero,) * n, k)
 
     def encode(m: Matrix) -> RowCode:
         return tuple([_numeral(row, k) for row in m])
@@ -573,32 +496,23 @@ def _sampled_matrix_algebra(
     def decode(code: RowCode) -> Matrix:
         return tuple(map(cells, code))
 
-    # cells(r): the digits of row number r, at most R of them kept
-    cells = cache(partial(_digits, radix=k, width=n))
-
-    if n_rows <= _KEPT_PAIR_ROWS:
-        plus_table = kalg.plus_table
-
-        @cache
-        def row_plus(x: int) -> Callable[[int], int]:
-            """row_plus(x)(y): the number of row x plus row y."""
-            u = cells(x)
-            return cache(lambda y: _numeral([plus_table[i][j] for i, j in zip(u, cells(y))], k))
-
-        @cache
-        def dot(r: int) -> Callable[[int], int]:
-            """dot(r)(c): row r times the column numbered c."""
-            u = cells(r)
-            return cache(lambda c: _dot(kalg, u, cells(c)))
+    if finite or n_rows <= _ROW_TABLE_ROWS:
+        row_plus, scale = _row_tables(kalg, n)
+        cells = list(itertools.product(range(k), repeat=n)).__getitem__
 
         def plus(a: RowCode, b: RowCode) -> RowCode:
-            return tuple([row_plus(x)(y) for x, y in zip(a, b)])
+            return tuple([row_plus[x][y] for x, y in zip(a, b)])
+
+        def times(r: int, b: RowCode) -> int:
+            """Row number r times the matrix coded b, as a row number."""
+            return _dot(row_plus, scale, zero_row, cells(r), b)
 
         def seq(a: RowCode, b: RowCode) -> RowCode:
-            cols = [_numeral(col, k) for col in zip(*map(cells, b))]
-            return tuple([_numeral(map(d, cols), k) for d in map(dot, a)])
+            return tuple([times(r, b) for r in a])
 
     else:
+        # cells(r): the digits of row number r, at most R of them kept
+        cells = cache(partial(_digits, radix=k, width=n))
 
         def plus(a: RowCode, b: RowCode) -> RowCode:
             return encode(mat_add(kalg, decode(a), decode(b)))
@@ -606,36 +520,81 @@ def _sampled_matrix_algebra(
         def seq(a: RowCode, b: RowCode) -> RowCode:
             return encode(mat_mul(kalg, decode(a), decode(b)))
 
-    # test_rows[i]: the numbers of row i of the tests, a T-test at i and zero elsewhere
-    test_rows = [
-        frozenset(_numeral([t if j == i else zero for j in range(n)], k) for t in t_tests)
-        for i in range(n)
-    ]
+    def star(m: RowCode) -> RowCode:
+        return encode(mat_star(kalg, decode(m)))
+
+    def el_name(m: RowCode) -> str:
+        return _mat_name(kalg, decode(m))
+
+    def unit_row(i: int, a: int) -> int:
+        """The number of the row with cell a at i and zero elsewhere."""
+        return _numeral([a if j == i else zero for j in range(n)], k)
+
+    # test_rows[i]: the numbers of row i of the tests
+    test_rows = [frozenset(unit_row(i, t) for t in t_tests) for i in range(n)]
+
+    def is_test(m: RowCode) -> bool:
+        return all(map(operator.contains, test_rows, m))
+
+    def arrow(s: RowCode, e: RowCode) -> RowCode:
+        """The residual of two tests, diagonal cell by diagonal cell."""
+        return tuple([unit_row(i, t_arrow(cells(x)[i], cells(y)[i]))
+                      for i, (x, y) in enumerate(zip(s, e))])
+
+    zero_code = (zero_row,) * n
+    one_code = tuple(unit_row(i, kalg.one) for i in range(n))
+    if finite:
+        codes = list(itertools.product(range(n_rows), repeat=n))
+
+        def index(code: RowCode) -> int:
+            return _numeral(code, n_rows)
+
+        # The residual is only meaningful between tests; remaining cells hold
+        # the zero index and are never reachable through the checked API.
+        tests = tuple(i for i, c in enumerate(codes) if is_test(c))
+        zeros = (index(zero_code),) * len(codes)
+        arrow_table = [zeros] * len(codes)
+        for i in tests:
+            row = list(zeros)
+            for j in tests:
+                row[j] = index(arrow(codes[i], codes[j]))
+            arrow_table[i] = tuple(row)
+        # by_row[r][b]: row number r times matrix b, so the product of the
+        # matrix with rows r_0 … r_{n-1} and b is Σ_i by_row[r_i][b]·R^(n-1-i),
+        # built here row prefix by row prefix
+        by_row = [[times(r, b) for b in codes] for r in range(n_rows)]
+        seq_table = by_row
+        for _ in range(n - 1):
+            seq_table = [[x * n_rows + y for x, y in zip(p, v)] for p in seq_table for v in by_row]
+        return FiniteAlgebra(
+            name=name,
+            element_names=tuple(map(el_name, codes)),
+            test_indices=tests,
+            zero=index(zero_code),
+            one=index(one_code),
+            plus_table=_digitwise_table(row_plus, n),
+            seq_table=tuple(map(tuple, seq_table)),
+            arrow_table=tuple(arrow_table),
+            star_table=tuple(index(star(c)) for c in codes),
+        )
 
     def draw(rng: random.Random) -> RowCode:
         if rng.random() < 0.25:  # keep tests in the pool
-            m = tuple(
-                tuple(rng.choice(t_tests) if i == j else zero for j in range(n))
-                for i in range(n)
-            )
-        else:
-            m = tuple(tuple(rng.randrange(k) for _ in range(n)) for _ in range(n))
-        return encode(m)
+            return tuple(unit_row(i, rng.choice(t_tests)) for i in range(n))
+        return encode([[rng.randrange(k) for _ in range(n)] for _ in range(n)])
 
-    zero_code = encode(mat_zero(kalg, n))
-    one_code = encode(mat_identity(kalg, n))
     return ProceduralAlgebra(
         name=name,
         zero=zero_code,
         one=one_code,
         plus=plus,
         seq=seq,
-        star=lambda m: encode(mat_star(kalg, decode(m))),
-        arrow_fn=lambda s, e: encode(_mat_arrow(kalg, t_arrow, decode(s), decode(e))),
-        is_test=lambda m: all(map(operator.contains, test_rows, m)),
+        star=star,
+        arrow_fn=arrow,
+        is_test=is_test,
         samples=(zero_code, one_code),
         draw=draw,
-        el_name=lambda m: _mat_name(kalg, decode(m)),
+        el_name=el_name,
         member_pred=lambda m: isinstance(m, tuple)
         and len(m) == n
         and all(type(r) is int and 0 <= r < n_rows for r in m),

@@ -11,14 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkat_workbench.algebra import DomainError, SizeError
+from gkat_workbench.algebra import DomainError, SizeError, star_lfp
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
-    _mat_arrow,
-    _mat_is_test,
-    _mat_name,
-    _resolve_test_sort,
-    _sampled_matrix_algebra,
     flang_algebra,
     flang_concat,
     flang_star,
@@ -27,15 +22,13 @@ from gkat_workbench.constructions import (
     fset_algebra,
     mat_add,
     mat_algebra,
-    mat_identity,
     mat_mul,
     mat_star,
-    mat_zero,
 )
 from gkat_workbench.instances import make_builtin
 from gkat_workbench.laws import run_law_suite
 from gkat_workbench.semantics import Exhaustive, Sampled
-from oracles import mat_star_iter
+from oracles import mat_identity, mat_is_test, mat_star_iter, mat_zero
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +246,12 @@ def test_mat_algebra_passes_the_gkat_suite_sampled() -> None:
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, 27, 0)),
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, -1, 0)),
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, True, 0)),
+        (lambda: fset_algebra(make_builtin("luka:5"), 6, sampled=True), (True,) * 6),
+        (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (("a", True),)),
     ],
     ids=["mat-int", "fset-int", "mat-cell-99", "mat-short-code", "mat-long-code",
-         "mat-row-27", "mat-row-negative", "mat-row-bool"],
+         "mat-row-27", "mat-row-negative", "mat-row-bool", "fset-cell-bool",
+         "flang-weight-bool"],
 )
 def test_sampled_carriers_name_a_rejected_value_by_its_repr(build, value) -> None:
     alg = build()
@@ -374,12 +370,14 @@ class TestMatrixProperties:
         assert s == unfold
 
 
-# (K, T or None, n) of the row-coded sampled kernels: n = 1..4 over three
-# bases and over chain3 with bool2 tests, and one carrier past
-# ``_KEPT_PAIR_ROWS`` (3^6 = 729 row numbers), whose sum and product decode.
+# (K, T or None, n) of matrix carriers built with ``sampled=True``: n = 1..4
+# over four bases, wajsberg:3 among them (its zero is index 2), and over
+# chain3 with bool2 tests, plus chain3 at n = 6, past ``_ROW_TABLE_ROWS``
+# (3^6 = 729 row numbers), whose sum and product decode.  Those within the
+# cap (n = 1, 2) come out finite and are checked by index.
 _CODED = [
     *((k, t, n) for k, t in (("chain3", None), ("ex9", None), ("lemma4", None),
-                             ("chain3", "bool2")) for n in range(1, 5)),
+                             ("wajsberg:3", None), ("chain3", "bool2")) for n in range(1, 5)),
     ("chain3", None, 6),
 ]
 
@@ -387,14 +385,48 @@ _CODED = [
 @functools.lru_cache(maxsize=None)
 def _coded(k: str, t, n: int):
     kalg = make_builtin(k)
-    t_tests, t_arrow = _resolve_test_sort(kalg, kalg if t is None else make_builtin(t))
-    alg = _sampled_matrix_algebra(f"coded:{k}:{n}", kalg, t_tests, t_arrow, n)
-    return kalg, t_tests, t_arrow, alg
+    if t is None:
+        return kalg, kalg, mat_algebra(kalg, n, sampled=True)
+    talg = make_builtin(t)
+    return kalg, talg, frel_algebra(kalg, talg, n, sampled=True)
 
 
-def _row_code(base_size: int, m) -> tuple[int, ...]:
+def _element(alg, base_size: int, m):
+    """The element of ``alg`` that stands for the tuple matrix ``m``.
+
+    On a sampled carrier, the tuple of its row numbers, each the numeral of
+    the row's cells in base |K|; on a finite one, the row-major numeral of
+    its cells.
+    """
     n = len(m)
-    return tuple(sum(x * base_size ** (n - 1 - j) for j, x in enumerate(row)) for row in m)
+    code = tuple(sum(x * base_size ** (n - 1 - j) for j, x in enumerate(row)) for row in m)
+    if not alg.finite:
+        return code
+    return sum(r * base_size ** (n * (n - 1 - i)) for i, r in enumerate(code))
+
+
+def _test_sort(kalg, talg):
+    """T's tests as K indices and T's residual carried to K, by element name."""
+
+    def to_k(t: int) -> int:
+        return kalg.resolve(talg.el_name(t))
+
+    def t_arrow(a: int, b: int) -> int:
+        return to_k(talg.arrow(talg.resolve(kalg.el_name(a)), talg.resolve(kalg.el_name(b))))
+
+    return [to_k(t) for t in talg.tests()], t_arrow
+
+
+def _diagonal_arrow(kalg, t_arrow, s, e):
+    n = len(s)
+    return tuple(
+        tuple(t_arrow(s[i][i], e[i][i]) if i == j else kalg.zero for j in range(n))
+        for i in range(n)
+    )
+
+
+def _matrix_name(kalg, m) -> str:
+    return "[" + ";".join(",".join(map(kalg.el_name, row)) for row in m) + "]"
 
 
 def _test_matrices(zero: int, t_tests, n: int):
@@ -405,29 +437,30 @@ def _test_matrices(zero: int, t_tests, n: int):
 
 
 class TestRowCodedMatrices:
-    """Sampled matrices coded by row numbers compute what the tuple kernels compute."""
+    """Matrix carriers, finite or sampled, compute what the tuple kernels compute."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(_CODED), st.data())
     def test_coded_kernels_match_the_tuple_kernels(self, spec, data: st.DataObject) -> None:
-        kalg, t_tests, t_arrow, alg = _coded(*spec)
+        kalg, talg, alg = _coded(*spec)
         n = spec[2]
-        code = functools.partial(_row_code, kalg.size)
+        t_tests, t_arrow = _test_sort(kalg, talg)
+        el = functools.partial(_element, alg, kalg.size)
         a, b = data.draw(_matrices(kalg.size, n)), data.draw(_matrices(kalg.size, n))
         s, e = (data.draw(_test_matrices(kalg.zero, t_tests, n)) for _ in range(2))
-        alg.check_member(code(a))
-        assert alg.plus(code(a), code(b)) == code(mat_add(kalg, a, b))
-        assert alg.seq(code(a), code(b)) == code(mat_mul(kalg, a, b))
-        assert alg.star(code(a)) == code(mat_star(kalg, a))
-        assert alg.el_name(code(a)) == _mat_name(kalg, a)
-        assert alg.is_test(code(a)) == _mat_is_test(kalg, frozenset(t_tests), a)
-        assert alg.is_test(code(s)) and alg.is_test(code(e))
-        assert alg.arrow(code(s), code(e)) == code(_mat_arrow(kalg, t_arrow, s, e))
+        alg.check_member(el(a))
+        assert alg.plus(el(a), el(b)) == el(mat_add(kalg, a, b))
+        assert alg.seq(el(a), el(b)) == el(mat_mul(kalg, a, b))
+        assert alg.star(el(a)) == el(mat_star(kalg, a))
+        assert alg.el_name(el(a)) == _matrix_name(kalg, a)
+        assert alg.is_test(el(a)) == mat_is_test(kalg, t_tests, a)
+        assert alg.is_test(el(s)) and alg.is_test(el(e))
+        assert alg.arrow(el(s), el(e)) == el(_diagonal_arrow(kalg, t_arrow, s, e))
 
     def test_constants_and_draws_are_coded_members(self) -> None:
-        kalg, _, _, alg = _coded("ex9", None, 3)
-        assert alg.zero == _row_code(kalg.size, mat_zero(kalg, 3))
-        assert alg.one == _row_code(kalg.size, mat_identity(kalg, 3))
+        kalg, _, alg = _coded("ex9", None, 3)
+        assert alg.zero == _element(alg, kalg.size, mat_zero(kalg, 3))
+        assert alg.one == _element(alg, kalg.size, mat_identity(kalg, 3))
         rng = random.Random(3)
         draws = [alg.draw(rng) for _ in range(100)]
         for m in draws:
@@ -515,6 +548,7 @@ ORACLE_CARRIERS = [
     ("mat", "bool2", None, 3),
     ("mat", "ex9", None, 2),
     ("mat", "lemma4", None, 1),
+    ("mat", "wajsberg:3", None, 2),
 ]
 # Tables of at most this many elements have every cell checked; larger
 # ones every cell of a fixed seeded sample of rows.
@@ -531,34 +565,20 @@ def _kernels(kind: str, k: str, t, points: int):
         def pointwise(op):
             return lambda v, w: tuple(op(a, b) for a, b in zip(v, w))
 
+        def star(v):
+            return tuple(star_lfp(kalg, a) for a in v)
+
         names = ["(" + ",".join(map(kalg.el_name, v)) + ")" for v in values]
         plus, seq, arrow = (pointwise(op) for op in (kalg.plus, kalg.seq, kalg.arrow))
-        return values, names, list(range(len(values))), plus, seq, arrow
-    talg = kalg if t is None else make_builtin(t)
+        return values, names, list(range(len(values))), plus, seq, star, arrow
+    t_tests, t_arrow = _test_sort(kalg, kalg if t is None else make_builtin(t))
     rows = list(itertools.product(kalg.elements(), repeat=points))
     values = list(itertools.product(rows, repeat=points))
-    names = ["[" + ";".join(",".join(map(kalg.el_name, r)) for r in m) + "]" for m in values]
-    t_names = {talg.el_name(x) for x in talg.tests()}
-    diagonal = [(i, j) for i in range(points) for j in range(points)]
-    tests = [
-        n for n, m in enumerate(values)
-        if all((kalg.el_name(m[i][j]) in t_names) if i == j else m[i][j] == kalg.zero
-               for i, j in diagonal)
-    ]
-
-    def t_arrow(a: int, b: int) -> int:
-        # the residual of T, carried to K by element name
-        got = talg.arrow(talg.resolve(kalg.el_name(a)), talg.resolve(kalg.el_name(b)))
-        return kalg.resolve(talg.el_name(got))
-
-    def arrow(a, b):
-        return tuple(
-            tuple(t_arrow(a[i][i], b[i][i]) if i == j else kalg.zero for j in range(points))
-            for i in range(points)
-        )
-
+    names = [_matrix_name(kalg, m) for m in values]
+    tests = [n for n, m in enumerate(values) if mat_is_test(kalg, t_tests, m)]
     return (values, names, tests, lambda a, b: mat_add(kalg, a, b),
-            lambda a, b: mat_mul(kalg, a, b), arrow)
+            lambda a, b: mat_mul(kalg, a, b), lambda m: mat_star(kalg, m),
+            lambda a, b: _diagonal_arrow(kalg, t_arrow, a, b))
 
 
 @pytest.mark.parametrize(
@@ -568,7 +588,7 @@ def _kernels(kind: str, k: str, t, points: int):
 )
 def test_radix_tables_match_the_value_level_kernels(kind, k, t, points) -> None:
     alg = _build(kind, k, t, points)
-    values, names, tests, plus, seq, arrow = _kernels(kind, k, t, points)
+    values, names, tests, plus, seq, star, arrow = _kernels(kind, k, t, points)
     assert alg.element_names == tuple(names)
     assert alg.tests() == tuple(tests)
     index = {v: i for i, v in enumerate(values)}
@@ -579,6 +599,8 @@ def test_radix_tables_match_the_value_level_kernels(kind, k, t, points) -> None:
         for j, w in enumerate(values):
             assert alg.plus_table[i][j] == index[plus(values[i], w)], (i, j)
             assert alg.seq_table[i][j] == index[seq(values[i], w)], (i, j)
+    for i, v in enumerate(values):
+        assert alg.star_table[i] == index[star(v)], i
     for i in tests:
         for j in tests:
             assert alg.arrow_table[i][j] == index[arrow(values[i], values[j])], (i, j)
