@@ -92,8 +92,8 @@ def _powerset(ground: str) -> FiniteAlgebra:
 
 
 def _luka(n: int) -> FiniteAlgebra:
-    if n < 1:
-        raise ValueError("luka chain needs n >= 1")
+    if not 1 <= n <= 255:
+        raise ValueError("luka chain needs 1 <= n <= 255")
     names = [str(Fraction(i, n)) for i in range(n + 1)]
     return _chain(
         f"luka:{n}",
@@ -108,8 +108,8 @@ def _luka(n: int) -> FiniteAlgebra:
 
 
 def _godel(n: int) -> FiniteAlgebra:
-    if n < 1:
-        raise ValueError("godel chain needs n >= 1")
+    if not 1 <= n <= 255:
+        raise ValueError("godel chain needs 1 <= n <= 255")
     names = [str(Fraction(i, n)) for i in range(n + 1)]
     return _chain(
         f"godel:{n}",

@@ -30,12 +30,11 @@ Each check is compiled into one Python function (see ``_Compiler``):
   not stored, and raises again at the same valuation).
 
 The function is generated and compiled once per process for each check
-shape (``_compile``, an LRU cache of 512 shapes).  The key is exactly
-what the source depends on: whether the carrier is finite, the
-hypotheses, the conclusion, the variables, the loop each variable is bound
-in, the loop headers, the failure statement and the parameter names.  It
-holds no algebra, element or seed; the function reads every domain, table
-and operation through its parameters.
+(``_compile``, an LRU cache of 512 checks).  The key is the check: whether
+the carrier is finite, whether it is sampled, the hypotheses, the
+conclusion and the variables.  ``_compile`` makes the loop plan from the
+key alone, and the function reads every domain, table and operation through
+its parameters, so the key holds no algebra, element or seed.
 
 Evaluation order: only pure table lookups are hoisted.  Whatever can
 raise -- every procedural operation, and the guarded arrow on an operand
@@ -347,18 +346,43 @@ class _Compiler:
         return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=512)
-def _compile(finite: bool, hypotheses: tuple[Equation, ...], conclusion: Equation,
-             variables: tuple[Var, ...], var_level: tuple[tuple[int, int], ...],
-             headers: tuple[str, ...], fail: str, params: tuple[str, ...]):
-    """The compiled ``check`` function of one check shape.
+# Parameters of every generated function, in the order _Check._run_compiled passes
+# them, before the domains D0 ... Dn-1 (or V when sampled); tables are None if procedural.
+_OPS = ("zero", "one", "product", "P", "S", "A", "T", "star", "plus", "seq", "arrow")
 
-    The arguments are everything the generated source depends on, and the
-    function reads every domain, table and operation through its
-    parameters, so one function serves every check of the same shape.
+
+@functools.lru_cache(maxsize=512)
+def _compile(finite: bool, sampled: bool, hypotheses: tuple[Equation, ...],
+             conclusion: Equation, variables: tuple[Var, ...]):
+    """The compiled ``check`` function of one check, with its loop plan.
+
+    A sampled check loops once over ``V`` and returns the failing rank.  An
+    exhaustive one nests a loop per variable a term mentions and returns the
+    failing valuation, with the first element of its domain for any other.
     """
-    compiler = _Compiler(finite, variables, dict(var_level), len(headers) - 1)
-    source = compiler.source(hypotheses, conclusion, headers, fail, params)
+    js = range(len(variables))
+    if sampled:
+        targets = "".join(f"x{j}, " for j in js)
+        headers = [f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"]
+        var_level = dict.fromkeys(js, 0)
+        fail, data = "return n", ("V",)
+    else:
+        names = {v.name for e in (*hypotheses, conclusion)
+                 for t in (e.lhs, e.rhs) for v in free_vars(t)}
+        used = [j for j in js if variables[j].name in names]
+        loops = [[j] for j in used]
+        if len(loops) > _MAX_LOOPS:
+            loops[_MAX_LOOPS - 1:] = [used[_MAX_LOOPS - 1:]]
+        headers = [
+            f"for x{g[0]} in D{g[0]}:" if len(g) == 1 else
+            f"for {', '.join(f'x{j}' for j in g)} in product({', '.join(f'D{j}' for j in g)}):"
+            for g in loops
+        ]
+        var_level = {j: k for k, g in enumerate(loops) for j in g}
+        fail = "return (" + "".join(f"x{j}, " if j in used else f"D{j}[0], " for j in js) + ")"
+        data = tuple(f"D{j}" for j in js)
+    compiler = _Compiler(finite, variables, var_level, len(headers) - 1)
+    source = compiler.source(hypotheses, conclusion, headers, fail, _OPS + data)
     namespace: dict = {}
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle.
@@ -407,19 +431,15 @@ class _Check:
     conclusion: Equation
     variables: tuple[Var, ...]
 
-    def _run_compiled(self, var_level: dict, headers: Sequence[str], fail: str, data: dict):
-        """Compile the check with the given loops and run it over ``data``."""
+    def _run_compiled(self, sampled: bool, *data):
+        """Run the compiled check over ``data``: the domains, or the valuations when sampled."""
         alg = self.alg
-        params = dict(data, zero=alg.zero, one=alg.one, product=iproduct)
         if alg.finite:
-            params.update(P=alg.plus_table, S=alg.seq_table, A=alg.arrow_table, T=alg.star_table)
-            star = alg.star
+            ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table, alg.star)
         else:
-            star = functools.cache(alg.star)
-        params.update(plus=alg.plus, seq=alg.seq, star=star, arrow=alg.arrow)
-        check = _compile(alg.finite, self.hypotheses, self.conclusion, self.variables,
-                         tuple(var_level.items()), tuple(headers), fail, tuple(params))
-        return check(**params)
+            ops = (None, None, None, None, functools.cache(alg.star))
+        check = _compile(alg.finite, sampled, self.hypotheses, self.conclusion, self.variables)
+        return check(alg.zero, alg.one, iproduct, *ops, alg.plus, alg.seq, alg.arrow, *data)
 
     def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
         alg = self.alg
@@ -449,31 +469,13 @@ class _Check:
                 f"valuation space of size {space} exceeds the exhaustive cap {cap};"
                 " use a sampled strategy"
             )
-        # A variable no term mentions gets no loop: the first failure, if
-        # any, binds it to the first element of its domain.
-        names = {v.name for e in (*self.hypotheses, self.conclusion)
-                 for t in (e.lhs, e.rhs) for v in free_vars(t)}
-        used = [j for j, v in enumerate(self.variables) if v.name in names]
-        loops = [[j] for j in used]
-        if len(loops) > _MAX_LOOPS:
-            loops[_MAX_LOOPS - 1:] = [used[_MAX_LOOPS - 1:]]
-        headers = [
-            f"for x{g[0]} in D{g[0]}:" if len(g) == 1 else
-            f"for {', '.join(f'x{j}' for j in g)} in product({', '.join(f'D{j}' for j in g)}):"
-            for g in loops
-        ]
-        var_level = {j: k for k, g in enumerate(loops) for j in g}
-        fail = "return (" + "".join(f"x{j}, " for j in used) + ")"
-        hit = self._run_compiled(var_level, headers, fail, {f"D{j}": domains[j] for j in used})
+        hit = self._run_compiled(False, *domains)
         if hit is None:
             return Verdict(status="valid", mode="exhaustive", checked=space, space=space)
-        vals = [dom[0] for dom in domains]
-        for j, el in zip(used, hit):
-            vals[j] = el
         rank = 0
-        for dom, el in zip(domains, vals):
+        for dom, el in zip(domains, hit):
             rank = rank * len(dom) + dom.index(el)
-        return self._verdict_for_failure(rank, tuple(vals), "exhaustive", space)
+        return self._verdict_for_failure(rank, hit, "exhaustive", space)
 
     def run_sampled(self, samples: int, seed: int) -> Verdict:
         alg = self.alg
@@ -484,10 +486,7 @@ class _Check:
         domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
         space = _space_size(_finite_domains(alg, self.variables)) if alg.finite else None
         valuations = [tuple(rng.choice(dom) for dom in domains) for _ in range(samples)]
-        targets = "".join(f"x{j}, " for j in range(len(self.variables)))
-        header = f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"
-        var_level = {j: 0 for j in range(len(self.variables))}
-        rank = self._run_compiled(var_level, [header], "return n", {"V": valuations})
+        rank = self._run_compiled(True, valuations)
         if rank is None:
             return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
         return self._verdict_for_failure(rank, valuations[rank], "sampled", space)

@@ -112,7 +112,7 @@ def test_malformed_specs_fail_at_parse(bad):
 
 @pytest.mark.parametrize(
     "bad",
-    ["luka:0", "godel:-1", "wajsberg:1", "wajsberg:65",
+    ["luka:0", "godel:-1", "luka:256", "godel:256", "wajsberg:1", "wajsberg:65",
      "powerset:", "powerset:xx", "powerset:abcdefghi"],
 )
 def test_out_of_range_parameters_fail_at_build(bad):

@@ -29,6 +29,7 @@ from gkat_workbench import (
     make_builtin,
     mat_algebra,
 )
+from gkat_workbench import semantics
 from gkat_workbench.laws import SUITES, check_law
 from gkat_workbench.semantics import Verdict, _compile, _sample_pools, describe_strategy
 from gkat_workbench.terms import (
@@ -130,6 +131,15 @@ def test_variables_override_orders_the_report():
     assert default.checked == 7
     assert flipped.counterexample == {"q": "n", "p": "m"}
     assert (flipped.lhs_value, flipped.rhs_value) == ("n", "0")
+
+
+@pytest.mark.parametrize("names, checked, space", [("p a q", 15, 48), ("a p b q", 15, 144)])
+def test_a_variable_no_term_mentions_reports_its_first_element(names, checked, space):
+    variables = tuple(Var(name, SORTS[name]) for name in names.split())
+    v = check_quasi_equation(make_builtin("lemma4"), (), _eqn("p;q = q;p"), variables=variables)
+    assert (v.checked, v.space) == (checked, space)
+    expected = {"a": "0", "b": "0", "p": "n", "q": "m"}
+    assert v.counterexample == {name: expected[name] for name in names.split()}
 
 
 # -- sampling and auto mode --------------------------------------------------
@@ -335,6 +345,16 @@ def test_one_shape_on_two_tables_compiles_once():
     check_law(make_builtin("godel:5"), law)
     info = _compile.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_check_with_a_warm_cache_plans_nothing(monkeypatch):
+    law = next(law for laws in SUITES.values() for law in laws if law.name == "plus-assoc")
+    check_law(make_builtin("luka:5"), law)
+    calls = []
+    monkeypatch.setattr(semantics, "free_vars", lambda *ts: calls.append(ts) or free_vars(*ts))
+    check_law(make_builtin("ex9"), law)
+    check_law(make_builtin("godel:5"), law)
+    assert calls == []
 
 
 def _sum_of(n: int) -> tuple:
