@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Optional, Union
 
 Element = Hashable
@@ -253,6 +254,41 @@ class FiniteAlgebra:
             fp = "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()
             object.__setattr__(self, "_fingerprint", fp)
         return fp
+
+    def byte_views(self) -> tuple:
+        """The tables as ``bytes.translate`` tables, for carriers of at most 256 elements.
+
+        Returns the rows and the columns of plus, seq and arrow, then star:
+        ``(plus rows, plus columns, seq rows, seq columns, arrow rows, arrow
+        columns, star)``.  Each row or column is a 256-byte string, zero
+        padded, built the first time it is read; the tuple is made once per
+        object.
+        """
+        views = self.__dict__.get("_byte_views")
+        if views is None:
+            views = []
+            for table in (self.plus_table, self.seq_table, self.arrow_table):
+                views.append(LazyBytes(lambda i, t=table: bytes(t[i]).ljust(256, b"\0")))
+                views.append(LazyBytes(
+                    lambda j, t=table: bytes(map(itemgetter(j), t)).ljust(256, b"\0")))
+            views.append(bytes(self.star_table).ljust(256, b"\0"))
+            views = tuple(views)
+            object.__setattr__(self, "_byte_views", views)
+        return views
+
+
+class LazyBytes(dict):
+    """Byte strings by key, each made by ``make`` the first time it is read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], bytes]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> bytes:
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass(frozen=True)

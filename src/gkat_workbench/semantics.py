@@ -22,6 +22,27 @@ Each check is compiled into one Python function (see ``_Compiler``):
   operand is known.  A hypothesis is tested at the first loop where it is
   decided, and skips the inner loops when it fails.  The rank of a failure
   follows from the loop indices.
+* On a finite carrier of at most 256 elements, an exhaustive check of at
+  least 2^16 valuations (``_VECTOR_SPACE``; a smaller one does not repay
+  the longer plan) computes one variable, the vector variable, a whole
+  domain at a time, after the column-at-a-time execution of MonetDB/X100
+  (Boncz, Zukowski and Nes, CIDR 2005).  No loop binds it; every node that
+  mentions it is the ``bytes`` of its values along its domain, computed by
+  one ``bytes.translate`` through a row or a column of a table
+  (``FiniteAlgebra.byte_views``) at the outermost loop that binds the
+  node's other variables.  The vector variable is a used variable that no
+  node has free in both operands, counting ``a <= b`` as the node
+  ``a + b`` compared with ``b``; a program-sorted one is preferred, then
+  the later one.  An equation compares two vectors, or a vector with a
+  fill of a scalar.  A hypothesis that mentions the vector variable is a
+  mask, read only where the conclusion's two sides differ: the XOR of two
+  vectors, as ints, has a zero byte where they agree.  A failure reports
+  its first failing index; when loops over later variables remain, they
+  run on for the current values of the earlier ones and the least index
+  wins, so the counterexample is still the first in variable order.  A
+  check keeps the scalar loops when some arrow has an operand that is not
+  a test, when no variable is eligible, when it uses more than
+  ``_MAX_LOOPS`` variables, or on a larger carrier.
 * A sampled check runs the same body in one loop over valuation tuples
   drawn up front from the seed.  On procedural carriers the body calls
   ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables;
@@ -31,10 +52,12 @@ Each check is compiled into one Python function (see ``_Compiler``):
 
 The function is generated and compiled once per process for each check
 (``_compile``, an LRU cache of 512 checks).  The key is the check: whether
-the carrier is finite, whether it is sampled, the hypotheses, the
-conclusion and the variables.  ``_compile`` makes the loop plan from the
-key alone, and the function reads every domain, table and operation through
-its parameters, so the key holds no algebra, element or seed.
+the carrier is finite, whether a vector variable may be chosen (see
+``_VECTOR_SPACE``), whether it is sampled, the
+hypotheses, the conclusion and the variables.  ``_compile`` makes the loop
+plan from the key alone, and the function reads every domain, table and
+operation through its parameters, so the key holds no algebra, element or
+seed.
 
 Evaluation order: only pure table lookups are hoisted.  Whatever can
 raise -- every procedural operation, and the guarded arrow on an operand
@@ -61,7 +84,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import Algebra, AlgebraError, Element, SizeError, SortError
+from .algebra import Algebra, AlgebraError, Element, LazyBytes, SizeError, SortError
 from .terms import Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, pretty
 
 REL_SYMBOL = {"eq": "=", "leq": "<="}
@@ -81,6 +104,19 @@ class Equation:
 
     def render(self) -> str:
         return f"{pretty(self.lhs)} {REL_SYMBOL[self.rel]} {pretty(self.rhs)}"
+
+    def __hash__(self) -> int:
+        # A check is looked up by its equations (see ``_compile``): the term
+        # trees are hashed once per equation, not on every lookup.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.lhs, self.rhs, self.rel))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a pickle carries no hash.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def _require_samples(samples: int) -> None:
@@ -207,6 +243,88 @@ def eval_term(alg: Algebra, t: Term, valuation: Mapping[str, Element]) -> Elemen
 # together by one loop over their product (CPython allows 20 nested blocks).
 _MAX_LOOPS = 10
 
+# Carriers whose elements fit in a byte: an exhaustive check on one may
+# compute a variable as a vector of bytes (see ``_vector_variable``).
+_BYTE_CARRIER = 256
+
+# Fewest valuations an exhaustive check needs to compute a vector.  A
+# vector plan takes about 0.2 ms longer to plan and compile than the scalar
+# loops and saves some 10-90 ns a valuation, so a smaller check seldom
+# repays it, least of all when its shape is also compiled as scalar loops
+# for smaller tables (measured in CHANGES.md).
+_VECTOR_SPACE = 1 << 16
+
+# ``bytes.translate`` table that marks a zero byte 0xff and any other byte 0.
+_HOLDS = b"\xff" + bytes(255)
+
+
+def _first_byte(r: int, width: int) -> int:
+    """The index of the first nonzero byte of ``r``, read as ``width`` big-endian bytes."""
+    return width - 1 - ((r.bit_length() - 1) >> 3)
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    """The first index where two vectors of one width differ; they differ somewhere."""
+    return _first_byte(int.from_bytes(a, "big") ^ int.from_bytes(b, "big"), len(a))
+
+
+@functools.lru_cache(maxsize=None)
+def _fills(width: int) -> LazyBytes:
+    """Vectors of ``width`` copies of one byte, by that byte, each made on first use.
+
+    A width is a domain size of at most ``_BYTE_CARRIER``, so the cache
+    holds at most 256 x 256 fills.
+    """
+    return LazyBytes(lambda b: bytes((b,)) * width)
+
+
+def _vector_variable(equations: Sequence[Equation], variables,
+                     used: Sequence[int]) -> Optional[int]:
+    """The variable an exhaustive check on a byte carrier computes as one vector, if any.
+
+    It is a used variable that no node has free in both operands, counting
+    ``a <= b`` as the node ``a + b`` compared with ``b``: every node then
+    reads at most one vector, so one ``bytes.translate`` computes it.  A
+    program-sorted variable is preferred (a test domain is never wider),
+    then the later one.  There is none when some arrow has an operand that
+    is not a test (it must raise where the scalar loop would), or when the
+    check uses more than ``_MAX_LOOPS`` variables.
+    """
+    if len(used) > _MAX_LOOPS:
+        return None
+    var_pos = {v.name: (j, v.sort is Sort.TEST) for j, v in enumerate(variables)}
+    shared = 0  # bit j: variable j is free in both operands of some node
+    may_raise = False
+
+    def walk(t: Term) -> tuple[int, bool]:
+        """The bits of ``t``'s free variables, and whether its value is a test."""
+        nonlocal shared, may_raise
+        match t:
+            case Var(name, _):
+                if name not in var_pos:
+                    raise AlgebraError(f"no binding for variable {name!r}")
+                j, is_test = var_pos[name]
+                return 1 << j, is_test
+            case Zero() | One():
+                return 0, True
+            case Star(inner):
+                return walk(inner)[0], False
+            case Plus(l, r) | Seq(l, r) | Arrow(l, r):
+                (lv, lt), (rv, rt) = walk(l), walk(r)
+                may_raise = may_raise or isinstance(t, Arrow) and not (lt and rt)
+                shared |= lv & rv
+                return lv | rv, lt and rt
+        raise TypeError(f"not a term: {t!r}")
+
+    for eqn in equations:
+        lv, rv = walk(eqn.lhs)[0], walk(eqn.rhs)[0]
+        if eqn.rel == "leq":
+            shared |= lv & rv
+    eligible = [j for j in used if not shared >> j & 1]
+    if may_raise or not eligible:
+        return None
+    return max(eligible, key=lambda j: (variables[j].sort is Sort.PROGRAM, j))
+
 
 class _Compiler:
     """Writes one check as the source of a function ``check``.
@@ -215,41 +333,68 @@ class _Compiler:
     a lookup.  Node ``i`` is named ``x<j>`` (the j-th variable), ``zero``,
     ``one`` or ``t<i>``, and is computed at loop ``level[i]`` (-1: before
     the first loop).  A pure node -- a table lookup -- sits at the deepest
-    loop of its operands; any other node sits in the innermost loop.  The
-    source holds only these generated names, the parameter names and
-    integers, never a variable or element name.
+    loop of its operands; any other node sits in the innermost loop.
+
+    With a vector variable (``vector``, see ``_vector_variable``) no loop
+    binds that variable: ``x<vector>`` is the bytes of its domain, and a
+    node that mentions it is the ``bytes`` of its values along that domain,
+    computed by one ``translate`` through a row or column of a table view
+    (``PR``/``PC``, ``SR``/``SC``, ``AR``/``AC``, star ``TB``).  A scalar
+    compared with a vector is compared as a fill of ``W`` copies.  ``split``
+    is the first loop over a variable after the vector one, if any.
+
+    The source holds only these generated names, the parameter names, the
+    helpers of ``_compile``'s namespace, ``'big'`` and integers, never a
+    variable or element name.
     """
 
-    def __init__(self, finite: bool, variables, var_level, inner: int):
+    def __init__(self, finite: bool, variables, var_level, inner: int,
+                 vector: Optional[int] = None, split: Optional[int] = None):
         self.finite = finite
         self.var_pos = {v.name: (j, v.sort) for j, v in enumerate(variables)}
         self.var_level = var_level
         self.inner = inner
+        self.vector = vector
+        self.split = split
         self.ids: dict[tuple, int] = {}
         self.name: list[str] = []
-        self.expr: list[Optional[str]] = []  # None for variables and constants
+        self.expr: list[Optional[str]] = []  # None for loop variables and constants
         self.kids: list[tuple[int, ...]] = []
         self.level: list[int] = []
         self.pure: list[bool] = []  # no node of the subterm can raise
         self.is_test: list[bool] = []  # value is a test whenever it is computed
+        self.vec: list[bool] = []  # value is a vector along the vector variable
+        self.has_fills = False  # some scalar is compared with a vector
+        self.visited: list[Optional[int]] = []  # per node, the last level _emit finished
 
-    def _add(self, key, expr, kids, pure, is_test, name=None, level=None) -> int:
+    def _add(self, key, expr, kids, pure, is_test, name=None, level=None, vec=False) -> int:
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.name)
-            pure = pure and all(self.pure[k] for k in kids)
+            for k in kids:
+                pure = pure and self.pure[k]
+                vec = vec or self.vec[k]
             if level is None:
-                level = max((self.level[k] for k in kids), default=-1) if pure else self.inner
+                level = max([self.level[k] for k in kids], default=-1) if pure else self.inner
             self.name.append(name or f"t{i}")
             self.expr.append(expr)
             self.kids.append(kids)
             self.level.append(level)
             self.pure.append(pure)
             self.is_test.append(is_test)
+            self.vec.append(vec)
         return i
 
     def _lookup(self, table: str, a: int, b: int, is_test: bool) -> int:
-        if self.level[a] < self.level[b]:
+        if self.vec[a] or self.vec[b]:  # a row along b's vector, or a column along a's
+            vec, other, view = (b, a, "R") if self.vec[b] else (a, b, "C")
+            line = f"{table}{view}[{self.name[other]}]"
+            kids = (other, vec)
+            if self.level[other] < self.level[vec]:
+                line_node = self._add((table + view, other), line, (other,), True, False)
+                line, kids = self.name[line_node], (line_node, vec)
+            expr = f"{self.name[vec]}.translate({line})"
+        elif self.level[a] < self.level[b]:
             row = self._add(("row", table, a), f"{table}[{self.name[a]}]", (a,), True, False)
             expr, kids = f"{self.name[row]}[{self.name[b]}]", (row, b)
         else:
@@ -271,6 +416,9 @@ class _Compiler:
                 if name not in self.var_pos:
                     raise AlgebraError(f"no binding for variable {name!r}")
                 j, sort = self.var_pos[name]
+                if j == self.vector:
+                    return self._add(("var", j), f"bytes(D{j})", (), True, sort is Sort.TEST,
+                                     f"x{j}", -1, vec=True)
                 return self._add(("var", j), None, (), True, sort is Sort.TEST, f"x{j}",
                                  self.var_level[j])
             case Zero():
@@ -283,6 +431,8 @@ class _Compiler:
                 return self._binary("seq", "S", self.node(l), self.node(r))
             case Star(inner):
                 a = self.node(inner)
+                if self.vec[a]:
+                    return self._add(("T", a), f"{self.name[a]}.translate(TB)", (a,), True, False)
                 if self.finite:
                     return self._add(("T", a), f"T[{self.name[a]}]", (a,), True, False)
                 return self._call("star", a)
@@ -295,36 +445,101 @@ class _Compiler:
                 return self._call("arrow", a, b)
         raise TypeError(f"not a term: {t!r}")
 
+    def _fill(self, a: int) -> int:
+        self.has_fills = True
+        return self._add(("fill", a), f"F[{self.name[a]}]", (a,), True, False, vec=True)
+
+    def _int(self, a: int) -> int:
+        return self._add(("int", a), f"fb({self.name[a]}, 'big')", (a,), True, False)
+
     def equation(self, eqn: Equation) -> tuple[int, int]:
         """The two nodes the equation compares; ``a <= b`` compares a + b with b."""
         a, b = self.node(eqn.lhs), self.node(eqn.rhs)
         if eqn.rel == "leq":
             a = self._binary("plus", "P", a, b)
+        if self.vec[a] != self.vec[b]:
+            a, b = (a, self._fill(b)) if self.vec[a] else (self._fill(a), b)
         return a, b
 
     def _emit(self, i: int, level: int, done: list[bool], lines: list[str], pad: str) -> None:
         """Append, in post-order, the statements of ``i``'s nodes placed at ``level``."""
-        if done[i]:
+        if done[i] or self.visited[i] == level:
             return
         for k in self.kids[i]:
             self._emit(k, level, done, lines, pad)
         if self.level[i] == level:
             lines.append(f"{pad}{self.name[i]} = {self.expr[i]}")
             done[i] = True
+        self.visited[i] = level  # nothing below is left to place at this level
+
+    def _vector_failure(self, conclusion, masked, level, done, lines, pad, fail: str) -> None:
+        """The statements that find the first failing index ``k`` along the vector.
+
+        They run where the conclusion's two sides differ.  The bytes of the
+        XOR of two vectors, read as big-endian ints, are zero where the
+        vectors agree; ``HOLDS`` marks such a byte 0xff, so that the bytes
+        of ``r`` are nonzero exactly where every hypothesis holds and the
+        conclusion fails.  The int of a vector from an outer loop is
+        computed in that loop.
+        """
+
+        def as_int(u: int) -> str:
+            if masked and self.level[u] < level:
+                return self.name[self._int(u)]
+            return f"fb({self.name[u]}, 'big')"
+
+        a, b = conclusion
+        if masked:
+            terms = [f"{as_int(a)} ^ {as_int(b)}"] if self.vec[a] else []
+            for ha, hb in masked:
+                self._emit(ha, level, done, lines, pad)
+                self._emit(hb, level, done, lines, pad)
+            fails = " | ".join(f"{as_int(ha)} ^ {as_int(hb)}" for ha, hb in masked)
+            terms.append(f"fb(({fails}).to_bytes(W, 'big').translate(HOLDS), 'big')")
+            r = terms[0] if len(terms) == 1 else f"({terms[0]}) & {terms[1]}"
+            lines.append(f"{pad}r = {r}")
+            lines.append(f"{pad}if r:")
+            pad += "    "
+            index = "first_byte(r, W)"
+        else:
+            index = f"first_difference({self.name[a]}, {self.name[b]})"
+        if self.split is None:  # the valuation reads the vector's element at index k
+            lines.append(f"{pad}{fail.replace('[k]', f'[{index}]')}")
+        else:  # a later iteration of the loops after the vector may fail at a smaller k
+            lines.append(f"{pad}k = {index}")
+            lines.append(f"{pad}if k < first:")
+            lines.append(f"{pad}    {fail}")
 
     def source(self, hypotheses, conclusion, headers: Sequence[str], fail: str, params) -> str:
         """The function's source; ``headers[k]`` opens loop k, ``fail`` reports a failure."""
         items = [self.equation(h) for h in hypotheses] + [self.equation(conclusion)]
+        # A hypothesis that mentions the vector variable is a mask, read only
+        # where the conclusion fails; the ints of its vectors and of the
+        # conclusion's are computed where the vectors are.
+        masked = [(a, b) for a, b in items[:-1] if self.vec[a]]
+        ints = [self._int(u) for pair in (masked and items) for u in pair
+                if self.vec[u] and self.level[u] < self.inner]
         # A hypothesis moves out to the loop where it is decided only when it
         # and every hypothesis before it are pure, so that no evaluation that
         # might raise is skipped.
-        test_at = []
+        test_at: list[Optional[int]] = []
         hoist = True
         for k, (a, b) in enumerate(items):
             hoist = hoist and k < len(hypotheses) and self.pure[a] and self.pure[b]
-            test_at.append(max(self.level[a], self.level[b]) if hoist else self.inner)
+            masks = k < len(hypotheses) and self.vec[a]
+            at = max(self.level[a], self.level[b]) if hoist else self.inner
+            test_at.append(None if masks else at)
         done = [e is None for e in self.expr]
+        self.visited = [None] * len(done)
         lines = [f"def check({', '.join(params)}):"]
+        if self.vector is not None:
+            lines.append("    PR, PC, SR, SC, AR, AC, TB = views()")
+            if masked or self.has_fills or self.split is not None:
+                lines.append(f"    W = len(D{self.vector})")
+            if self.has_fills:
+                lines.append("    F = fills(W)")
+            if self.split is not None:
+                lines.append("    first = W")
         for level in range(-1, self.inner + 1):
             pad = "    " * (level + 2)
             if level >= 0:
@@ -333,44 +548,54 @@ class _Compiler:
                 if test_at[k] == level:
                     self._emit(a, level, done, lines, pad)
                     self._emit(b, level, done, lines, pad)
-                    if k == len(hypotheses):
-                        leave = fail
-                    else:
-                        leave = "continue" if level >= 0 else "return None"
                     lines.append(f"{pad}if not {self.name[a]} == {self.name[b]}:")
-                    lines.append(f"{pad}    {leave}")
-            for a, b in items:  # what the inner loops need from this one
-                self._emit(a, level, done, lines, pad)
-                self._emit(b, level, done, lines, pad)
+                    if k < len(hypotheses):
+                        lines.append(f"{pad}    {'continue' if level >= 0 else 'return None'}")
+                    elif self.vector is None:
+                        lines.append(f"{pad}    {fail}")
+                    else:
+                        self._vector_failure((a, b), masked, level, done, lines, pad + "    ", fail)
+            for i in (*(u for pair in items for u in pair), *ints):  # what the inner loops need
+                self._emit(i, level, done, lines, pad)
+        if self.split is not None:  # the loops after the vector variable are done
+            lines.append(f"{'    ' * (self.split + 1)}if first < W:")
+            lines.append(f"{'    ' * (self.split + 2)}return found")
         lines.append("    return None")
         return "\n".join(lines) + "\n"
 
 
 # Parameters of every generated function, in the order _Check._run_compiled passes
 # them, before the domains D0 ... Dn-1 (or V when sampled); tables are None if procedural.
-_OPS = ("zero", "one", "product", "P", "S", "A", "T", "star", "plus", "seq", "arrow")
+# ``views`` returns the byte views of a table carrier (``FiniteAlgebra.byte_views``).
+_OPS = ("zero", "one", "product", "P", "S", "A", "T", "views", "star", "plus", "seq", "arrow")
 
 
 @functools.lru_cache(maxsize=512)
-def _compile(finite: bool, sampled: bool, hypotheses: tuple[Equation, ...],
+def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equation, ...],
              conclusion: Equation, variables: tuple[Var, ...]):
     """The compiled ``check`` function of one check, with its loop plan.
 
     A sampled check loops once over ``V`` and returns the failing rank.  An
     exhaustive one nests a loop per variable a term mentions and returns the
     failing valuation, with the first element of its domain for any other.
+    ``bytewise``: the check is exhaustive, on a finite carrier of at most
+    ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
+    so one variable may be computed as a vector.
     """
     js = range(len(variables))
+    vector = split = None
     if sampled:
         targets = "".join(f"x{j}, " for j in js)
         headers = [f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"]
         var_level = dict.fromkeys(js, 0)
         fail, data = "return n", ("V",)
     else:
-        names = {v.name for e in (*hypotheses, conclusion)
-                 for t in (e.lhs, e.rhs) for v in free_vars(t)}
+        equations = (*hypotheses, conclusion)
+        names = {v.name for e in equations for t in (e.lhs, e.rhs) for v in free_vars(t)}
         used = [j for j in js if variables[j].name in names]
-        loops = [[j] for j in used]
+        if bytewise:
+            vector = _vector_variable(equations, variables, used)
+        loops = [[j] for j in used if j != vector]
         if len(loops) > _MAX_LOOPS:
             loops[_MAX_LOOPS - 1:] = [used[_MAX_LOOPS - 1:]]
         headers = [
@@ -379,11 +604,18 @@ def _compile(finite: bool, sampled: bool, hypotheses: tuple[Equation, ...],
             for g in loops
         ]
         var_level = {j: k for k, g in enumerate(loops) for j in g}
-        fail = "return (" + "".join(f"x{j}, " if j in used else f"D{j}[0], " for j in js) + ")"
+        if vector is not None:
+            after = [k for k, g in enumerate(loops) if g[0] > vector]
+            split = after[0] if after else None
+        valuation = "(" + "".join(
+            f"D{j}[k], " if j == vector else f"x{j}, " if j in used else f"D{j}[0], " for j in js
+        ) + ")"
+        fail = f"return {valuation}" if split is None else f"first, found = k, {valuation}"
         data = tuple(f"D{j}" for j in js)
-    compiler = _Compiler(finite, variables, var_level, len(headers) - 1)
+    compiler = _Compiler(finite, variables, var_level, len(headers) - 1, vector, split)
     source = compiler.source(hypotheses, conclusion, headers, fail, _OPS + data)
-    namespace: dict = {}
+    namespace: dict = {"HOLDS": _HOLDS, "fills": _fills, "fb": int.from_bytes,
+                       "first_byte": _first_byte, "first_difference": _first_difference}
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle.
     return namespace.pop("check")
@@ -431,14 +663,19 @@ class _Check:
     conclusion: Equation
     variables: tuple[Var, ...]
 
-    def _run_compiled(self, sampled: bool, *data):
-        """Run the compiled check over ``data``: the domains, or the valuations when sampled."""
+    def _run_compiled(self, sampled: bool, bytewise: bool, *data):
+        """Run the compiled check over ``data``: the domains, or the valuations when sampled.
+
+        ``bytewise``: the check may compute a vector (see ``_compile``).
+        """
         alg = self.alg
         if alg.finite:
-            ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table, alg.star)
+            ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table,
+                   alg.byte_views, alg.star)
         else:
-            ops = (None, None, None, None, functools.cache(alg.star))
-        check = _compile(alg.finite, sampled, self.hypotheses, self.conclusion, self.variables)
+            ops = (None, None, None, None, None, functools.cache(alg.star))
+        check = _compile(alg.finite, bytewise, sampled, self.hypotheses, self.conclusion,
+                         self.variables)
         return check(alg.zero, alg.one, iproduct, *ops, alg.plus, alg.seq, alg.arrow, *data)
 
     def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
@@ -469,7 +706,12 @@ class _Check:
                 f"valuation space of size {space} exceeds the exhaustive cap {cap};"
                 " use a sampled strategy"
             )
-        hit = self._run_compiled(False, *domains)
+        return self._enumerate(domains, space)
+
+    def _enumerate(self, domains: Sequence[Sequence[Element]], space: int) -> Verdict:
+        size = self.alg.size  # type: ignore[union-attr]
+        bytewise = size <= _BYTE_CARRIER and space >= _VECTOR_SPACE
+        hit = self._run_compiled(False, bytewise, *domains)
         if hit is None:
             return Verdict(status="valid", mode="exhaustive", checked=space, space=space)
         rank = 0
@@ -477,16 +719,18 @@ class _Check:
             rank = rank * len(dom) + dom.index(el)
         return self._verdict_for_failure(rank, hit, "exhaustive", space)
 
-    def run_sampled(self, samples: int, seed: int) -> Verdict:
+    def run_sampled(self, samples: int, seed: int, space: Optional[int] = None) -> Verdict:
+        """``space``: the size of a finite carrier's valuation space, if already known."""
         alg = self.alg
         rng = random.Random(seed)
         prog_pool, test_pool = _sample_pools(alg, rng)
         if not test_pool:
             raise AlgebraError(f"algebra {alg.name!r} offers no test samples")
         domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
-        space = _space_size(_finite_domains(alg, self.variables)) if alg.finite else None
+        if space is None and alg.finite:
+            space = _space_size(_finite_domains(alg, self.variables))
         valuations = [tuple(rng.choice(dom) for dom in domains) for _ in range(samples)]
-        rank = self._run_compiled(True, valuations)
+        rank = self._run_compiled(True, False, valuations)
         if rank is None:
             return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
         return self._verdict_for_failure(rank, valuations[rank], "sampled", space)
@@ -498,11 +742,13 @@ class _Check:
             case Sampled(samples, seed):
                 return self.run_sampled(samples, seed)
             case Auto(cap, samples, seed):
-                if self.alg.finite:
-                    domains = _finite_domains(self.alg, self.variables)
-                    if _space_size(domains) <= cap:
-                        return self.run_exhaustive(cap)
-                return self.run_sampled(samples, seed)
+                if not self.alg.finite:
+                    return self.run_sampled(samples, seed)
+                domains = _finite_domains(self.alg, self.variables)
+                space = _space_size(domains)
+                if space <= cap:
+                    return self._enumerate(domains, space)
+                return self.run_sampled(samples, seed, space)
         raise TypeError(f"not a strategy: {strategy!r}")
 
 

@@ -44,6 +44,10 @@ class Sort(enum.Enum):
     TEST = "test"
     PROGRAM = "program"
 
+    # Members are singletons, so hashing by identity agrees with equality;
+    # it spares every term hash a call of the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class ParseError(Exception):
     """Raised on malformed surface syntax, with position information."""

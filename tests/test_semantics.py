@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -30,6 +33,7 @@ from gkat_workbench import (
     mat_algebra,
 )
 from gkat_workbench import semantics
+from gkat_workbench.cli import build_construct
 from gkat_workbench.laws import SUITES, check_law
 from gkat_workbench.semantics import Verdict, _compile, _sample_pools, describe_strategy
 from gkat_workbench.terms import (
@@ -220,15 +224,29 @@ _SAMPLED_DERIVED = {
 }
 
 
+# Derived tables of 81 to 256 elements, with the variables a check on each
+# may use and how many: few enough valuations for the reference evaluator.
+_WIDE = {
+    "frel:chain3:2": ("abpq", 2),  # 81 elements, 9 of them tests
+    "fset:godel:4:3": ("ap", 1),  # 125 elements, every one a test
+    "mat:lemma4:2": ("abp", 2),  # 256 elements, 9 of them tests
+}
+
+
+@functools.cache
+def _wide_table(spec: str):
+    return build_construct(spec)
+
+
 @st.composite
-def _quasi_equations(draw, carrier: bool = False):
-    """0-2 hypotheses and a conclusion over at most three variables.
+def _quasi_equations(draw, carrier: bool = False, names: str = "abpq", most: int = 3):
+    """0-2 hypotheses and a conclusion over at most ``most`` of the variables ``names``.
 
     Arrows take test-sorted operands, except in carrier mode, where they
     take any operand; checked over the all-tests view, they then read the
     whole stored arrow table.
     """
-    names = draw(st.lists(st.sampled_from("abpq"), min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=most, unique=True))
     tests = [_TEST_VARS[n] for n in names if n in _TEST_VARS]
     progs = [_PROG_VARS[n] for n in names if n in _PROG_VARS]
     test_leaves = st.sampled_from([*tests, Zero(), One()])
@@ -250,6 +268,29 @@ def _quasi_equations(draw, carrier: bool = False):
     hyps = draw(st.lists(eqns, max_size=2))
     variables = tuple(_TEST_VARS.get(n) or _PROG_VARS[n] for n in names)
     return tuple(hyps), draw(eqns), variables
+
+
+@contextlib.contextmanager
+def _vectors_always():
+    """Let every eligible exhaustive check compute a vector, whatever its size."""
+    default = semantics._VECTOR_SPACE
+    semantics._VECTOR_SPACE = 0
+    try:
+        yield
+    finally:
+        semantics._VECTOR_SPACE = default
+
+
+@st.composite
+def _reordered(draw, problems):
+    """A problem with its variables in a drawn order.
+
+    An exhaustive check on a table of at most 256 elements computes one
+    variable as a vector, preferring the last program-sorted one; in a
+    drawn order it is often not the last variable.
+    """
+    hyps, concl, variables = draw(problems)
+    return hyps, concl, tuple(draw(st.permutations(variables)))
 
 
 def _reference(alg, hyps, concl, variables, valuations, mode, space):
@@ -279,8 +320,14 @@ def _domains(alg, variables, progs, tests):
     return [tests if v.sort is Sort.TEST else progs for v in variables]
 
 
-def _assert_agrees(alg, problem, strategy):
+def _assert_agrees(alg, problem, strategy, both_plans: bool = False):
+    """The compiled check gives the reference verdict, or raises its error.
+
+    ``both_plans``: hold the check to the reference with the default
+    vector threshold and with every eligible check vectorised.
+    """
     hyps, concl, variables = problem
+    plans = (contextlib.nullcontext, _vectors_always) if both_plans else (contextlib.nullcontext,)
     if isinstance(strategy, Exhaustive):
         doms = _domains(alg, variables, alg.elements(), alg.tests())
         valuations, mode = product(*doms), "exhaustive"
@@ -297,10 +344,13 @@ def _assert_agrees(alg, problem, strategy):
     try:
         want = _reference(alg, hyps, concl, variables, valuations, mode, space)
     except Exception as exc:  # the compiled check must raise the same error
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            check_quasi_equation(alg, hyps, concl, strategy, variables)
+        for plan in plans:
+            with plan(), pytest.raises(type(exc), match=re.escape(str(exc))):
+                check_quasi_equation(alg, hyps, concl, strategy, variables)
         return
-    assert check_quasi_equation(alg, hyps, concl, strategy, variables) == want
+    for plan in plans:
+        with plan():
+            assert check_quasi_equation(alg, hyps, concl, strategy, variables) == want
 
 
 def test_checks_with_more_variables_than_nested_loops():
@@ -313,6 +363,117 @@ def test_checks_with_more_variables_than_nested_loops():
     concl = Equation(Plus(total, tail), Plus(tail, total))
     _assert_agrees(make_builtin("bool2"), ((), concl, tuple(ps)), Exhaustive())
     _assert_agrees(make_builtin("bool2"), ((), Equation(total, tail), tuple(ps)), Exhaustive())
+
+
+# -- the vector variable -------------------------------------------------------
+
+
+def _vector_of(hyps, concl, variables):
+    names = {v.name for e in (*hyps, concl) for t in (e.lhs, e.rhs) for v in free_vars(t)}
+    used = [j for j, v in enumerate(variables) if v.name in names]
+    j = semantics._vector_variable((*hyps, concl), variables, used)
+    return None if j is None else variables[j].name
+
+
+_P = Var("p", Sort.PROGRAM)
+
+
+@pytest.mark.parametrize("hyps, concl, names, want", [
+    ((), "p;(q;r) = (p;q);r", "pqr", "r"),  # the later of the program variables
+    ((), "a;p = p", "pa", "p"),  # a program variable before a test variable
+    ((), "a;b = b;a", "ab", "b"),
+    ((), "p;p = p", "p", None),  # p is free in both operands of p;p
+    ((), "p + q <= q", "pq", "p"),  # compared as p + q + q with q
+    (("q + p;r <= r",), "p*;q <= r", "pqr", "q"),  # star-ind-left: r is on both sides
+    ((), Equation(Seq(Arrow(_P, Zero()), _P), Zero()), "p", None),  # an arrow that may raise
+])
+def test_the_vector_variable(hyps, concl, names, want):
+    hyps = tuple(_eqn(h) for h in hyps)
+    concl = concl if isinstance(concl, Equation) else _eqn(concl)
+    variables = tuple(Var(n, SORTS[n]) for n in names)
+    assert _vector_of(hyps, concl, variables) == want
+
+
+def test_a_smaller_failing_index_in_a_later_inner_loop_wins(monkeypatch):
+    # p is the vector variable and the first variable; the loop over a runs
+    # inside it.  At a = 1/3 the vector first fails at p = 1, and only the
+    # later a = 2/3 fails at the smaller p = 2/3, which is the first failing
+    # valuation in variable order.
+    monkeypatch.setattr(semantics, "_VECTOR_SPACE", 0)
+    luka3 = make_builtin("luka:3")
+    p, a = Var("p", Sort.PROGRAM), Var("a", Sort.TEST)
+    concl = _eqn("a;p;a = p;a")
+    assert _vector_of((), concl, (p, a)) == "p"
+    fails = {(luka3.el_name(x), luka3.el_name(y)) for x in luka3.elements() for y in luka3.tests()
+             if eval_term(luka3, concl.lhs, {"p": x, "a": y})
+             != eval_term(luka3, concl.rhs, {"p": x, "a": y})}
+    assert {("1", "1/3"), ("2/3", "2/3")} <= fails
+    assert not {(x, "1/3") for x in ("0", "1/3", "2/3")} & fails
+    v = check_quasi_equation(luka3, (), concl, Exhaustive(), (p, a))
+    assert luka3.byte_views()[2]  # the vector plan read rows of seq
+    assert (v.counterexample, v.checked) == ({"p": "2/3", "a": "2/3"}, 11)
+    _assert_agrees(luka3, ((), concl, (p, a)), Exhaustive())
+
+
+def test_a_carrier_above_256_elements_takes_the_scalar_plan(monkeypatch):
+    monkeypatch.setattr(semantics, "_VECTOR_SPACE", 0)
+    alg = build_construct("fset:chain3:6")  # 729 elements
+    for text in ("p;p = p", "p;q = p"):
+        concl = _eqn(text)
+        _assert_agrees(alg, ((), concl, free_vars(concl.lhs, concl.rhs)), Exhaustive())
+    assert "_byte_views" not in alg.__dict__
+
+
+def test_the_compile_key_separates_byte_carriers_from_wider_ones(monkeypatch):
+    monkeypatch.setattr(semantics, "_VECTOR_SPACE", 0)
+    _compile.cache_clear()
+    concl = _eqn("p;1 = p")
+    for spec in ("fset:chain3:5", "fset:chain3:6"):  # 243 and 729 elements
+        _assert_agrees(build_construct(spec), ((), concl, free_vars(concl.rhs)), Exhaustive())
+    assert _compile.cache_info().currsize == 2
+
+
+def test_a_check_reads_only_the_rows_it_needs(monkeypatch):
+    monkeypatch.setattr(semantics, "_VECTOR_SPACE", 0)
+    alg = mat_algebra(make_builtin("lemma4"), 2)  # 256 elements, 9 of them tests
+    assert alg.size == 256
+    concl = _eqn("a;p = p;a")
+    _assert_agrees(alg, ((), concl, free_vars(concl.lhs, concl.rhs)), Exhaustive())
+    seq_rows, seq_columns = alg.byte_views()[2:4]
+    assert 0 < len(seq_rows) <= len(alg.tests()) < alg.size
+    assert 0 < len(seq_columns) <= len(alg.tests())
+
+
+def test_only_a_check_of_two_to_the_16_valuations_computes_a_vector():
+    concl = _eqn("p;(q;r) = (p;q);r")
+    small, large = make_builtin("luka:8"), make_builtin("luka:40")  # 729 and 68,921 valuations
+    want = {}
+    for alg in (small, large):
+        want[alg.name] = check_equation(alg, concl, Exhaustive())
+        assert ("_byte_views" in alg.__dict__) == (alg is large)
+    with _vectors_always():
+        again = {a.name: check_equation(a, concl, Exhaustive()) for a in (make_builtin("luka:8"),
+                                                                          make_builtin("luka:40"))}
+    assert again == want
+
+
+def test_an_equation_hashes_by_its_terms_once_and_pickles_without_the_hash():
+    e = _eqn("p;(q;r) = (p;q);r")
+    copy = _eqn("p;(q;r) = (p;q);r")
+    assert hash(e) == hash(copy) and e == copy
+    assert "_hash" in e.__dict__
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and "_hash" not in back.__dict__ and hash(back) == hash(e)
+
+
+@pytest.mark.parametrize("strategy", [Auto(), Auto(cap=8, samples=50)])
+def test_auto_builds_the_finite_domains_once(monkeypatch, strategy):
+    calls = []
+    real = semantics._finite_domains
+    monkeypatch.setattr(semantics, "_finite_domains",
+                        lambda alg, variables: calls.append(alg) or real(alg, variables))
+    check_equation(make_builtin("ex9"), _eqn("p;q = q;p"), strategy)
+    assert len(calls) == 1
 
 
 # -- the compile cache ----------------------------------------------------------
@@ -441,9 +602,17 @@ class TestCompiledAgainstReference:
     """The compiled checks give the verdict that evaluating each valuation gives."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(_FINITE), _quasi_equations())
+    @given(st.sampled_from(_FINITE), _reordered(_quasi_equations()))
     def test_exhaustive_on_finite_tables(self, spec, problem):
-        _assert_agrees(make_builtin(spec), problem, Exhaustive())
+        _assert_agrees(make_builtin(spec), problem, Exhaustive(), both_plans=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_exhaustive_on_wide_derived_tables(self, data):
+        spec = data.draw(st.sampled_from(tuple(_WIDE)))
+        names, most = _WIDE[spec]
+        problem = data.draw(_reordered(_quasi_equations(names=names, most=most)))
+        _assert_agrees(_wide_table(spec), problem, Exhaustive(), both_plans=True)
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(("product", "tropical", *_FINITE)), _quasi_equations(),
