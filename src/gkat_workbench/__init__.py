@@ -25,7 +25,6 @@ from .constructions import (
     frel_algebra,
     fset_algebra,
     mat_algebra,
-    mat_star,
 )
 from .hoare import (
     ANNIHILATION_BRIDGE,
@@ -123,7 +122,6 @@ __all__ = [
     "loads_algebra",
     "make_builtin",
     "mat_algebra",
-    "mat_star",
     "parse_program",
     "parse_term",
     "pretty",

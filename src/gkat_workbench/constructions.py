@@ -34,16 +34,16 @@ Carriers and operations:
 
 Every matrix carrier is built on row codes: an n×n matrix is the tuple of
 its n row numbers, a row's number being the numeral of its cells in base
-|K|.  ``_row_tables`` gives, over the R = |K|ⁿ row numbers, the sum of two
-rows and a row scaled on the left by one cell, so a sum of codes is a
-lookup per row and row i of a product is Σ_z scale[A_iz][B_z], folded by
-the same ``_dot`` that ``mat_mul`` folds over cells.  A finite carrier
-numbers each code in base R, which is the row-major numbering of its
-cells, and tabulates the code kernels; a sampled one computes on codes,
-with row tables up to ``_ROW_TABLE_ROWS`` row numbers and by decoding to
-the tuple kernels (``mat_add``, ``mat_mul``, which take a matrix as a
-tuple of row tuples) above.  Star and element names always decode, to
-``mat_star`` and the base's names.
+|K|.  Sum, product, star, element names and the finite tables all run on
+codes, at every size.  For rows of w cells, ``_row_tables`` gives, over
+their R = |K|^w numbers, the sum of two rows and a row scaled on the left
+by one cell, so a sum is a lookup per row and row i of a product is
+Σ_z scale[A_iz][B_z], folded by ``_dot``.  Those tables are built on first
+use, and only while R ≤ ``_ROW_TABLE_ROWS``; a longer row splits, by
+``divmod``, into its high ⌊w/2⌋ cells and low ⌈w/2⌉ cells, each computed
+the same way and joined again.  The star is the block recursion on the same
+split.  A finite carrier numbers each code in base |K|ⁿ, which is the
+row-major numbering of its cells, and tabulates the code kernels.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ from .algebra import (
 )
 
 DEFAULT_CAP = 4096
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 # --- test-sort resolution -------------------------------------------------
@@ -230,73 +228,6 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
     )
 
 
-# --- matrix arithmetic ---------------------------------------------------
-
-
-def _dot(plus: Table, seq: Table, acc: int, row, col) -> int:
-    """acc + Σ row[z];col[z] by the tables ``plus`` and ``seq``, in ascending z.
-
-    No associativity or commutativity of + is assumed, so every matrix
-    product goes through this one fold: ``mat_mul`` folds cells from the
-    base's zero with the base's tables, and a row-coded product folds row
-    numbers from the zero row with ``_row_tables``, which is the same fold
-    cell by cell.
-    """
-    for x, y in zip(row, col):
-        acc = plus[acc][seq[x][y]]
-    return acc
-
-
-def mat_add(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
-    plus = base.plus_table
-    return tuple(tuple([plus[x][y] for x, y in zip(ra, rb)]) for ra, rb in zip(a, b))
-
-
-def mat_mul(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
-    plus, seq, zero = base.plus_table, base.seq_table, base.zero
-    cols = tuple(zip(*b))
-    return tuple(tuple([_dot(plus, seq, zero, row, col) for col in cols]) for row in a)
-
-
-def _mat_name(base: FiniteAlgebra, m: Matrix) -> str:
-    return "[" + ";".join(",".join(base.el_name(x) for x in row) for row in m) + "]"
-
-
-def _block(m: Matrix, r0: int, r1: int, c0: int, c1: int) -> Matrix:
-    return tuple(row[c0:c1] for row in m[r0:r1])
-
-
-def _assemble(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    top = tuple(a + b for a, b in zip(tl, tr))
-    bottom = tuple(a + b for a, b in zip(bl, br))
-    return top + bottom
-
-
-def mat_star(base: FiniteAlgebra, m: Matrix) -> Matrix:
-    """Star by two-by-two block recursion.
-
-    For M = [[A, B], [C, D]] with F = (A + B·D*·C)*:
-    M* = [[F, F·B·D*], [D*·C·F, D* + D*·C·F·B·D*]].
-    """
-    n = len(m)
-    if n == 0:
-        return ()
-    if n == 1:
-        return ((base.star_table[m[0][0]],),)
-    k = n // 2
-    a = _block(m, 0, k, 0, k)
-    b = _block(m, 0, k, k, n)
-    c = _block(m, k, n, 0, k)
-    d = _block(m, k, n, k, n)
-    ds = mat_star(base, d)
-    bds = mat_mul(base, b, ds)
-    f = mat_star(base, mat_add(base, a, mat_mul(base, bds, c)))
-    tr = mat_mul(base, f, bds)
-    dscf = mat_mul(base, mat_mul(base, ds, c), f)
-    br = mat_add(base, ds, mat_mul(base, dscf, bds))
-    return _assemble(f, tr, dscf, br)
-
-
 # --- graded languages -----------------------------------------------------
 
 Language = tuple[tuple[str, int], ...]
@@ -347,6 +278,26 @@ def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
     raise DivergenceError(f"language star did not stabilise within {steps} steps")
 
 
+# A language star iterates up to maxlen + 1 times over every observed word;
+# flang refuses windows where the product of the two exceeds this.  At the
+# bound, ``gkat denest --construct flang:chain3:a:255 --samples 50`` takes
+# about 1 s (CPython 3.11, 2 cores).
+_FLANG_WORK = 2**16
+
+
+def _check_window(name: str, letters: int, maxlen: int) -> None:
+    """Raise ``SizeError`` unless the observed words times maxlen + 1 fit ``_FLANG_WORK``."""
+    steps = maxlen + 1
+    if steps > _FLANG_WORK:  # words ≥ steps, so the product is past the bound too
+        raise SizeError(f"{name}: {steps} star steps exceed bound {_FLANG_WORK}")
+    words = steps if letters == 1 else (letters**steps - 1) // (letters - 1)
+    if words * steps > _FLANG_WORK:
+        raise SizeError(
+            f"{name}: {words} observed words x {steps} star steps = {words * steps}"
+            f" exceeds bound {_FLANG_WORK}"
+        )
+
+
 def flang_algebra(
     kalg: Algebra,
     talg: Optional[Algebra] = None,
@@ -369,6 +320,7 @@ def flang_algebra(
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     t_test_set = frozenset(t_tests)
     name = f"flang:{kalg.name}:{talg.name}:{alphabet}:{maxlen}"
+    _check_window(name, len(alphabet), maxlen)
     zero: Language = ()
     one: Language = (("", kalg.one),)
 
@@ -442,6 +394,19 @@ def _draw_lang(
 # --- matrices and relations -----------------------------------------------
 
 
+def _dot(plus: Table, seq: Table, acc: int, row, col) -> int:
+    """acc + Σ row[z];col[z] by the tables ``plus`` and ``seq``, in ascending z.
+
+    No associativity or commutativity of + is assumed, so every matrix
+    product goes through this one fold: with ``_row_tables`` it folds row
+    numbers from the zero row, which is the fold of each cell from the
+    base's zero with the base's tables.
+    """
+    for x, y in zip(row, col):
+        acc = plus[acc][seq[x][y]]
+    return acc
+
+
 def _row_tables(base: FiniteAlgebra, n: int) -> tuple[Table, Table]:
     """The sum and scaling tables on the |K|ⁿ numbers of n-cell rows.
 
@@ -457,23 +422,18 @@ def _row_tables(base: FiniteAlgebra, n: int) -> tuple[Table, Table]:
     return _digitwise_table(base.plus_table, n), scale
 
 
-# Sampled carriers build row tables only up to this many row numbers.  The
-# tables hold R² + |K|·R numbers: 0.55 MB at R = 256, 8.1 MB at 729 and
-# 15 MB at 1024 (tracemalloc; built in 2, 36 and 47 ms), and they grow to
-# hundreds of MB by R = 4096.  Larger carriers decode each operand to
-# ``mat_add``/``mat_mul`` instead, which made a 100-sample gkat suite at
-# R = 729 and 1024 take 0.12-0.17 s against 0.04-0.08 s with tables.
+# The largest row table, in row numbers.  The tables for rows of w cells hold
+# R² + |K|·R numbers, R = |K|^w: 0.55 MB at R = 256, 8.1 MB at 729 and 15 MB
+# at 1024 (tracemalloc), hundreds of MB by R = 4096.  Rows with more row
+# numbers than this (and more than one cell) are split into two shorter rows.
 _ROW_TABLE_ROWS = 256
 
 RowCode = tuple[int, ...]
 
 
-def _digits(r: int, radix: int, width: int) -> tuple[int, ...]:
-    """The ``width`` digits of ``r`` in base ``radix``; inverse of ``_numeral``."""
-    out = [0] * width
-    for j in range(width - 1, -1, -1):
-        r, out[j] = divmod(r, radix)
-    return tuple(out)
+def _join(high, low, s: int) -> RowCode:
+    """The rows whose high parts are ``high`` and low parts, of radix s, ``low``."""
+    return tuple([x * s + y for x, y in zip(high, low)])
 
 
 def _matrix_algebra(
@@ -482,49 +442,86 @@ def _matrix_algebra(
     """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests.
 
     The kernels take row codes; a finite carrier tabulates them, numbering
-    each code in base R = |K|ⁿ.
+    each code in base R = |K|ⁿ.  ``add``, ``mul`` and ``block_star`` take
+    the width w of the rows they compute, so they serve the blocks of the
+    star as well as whole matrices.
     """
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     finite = _fits_cap(name, kalg.size, n * n, sampled)
     k, zero = kalg.size, kalg.zero
-    n_rows = k**n
-    zero_row = _numeral((zero,) * n, k)
 
-    def encode(m: Matrix) -> RowCode:
-        return tuple([_numeral(row, k) for row in m])
+    def halves(w: int) -> tuple[int, int]:
+        """The cells of a split row's high part, and the radix s of its low part."""
+        return w // 2, k ** (w - w // 2)
 
-    def decode(code: RowCode) -> Matrix:
-        return tuple(map(cells, code))
+    @cache
+    def tables(w: int):
+        """The tables for rows of w cells, or None past ``_ROW_TABLE_ROWS`` row numbers.
 
-    if finite or n_rows <= _ROW_TABLE_ROWS:
-        row_plus, scale = _row_tables(kalg, n)
-        cells = list(itertools.product(range(k), repeat=n)).__getitem__
+        They are the row sum and scaling tables, the zero row, and the cells
+        of each row number.
+        """
+        if w > 1 and k**w > _ROW_TABLE_ROWS:
+            return None
+        cells = list(itertools.product(range(k), repeat=w)).__getitem__
+        return (*_row_tables(kalg, w), _numeral((zero,) * w, k), cells)
 
-        def plus(a: RowCode, b: RowCode) -> RowCode:
+    @cache
+    def digits(w: int) -> Callable[[int], tuple[int, ...]]:
+        """The cells of a row of w cells, by its number."""
+        t = tables(w)
+        if t is not None:
+            return t[3]
+        h, s = halves(w)
+        high, low = digits(h), digits(w - h)
+        return lambda r: high(r // s) + low(r % s)
+
+    def add(a, b, w: int = n) -> RowCode:
+        """The sum of two matrices with rows of w cells."""
+        t = tables(w)
+        if t is not None:
+            row_plus = t[0]
             return tuple([row_plus[x][y] for x, y in zip(a, b)])
+        h, s = halves(w)
+        high = add([x // s for x in a], [y // s for y in b], h)
+        return _join(high, add([x % s for x in a], [y % s for y in b], w - h), s)
 
-        def times(r: int, b: RowCode) -> int:
-            """Row number r times the matrix coded b, as a row number."""
-            return _dot(row_plus, scale, zero_row, cells(r), b)
+    def mul(a, b, w: int = n) -> RowCode:
+        """The product of ``a``, with rows of len(b) cells, and ``b``, with rows of w."""
+        t = tables(w)
+        if t is not None:
+            row_plus, scale, zero_row, _ = t
+            cells = digits(len(b))
+            return tuple([_dot(row_plus, scale, zero_row, cells(r), b) for r in a])
+        h, s = halves(w)
+        high = mul(a, [y // s for y in b], h)
+        return _join(high, mul(a, [y % s for y in b], w - h), s)
 
-        def seq(a: RowCode, b: RowCode) -> RowCode:
-            return tuple([times(r, b) for r in a])
+    def block_star(m, w: int = n) -> RowCode:
+        """Star of a w×w matrix by two-by-two block recursion.
 
-    else:
-        # cells(r): the digits of row number r, at most R of them kept
-        cells = cache(partial(_digits, radix=k, width=n))
+        For M = [[A, B], [C, D]] with F = (A + B·D*·C)*:
+        M* = [[F, F·B·D*], [D*·C·F, D* + D*·C·F·B·D*]], where A is
+        ⌊w/2⌋ × ⌊w/2⌋, so row r splits into r // s and r % s as in ``halves``.
+        """
+        if w == 1:
+            return (kalg.star_table[m[0]],)
+        h, s = halves(w)
+        top, bottom = m[:h], m[h:]
+        a, b = [r // s for r in top], [r % s for r in top]
+        c, d = [r // s for r in bottom], [r % s for r in bottom]
+        ds = block_star(d, w - h)
+        bds = mul(b, ds, w - h)
+        f = block_star(add(a, mul(bds, c, h), h), h)
+        tr = mul(f, bds, w - h)
+        dscf = mul(mul(ds, c, h), f, h)
+        br = add(ds, mul(dscf, bds, w - h), w - h)
+        return _join(f, tr, s) + _join(dscf, br, s)
 
-        def plus(a: RowCode, b: RowCode) -> RowCode:
-            return encode(mat_add(kalg, decode(a), decode(b)))
-
-        def seq(a: RowCode, b: RowCode) -> RowCode:
-            return encode(mat_mul(kalg, decode(a), decode(b)))
-
-    def star(m: RowCode) -> RowCode:
-        return encode(mat_star(kalg, decode(m)))
+    cells = digits(n)
 
     def el_name(m: RowCode) -> str:
-        return _mat_name(kalg, decode(m))
+        return "[" + ";".join(",".join(map(kalg.el_name, cells(r))) for r in m) + "]"
 
     def unit_row(i: int, a: int) -> int:
         """The number of the row with cell a at i and zero elsewhere."""
@@ -541,7 +538,8 @@ def _matrix_algebra(
         return tuple([unit_row(i, t_arrow(cells(x)[i], cells(y)[i]))
                       for i, (x, y) in enumerate(zip(s, e))])
 
-    zero_code = (zero_row,) * n
+    n_rows = k**n
+    zero_code = (_numeral((zero,) * n, k),) * n
     one_code = tuple(unit_row(i, kalg.one) for i in range(n))
     if finite:
         codes = list(itertools.product(range(n_rows), repeat=n))
@@ -561,8 +559,9 @@ def _matrix_algebra(
             arrow_table[i] = tuple(row)
         # by_row[r][b]: row number r times matrix b, so the product of the
         # matrix with rows r_0 … r_{n-1} and b is Σ_i by_row[r_i][b]·R^(n-1-i),
-        # built here row prefix by row prefix
-        by_row = [[times(r, b) for b in codes] for r in range(n_rows)]
+        # built here row prefix by row prefix.  Column b is the product of
+        # the R×n matrix of every row number and b.
+        by_row = list(zip(*[mul(range(n_rows), b, n) for b in codes]))
         seq_table = by_row
         for _ in range(n - 1):
             seq_table = [[x * n_rows + y for x, y in zip(p, v)] for p in seq_table for v in by_row]
@@ -572,24 +571,24 @@ def _matrix_algebra(
             test_indices=tests,
             zero=index(zero_code),
             one=index(one_code),
-            plus_table=_digitwise_table(row_plus, n),
+            plus_table=_digitwise_table(tables(n)[0], n),
             seq_table=tuple(map(tuple, seq_table)),
             arrow_table=tuple(arrow_table),
-            star_table=tuple(index(star(c)) for c in codes),
+            star_table=tuple(index(block_star(c)) for c in codes),
         )
 
     def draw(rng: random.Random) -> RowCode:
         if rng.random() < 0.25:  # keep tests in the pool
             return tuple(unit_row(i, rng.choice(t_tests)) for i in range(n))
-        return encode([[rng.randrange(k) for _ in range(n)] for _ in range(n)])
+        return tuple(_numeral([rng.randrange(k) for _ in range(n)], k) for _ in range(n))
 
     return ProceduralAlgebra(
         name=name,
         zero=zero_code,
         one=one_code,
-        plus=plus,
-        seq=seq,
-        star=star,
+        plus=add,
+        seq=mul,
+        star=block_star,
         arrow_fn=arrow,
         is_test=is_test,
         samples=(zero_code, one_code),

@@ -43,8 +43,9 @@ Each check is compiled into one Python function (see ``_Compiler``):
   check keeps the scalar loops when some arrow has an operand that is not
   a test, when no variable is eligible, when it uses more than
   ``_MAX_LOOPS`` variables, or on a larger carrier.
-* A sampled check runs the same body in one loop over valuation tuples
-  drawn up front from the seed.  On procedural carriers the body calls
+* A sampled check runs the same body in one loop over valuation tuples,
+  each drawn from the seed as the loop reaches it, so no more than one is
+  held at a time.  On procedural carriers the body calls
   ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables;
   ``star`` is passed through a ``functools.cache`` made fresh for each
   run, so the check stars each distinct value once (a star that raises is
@@ -575,7 +576,8 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
              conclusion: Equation, variables: tuple[Var, ...]):
     """The compiled ``check`` function of one check, with its loop plan.
 
-    A sampled check loops once over ``V`` and returns the failing rank.  An
+    A sampled check loops once over ``V`` and returns the failing rank and
+    valuation.  An
     exhaustive one nests a loop per variable a term mentions and returns the
     failing valuation, with the first element of its domain for any other.
     ``bytewise``: the check is exhaustive, on a finite carrier of at most
@@ -588,7 +590,7 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         targets = "".join(f"x{j}, " for j in js)
         headers = [f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"]
         var_level = dict.fromkeys(js, 0)
-        fail, data = "return n", ("V",)
+        fail, data = f"return n, ({targets})", ("V",)
     else:
         equations = (*hypotheses, conclusion)
         names = {v.name for e in equations for t in (e.lhs, e.rhs) for v in free_vars(t)}
@@ -729,11 +731,11 @@ class _Check:
         domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
         if space is None and alg.finite:
             space = _space_size(_finite_domains(alg, self.variables))
-        valuations = [tuple(rng.choice(dom) for dom in domains) for _ in range(samples)]
-        rank = self._run_compiled(True, False, valuations)
-        if rank is None:
+        draws = (tuple(map(rng.choice, domains)) for _ in range(samples))
+        hit = self._run_compiled(True, False, draws)
+        if hit is None:
             return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
-        return self._verdict_for_failure(rank, valuations[rank], "sampled", space)
+        return self._verdict_for_failure(*hit, "sampled", space)
 
     def run(self, strategy: Strategy) -> Verdict:
         match strategy:

@@ -1,9 +1,15 @@
-"""Independent reference implementations that the tests hold the package to."""
+"""Independent reference implementations that the tests hold the package to.
+
+Matrices here are tuples of row tuples of base indices, computed cell by
+cell from the base's tables; nothing is shared with the row-coded kernels
+of ``gkat_workbench.constructions``.
+"""
 
 from __future__ import annotations
 
 from gkat_workbench.algebra import Algebra, DivergenceError, Element, FiniteAlgebra
-from gkat_workbench.constructions import Matrix, mat_add, mat_mul
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def derived_leq(alg: Algebra, a: Element, b: Element) -> bool:
@@ -21,6 +27,48 @@ def mat_identity(base: FiniteAlgebra, n: int) -> Matrix:
     return tuple(
         tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
     )
+
+
+def mat_add(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
+    plus = base.plus_table
+    return tuple(tuple(plus[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_mul(base: FiniteAlgebra, a: Matrix, b: Matrix) -> Matrix:
+    """Cell (i, j) is ((0 + a[i][0];b[0][j]) + a[i][1];b[1][j]) + …, left to right."""
+    plus, seq = base.plus_table, base.seq_table
+
+    def dot(row, col) -> int:
+        acc = base.zero
+        for x, y in zip(row, col):
+            acc = plus[acc][seq[x][y]]
+        return acc
+
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def mat_star(base: FiniteAlgebra, m: Matrix) -> Matrix:
+    """Star by two-by-two block recursion (Kozen).
+
+    For M = [[A, B], [C, D]] with F = (A + B·D*·C)*:
+    M* = [[F, F·B·D*], [D*·C·F, D* + D*·C·F·B·D*]], A being ⌊n/2⌋ square.
+    """
+    n = len(m)
+    if n == 1:
+        return ((base.star_table[m[0][0]],),)
+    k = n // 2
+    a = tuple(row[:k] for row in m[:k])
+    b = tuple(row[k:] for row in m[:k])
+    c = tuple(row[:k] for row in m[k:])
+    d = tuple(row[k:] for row in m[k:])
+    ds = mat_star(base, d)
+    bds = mat_mul(base, b, ds)
+    f = mat_star(base, mat_add(base, a, mat_mul(base, bds, c)))
+    tr = mat_mul(base, f, bds)
+    dscf = mat_mul(base, mat_mul(base, ds, c), f)
+    br = mat_add(base, ds, mat_mul(base, dscf, bds))
+    return tuple(x + y for x, y in zip(f, tr)) + tuple(x + y for x, y in zip(dscf, br))
 
 
 def mat_star_iter(base: FiniteAlgebra, m: Matrix) -> Matrix:
@@ -47,3 +95,17 @@ def mat_is_test(base: FiniteAlgebra, t_tests, m: Matrix) -> bool:
         for i, row in enumerate(m)
         for j, x in enumerate(row)
     )
+
+
+def mat_element(alg: Algebra, base_size: int, m: Matrix) -> Element:
+    """The element of the matrix carrier ``alg`` that stands for ``m``.
+
+    On a sampled carrier, the tuple of its row numbers, each the numeral of
+    the row's cells in base |K|; on a finite one, the row-major numeral of
+    its cells.
+    """
+    n = len(m)
+    code = tuple(sum(x * base_size ** (n - 1 - j) for j, x in enumerate(row)) for row in m)
+    if not alg.finite:
+        return code
+    return sum(r * base_size ** (n * (n - 1 - i)) for i, r in enumerate(code))

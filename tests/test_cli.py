@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -367,6 +368,20 @@ def test_oversized_construct_names_the_spec_and_the_cap(capsys) -> None:
     code, out, err = run(capsys, "construct", "mat:ex9:85")
     assert code == 2 and out == ""
     assert "mat:ex9:85: carrier size 4^7225 exceeds cap 4096" in err
+
+
+@pytest.mark.parametrize(
+    ("spec", "count"),
+    [("flang:chain3:ab:16", "131071 observed words x 17 star steps = 2228207"),
+     ("flang:chain3:a:1024", "1025 observed words x 1025 star steps = 1050625")],
+    ids=["ab:16", "a:1024"],
+)
+def test_oversized_flang_window_fails_fast(capsys, spec, count) -> None:
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{count} exceeds bound 65536" in err
 
 
 def test_exhaustive_mode_respects_the_cap(capsys) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
+import pathlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,15 +23,21 @@ from gkat_workbench.constructions import (
     flang_union,
     frel_algebra,
     fset_algebra,
-    mat_add,
     mat_algebra,
-    mat_mul,
-    mat_star,
 )
 from gkat_workbench.instances import make_builtin
 from gkat_workbench.laws import run_law_suite
 from gkat_workbench.semantics import Exhaustive, Sampled
-from oracles import mat_identity, mat_is_test, mat_star_iter, mat_zero
+from oracles import (
+    mat_add,
+    mat_element,
+    mat_identity,
+    mat_is_test,
+    mat_mul,
+    mat_star,
+    mat_star_iter,
+    mat_zero,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,43 +87,50 @@ def test_fset_passes_the_gkat_suite() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Raw matrix helpers
+# Matrix kernels on hand values
 # ---------------------------------------------------------------------------
 
 
+def _carrier(spec: str, n: int):
+    """The base, the n×n matrix carrier over it, and the map from tuple matrices."""
+    kalg, _, alg = _coded(spec, None, n)
+    return kalg, alg, functools.partial(mat_element, alg, kalg.size)
+
+
 def test_mat_add_and_mul_hand_values() -> None:
-    c3 = make_builtin("chain3")
+    _, alg, el = _carrier("chain3", 2)
     a = ((1, 2), (0, 1))  # ((u,1),(0,u))
     b = ((2, 0), (1, 1))  # ((1,0),(u,u))
-    assert mat_add(c3, a, b) == ((2, 2), (1, 1))
+    assert alg.plus(el(a), el(b)) == el(((2, 2), (1, 1)))
     # e.g. entry (0,0) of the product is u;1 + 1;u = u + u = u
-    assert mat_mul(c3, a, b) == ((1, 1), (1, 1))
+    assert alg.seq(el(a), el(b)) == el(((1, 1), (1, 1)))
 
 
 def test_mat_identity_and_zero_are_units() -> None:
-    ex9 = make_builtin("ex9")
-    i2 = mat_identity(ex9, 2)
-    z2 = mat_zero(ex9, 2)
-    m = ((2, 1), (0, 3))
-    assert mat_mul(ex9, i2, m) == m
-    assert mat_mul(ex9, m, i2) == m
-    assert mat_add(ex9, z2, m) == m
-    assert mat_mul(ex9, z2, m) == z2
+    ex9, alg, el = _carrier("ex9", 2)
+    i2 = el(mat_identity(ex9, 2))
+    z2 = el(mat_zero(ex9, 2))
+    m = el(((2, 1), (0, 3)))
+    assert alg.seq(i2, m) == m
+    assert alg.seq(m, i2) == m
+    assert alg.plus(z2, m) == m
+    assert alg.seq(z2, m) == z2
 
 
 def test_mat_star_hand_value_on_a_nilpotent_matrix() -> None:
-    ex9 = make_builtin("ex9")
+    ex9, alg, el = _carrier("ex9", 2)
     m = ((0, 1), (0, 0))  # strictly upper triangular: 0 n / 0 0
     expected = ((3, 1), (0, 3))  # 1 n / 0 1
+    assert alg.star(el(m)) == el(expected)
     assert mat_star(ex9, m) == expected
     assert mat_star_iter(ex9, m) == expected
 
 
 def test_mat_star_fixes_identity_and_zero() -> None:
-    ex9 = make_builtin("ex9")
-    i2 = mat_identity(ex9, 2)
-    assert mat_star(ex9, i2) == i2
-    assert mat_star(ex9, mat_zero(ex9, 2)) == i2
+    ex9, alg, el = _carrier("ex9", 2)
+    i2 = el(mat_identity(ex9, 2))
+    assert alg.star(i2) == i2
+    assert alg.star(el(mat_zero(ex9, 2))) == i2
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +139,11 @@ def test_mat_star_fixes_identity_and_zero() -> None:
 
 
 def test_mat_mul_is_the_relational_product() -> None:
-    c3 = make_builtin("chain3")
+    _, alg, el = _carrier("chain3", 2)
     mu = ((2, 1), (0, 0))  # x->x weight 1, x->y weight u
     nu = ((0, 1), (0, 2))  # x->y weight u, y->y weight 1
     # Only route from x to y: through x with weight 1;u, or via y with u;1.
-    assert mat_mul(c3, mu, nu) == ((0, 1), (0, 0))
+    assert alg.seq(el(mu), el(nu)) == el(((0, 1), (0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -346,39 +362,44 @@ class TestMatrixProperties:
         st.data(),
     )
     def test_block_star_matches_iteration(self, spec: str, n: int, data: st.DataObject) -> None:
-        base = make_builtin(spec)
+        base, alg, el = _carrier(spec, n)
         m = data.draw(_matrices(base.size, n))
-        assert mat_star(base, m) == mat_star_iter(base, m)
+        assert alg.star(el(m)) == el(mat_star_iter(base, m))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_mul_distributes_over_add(self, data: st.DataObject) -> None:
-        base = make_builtin("chain3")
+        base, alg, el = _carrier("chain3", 2)
         mats = _matrices(base.size, 2)
-        a, b, c = data.draw(mats), data.draw(mats), data.draw(mats)
-        left = mat_mul(base, a, mat_add(base, b, c))
-        right = mat_add(base, mat_mul(base, a, b), mat_mul(base, a, c))
+        a, b, c = el(data.draw(mats)), el(data.draw(mats)), el(data.draw(mats))
+        left = alg.seq(a, alg.plus(b, c))
+        right = alg.plus(alg.seq(a, b), alg.seq(a, c))
         assert left == right
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_star_unfolds(self, data: st.DataObject) -> None:
-        base = make_builtin("chain3")
-        m = data.draw(_matrices(base.size, 2))
-        s = mat_star(base, m)
-        unfold = mat_add(base, mat_identity(base, 2), mat_mul(base, m, s))
+        base, alg, el = _carrier("chain3", 2)
+        m = el(data.draw(_matrices(base.size, 2)))
+        s = alg.star(m)
+        unfold = alg.plus(el(mat_identity(base, 2)), alg.seq(m, s))
         assert s == unfold
 
 
 # (K, T or None, n) of matrix carriers built with ``sampled=True``: n = 1..4
 # over four bases, wajsberg:3 among them (its zero is index 2), and over
-# chain3 with bool2 tests, plus chain3 at n = 6, past ``_ROW_TABLE_ROWS``
-# (3^6 = 729 row numbers), whose sum and product decode.  Those within the
-# cap (n = 1, 2) come out finite and are checked by index.
+# chain3 with bool2 tests, plus rows past ``_ROW_TABLE_ROWS`` row numbers,
+# which split into a high and a low part: chain3 at n = 6 (3^6 = 729, split
+# 3 + 3), ex9 at n = 5 (an odd split, 2 + 3) and n = 9 (split twice), and
+# godel:255 at n = 3 (|K| = 256, so only one-cell rows have tables).  Those
+# within the cap (n = 1, 2) come out finite and are checked by index.
 _CODED = [
     *((k, t, n) for k, t in (("chain3", None), ("ex9", None), ("lemma4", None),
                              ("wajsberg:3", None), ("chain3", "bool2")) for n in range(1, 5)),
     ("chain3", None, 6),
+    ("ex9", None, 5),
+    ("ex9", None, 9),
+    ("godel:255", None, 3),
 ]
 
 
@@ -389,20 +410,6 @@ def _coded(k: str, t, n: int):
         return kalg, kalg, mat_algebra(kalg, n, sampled=True)
     talg = make_builtin(t)
     return kalg, talg, frel_algebra(kalg, talg, n, sampled=True)
-
-
-def _element(alg, base_size: int, m):
-    """The element of ``alg`` that stands for the tuple matrix ``m``.
-
-    On a sampled carrier, the tuple of its row numbers, each the numeral of
-    the row's cells in base |K|; on a finite one, the row-major numeral of
-    its cells.
-    """
-    n = len(m)
-    code = tuple(sum(x * base_size ** (n - 1 - j) for j, x in enumerate(row)) for row in m)
-    if not alg.finite:
-        return code
-    return sum(r * base_size ** (n * (n - 1 - i)) for i, r in enumerate(code))
 
 
 def _test_sort(kalg, talg):
@@ -437,7 +444,7 @@ def _test_matrices(zero: int, t_tests, n: int):
 
 
 class TestRowCodedMatrices:
-    """Matrix carriers, finite or sampled, compute what the tuple kernels compute."""
+    """Matrix carriers, finite or sampled, compute what the oracle's tuple kernels compute."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(_CODED), st.data())
@@ -445,7 +452,7 @@ class TestRowCodedMatrices:
         kalg, talg, alg = _coded(*spec)
         n = spec[2]
         t_tests, t_arrow = _test_sort(kalg, talg)
-        el = functools.partial(_element, alg, kalg.size)
+        el = functools.partial(mat_element, alg, kalg.size)
         a, b = data.draw(_matrices(kalg.size, n)), data.draw(_matrices(kalg.size, n))
         s, e = (data.draw(_test_matrices(kalg.zero, t_tests, n)) for _ in range(2))
         alg.check_member(el(a))
@@ -459,13 +466,40 @@ class TestRowCodedMatrices:
 
     def test_constants_and_draws_are_coded_members(self) -> None:
         kalg, _, alg = _coded("ex9", None, 3)
-        assert alg.zero == _element(alg, kalg.size, mat_zero(kalg, 3))
-        assert alg.one == _element(alg, kalg.size, mat_identity(kalg, 3))
+        assert alg.zero == mat_element(alg, kalg.size, mat_zero(kalg, 3))
+        assert alg.one == mat_element(alg, kalg.size, mat_identity(kalg, 3))
         rng = random.Random(3)
         draws = [alg.draw(rng) for _ in range(100)]
         for m in draws:
             alg.check_member(m)
         assert any(alg.is_test(m) for m in draws) and not all(alg.is_test(m) for m in draws)
+
+
+@pytest.mark.parametrize(("spec", "n"), [("ex9", 6), ("godel:255", 3)])
+def test_split_rows_build_no_table_past_the_largest(spec, n) -> None:
+    # Row tables of 256 row numbers take about 0.55 MB; one of 4^6 = 4096
+    # (ex9) or 256^2 (godel:255) row numbers would take hundreds of MB.
+    base = make_builtin(spec)
+    tracemalloc.start()
+    try:
+        rep = run_law_suite(mat_algebra(base, n, sampled=True), "gkat", Sampled(30, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 3_000_000, peak
+
+
+def test_the_oracles_share_no_code_with_the_constructions() -> None:
+    source = pathlib.Path(__file__).with_name("oracles.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(m and m.startswith("gkat_workbench.constructions")
+                                for m in imported), imported
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import functools
 import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -161,6 +162,22 @@ def test_sampled_is_deterministic_per_seed():
 def test_sampled_finds_counterexamples_on_finite_tables():
     v = check_equation(make_builtin("lemma4"), _eqn("p;q = q;p"), Sampled(samples=300, seed=0))
     assert v.status == "refuted" and v.counterexample is not None
+
+
+def test_a_sampled_check_draws_as_it_checks():
+    # 100,000 valuations held at once would take about 7 MB; drawn one at a
+    # time the check stays far below that, with the same verdict.
+    trop = make_builtin("tropical")
+    law = next(law for suite in SUITES.values() for law in suite if law.name == "seq-assoc")
+    check_law(trop, law, Sampled(10))  # compile outside the trace
+    tracemalloc.start()
+    try:
+        v = check_law(trop, law, Sampled(100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == Verdict(status="sampled-valid", mode="sampled", checked=100_000, space=None)
+    assert peak < 1_000_000, peak
 
 
 def test_auto_splits_on_space_size():
