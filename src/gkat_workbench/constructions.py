@@ -442,9 +442,11 @@ def _matrix_algebra(
     """n×n matrices over ``kalg`` whose tests are diagonals of ``talg`` tests.
 
     The kernels take row codes; a finite carrier tabulates them, numbering
-    each code in base R = |K|ⁿ.  ``add``, ``mul`` and ``block_star`` take
-    the width w of the rows they compute, so they serve the blocks of the
-    star as well as whole matrices.
+    each code in base R = |K|ⁿ.  ``adder(w)`` and ``multiplier(v, w)`` make,
+    once per width, the sum and product of matrices with rows of w cells,
+    bound to that width's tables, and ``block_star`` takes the width it
+    computes, so the kernels serve the blocks of the star as well as whole
+    matrices.
     """
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     finite = _fits_cap(name, kalg.size, n * n, sampled)
@@ -476,26 +478,29 @@ def _matrix_algebra(
         high, low = digits(h), digits(w - h)
         return lambda r: high(r // s) + low(r % s)
 
-    def add(a, b, w: int = n) -> RowCode:
+    @cache
+    def adder(w: int) -> Callable[[RowCode, RowCode], RowCode]:
         """The sum of two matrices with rows of w cells."""
         t = tables(w)
         if t is not None:
             row_plus = t[0]
-            return tuple([row_plus[x][y] for x, y in zip(a, b)])
+            return lambda a, b: tuple([row_plus[x][y] for x, y in zip(a, b)])
         h, s = halves(w)
-        high = add([x // s for x in a], [y // s for y in b], h)
-        return _join(high, add([x % s for x in a], [y % s for y in b], w - h), s)
+        high, low = adder(h), adder(w - h)
+        return lambda a, b: _join(high([x // s for x in a], [y // s for y in b]),
+                                  low([x % s for x in a], [y % s for y in b]), s)
 
-    def mul(a, b, w: int = n) -> RowCode:
-        """The product of ``a``, with rows of len(b) cells, and ``b``, with rows of w."""
+    @cache
+    def multiplier(v: int, w: int) -> Callable[[RowCode, RowCode], RowCode]:
+        """The product of a matrix with rows of v cells and one with v rows of w cells."""
         t = tables(w)
         if t is not None:
             row_plus, scale, zero_row, _ = t
-            cells = digits(len(b))
-            return tuple([_dot(row_plus, scale, zero_row, cells(r), b) for r in a])
+            cells = digits(v)
+            return lambda a, b: tuple([_dot(row_plus, scale, zero_row, cells(r), b) for r in a])
         h, s = halves(w)
-        high = mul(a, [y // s for y in b], h)
-        return _join(high, mul(a, [y % s for y in b], w - h), s)
+        high, low = multiplier(v, h), multiplier(v, w - h)
+        return lambda a, b: _join(high(a, [y // s for y in b]), low(a, [y % s for y in b]), s)
 
     def block_star(m, w: int = n) -> RowCode:
         """Star of a w×w matrix by two-by-two block recursion.
@@ -507,15 +512,16 @@ def _matrix_algebra(
         if w == 1:
             return (kalg.star_table[m[0]],)
         h, s = halves(w)
+        g = w - h
         top, bottom = m[:h], m[h:]
         a, b = [r // s for r in top], [r % s for r in top]
         c, d = [r // s for r in bottom], [r % s for r in bottom]
-        ds = block_star(d, w - h)
-        bds = mul(b, ds, w - h)
-        f = block_star(add(a, mul(bds, c, h), h), h)
-        tr = mul(f, bds, w - h)
-        dscf = mul(mul(ds, c, h), f, h)
-        br = add(ds, mul(dscf, bds, w - h), w - h)
+        ds = block_star(d, g)
+        bds = multiplier(g, g)(b, ds)
+        f = block_star(adder(h)(a, multiplier(g, h)(bds, c)), h)
+        tr = multiplier(h, g)(f, bds)
+        dscf = multiplier(h, h)(multiplier(g, h)(ds, c), f)
+        br = adder(g)(ds, multiplier(h, g)(dscf, bds))
         return _join(f, tr, s) + _join(dscf, br, s)
 
     cells = digits(n)
@@ -561,7 +567,8 @@ def _matrix_algebra(
         # matrix with rows r_0 … r_{n-1} and b is Σ_i by_row[r_i][b]·R^(n-1-i),
         # built here row prefix by row prefix.  Column b is the product of
         # the R×n matrix of every row number and b.
-        by_row = list(zip(*[mul(range(n_rows), b, n) for b in codes]))
+        mul = multiplier(n, n)
+        by_row = list(zip(*[mul(range(n_rows), b) for b in codes]))
         seq_table = by_row
         for _ in range(n - 1):
             seq_table = [[x * n_rows + y for x, y in zip(p, v)] for p in seq_table for v in by_row]
@@ -586,8 +593,8 @@ def _matrix_algebra(
         name=name,
         zero=zero_code,
         one=one_code,
-        plus=add,
-        seq=mul,
+        plus=adder(n),
+        seq=multiplier(n, n),
         star=block_star,
         arrow_fn=arrow,
         is_test=is_test,

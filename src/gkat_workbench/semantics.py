@@ -43,9 +43,13 @@ Each check is compiled into one Python function (see ``_Compiler``):
   check keeps the scalar loops when some arrow has an operand that is not
   a test, when no variable is eligible, when it uses more than
   ``_MAX_LOOPS`` variables, or on a larger carrier.
-* A sampled check runs the same body in one loop over valuation tuples,
-  each drawn from the seed as the loop reaches it, so no more than one is
-  held at a time.  On procedural carriers the body calls
+* A sampled check runs the same body in one loop, which draws each
+  valuation from the seeded generator just before checking it, one
+  variable at a time in variable order, by the same ``getrandbits`` calls
+  ``random.Random.choice`` makes (``len(D).bit_length()`` bits, drawn
+  again while at least ``len(D)``).  It draws the valuations ``choice``
+  would, consumes the stream no further than the valuation it stops at,
+  and holds only the current one.  On procedural carriers the body calls
   ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables;
   ``star`` is passed through a ``functools.cache`` made fresh for each
   run, so the check stars each distinct value once (a star that raises is
@@ -512,7 +516,10 @@ class _Compiler:
             lines.append(f"{pad}    {fail}")
 
     def source(self, hypotheses, conclusion, headers: Sequence[str], fail: str, params) -> str:
-        """The function's source; ``headers[k]`` opens loop k, ``fail`` reports a failure."""
+        """The function's source; ``headers[k]``, one or more lines, opens loop k.
+
+        ``fail`` reports a failure.
+        """
         items = [self.equation(h) for h in hypotheses] + [self.equation(conclusion)]
         # A hypothesis that mentions the vector variable is a mask, read only
         # where the conclusion fails; the ints of its vectors and of the
@@ -544,7 +551,7 @@ class _Compiler:
         for level in range(-1, self.inner + 1):
             pad = "    " * (level + 2)
             if level >= 0:
-                lines.append(pad[4:] + headers[level])
+                lines.extend(pad[4:] + line for line in headers[level].split("\n"))
             for k, (a, b) in enumerate(items):
                 if test_at[k] == level:
                     self._emit(a, level, done, lines, pad)
@@ -566,7 +573,8 @@ class _Compiler:
 
 
 # Parameters of every generated function, in the order _Check._run_compiled passes
-# them, before the domains D0 ... Dn-1 (or V when sampled); tables are None if procedural.
+# them, before the domains D0 ... Dn-1 (and, when sampled, before the sample count
+# N and the generator's getrandbits gb); tables are None if procedural.
 # ``views`` returns the byte views of a table carrier (``FiniteAlgebra.byte_views``).
 _OPS = ("zero", "one", "product", "P", "S", "A", "T", "views", "star", "plus", "seq", "arrow")
 
@@ -576,10 +584,11 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
              conclusion: Equation, variables: tuple[Var, ...]):
     """The compiled ``check`` function of one check, with its loop plan.
 
-    A sampled check loops once over ``V`` and returns the failing rank and
-    valuation.  An
-    exhaustive one nests a loop per variable a term mentions and returns the
-    failing valuation, with the first element of its domain for any other.
+    A sampled check loops ``N`` times, draws one valuation per iteration
+    from ``gb`` as ``random.Random.choice`` would from each domain, and
+    returns the failing rank and valuation.  An exhaustive one nests a loop
+    per variable a term mentions and returns the failing valuation, with
+    the first element of its domain for any other.
     ``bytewise``: the check is exhaustive, on a finite carrier of at most
     ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
     so one variable may be computed as a vector.
@@ -587,10 +596,19 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
     js = range(len(variables))
     vector = split = None
     if sampled:
-        targets = "".join(f"x{j}, " for j in js)
-        headers = [f"for n, ({targets}) in enumerate(V):" if targets else "for n, _ in enumerate(V):"]
+        # random.Random.choice(D), for a nonempty D, is D[r] for the first
+        # r = getrandbits(len(D).bit_length()) below len(D).  Every variable
+        # is drawn so, in variable order, a used one or not, which gives the
+        # valuations choice over each domain in turn gives.  No domain is
+        # empty (run_sampled refuses an empty test pool, and every test is
+        # in the program pool); on one, the loop would never end.
+        sizes = "".join(f"c{j} = len(D{j}); b{j} = c{j}.bit_length()\n" for j in js)
+        draws = "".join(f"\n    r = gb(b{j})\n    while r >= c{j}:\n        r = gb(b{j})"
+                        f"\n    x{j} = D{j}[r]" for j in js)
+        headers = [f"{sizes}for n in range(N):{draws}"]
         var_level = dict.fromkeys(js, 0)
-        fail, data = f"return n, ({targets})", ("V",)
+        fail = "return n, (" + "".join(f"x{j}, " for j in js) + ")"
+        data = ("N", "gb", *(f"D{j}" for j in js))
     else:
         equations = (*hypotheses, conclusion)
         names = {v.name for e in equations for t in (e.lhs, e.rhs) for v in free_vars(t)}
@@ -635,18 +653,9 @@ def _finite_domains(alg: Algebra, variables: Sequence[Var]) -> list[Sequence[Ele
 
 def _sample_pools(alg: Algebra, rng: random.Random):
     if alg.finite:
-        progs: Sequence[Element] = list(alg.elements())
-        tests: Sequence[Element] = list(alg.tests())
-        return progs, tests
-    pool = [*alg.samples, *(alg.draw(rng) for _ in range(48))]
-    uniq: list[Element] = []
-    seen = set()
-    for el in pool:
-        if el not in seen:
-            seen.add(el)
-            uniq.append(el)
-    tests = [el for el in uniq if alg.is_test(el)]
-    return uniq, tests
+        return alg.elements(), alg.tests()
+    pool = list(dict.fromkeys([*alg.samples, *(alg.draw(rng) for _ in range(48))]))
+    return pool, [el for el in pool if alg.is_test(el)]
 
 
 def _space_size(domains: Sequence[Sequence[Element]]) -> int:
@@ -666,9 +675,11 @@ class _Check:
     variables: tuple[Var, ...]
 
     def _run_compiled(self, sampled: bool, bytewise: bool, *data):
-        """Run the compiled check over ``data``: the domains, or the valuations when sampled.
+        """Run the compiled check over ``data``.
 
-        ``bytewise``: the check may compute a vector (see ``_compile``).
+        ``data``: the domains, after the sample count and the seeded
+        generator's ``getrandbits`` when sampled.  ``bytewise``: the check
+        may compute a vector (see ``_compile``).
         """
         alg = self.alg
         if alg.finite:
@@ -731,8 +742,7 @@ class _Check:
         domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
         if space is None and alg.finite:
             space = _space_size(_finite_domains(alg, self.variables))
-        draws = (tuple(map(rng.choice, domains)) for _ in range(samples))
-        hit = self._run_compiled(True, False, draws)
+        hit = self._run_compiled(True, False, samples, rng.getrandbits, *domains)
         if hit is None:
             return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
         return self._verdict_for_failure(*hit, "sampled", space)

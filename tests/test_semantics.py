@@ -180,6 +180,58 @@ def test_a_sampled_check_draws_as_it_checks():
     assert peak < 1_000_000, peak
 
 
+def _compiled_draws(pools, samples: int, seed: int) -> list[tuple]:
+    """The valuations a compiled sampled check over ``pools`` draws from ``seed``.
+
+    The check compares p0 + ... + pk with a zero that nothing equals, so it
+    fails at its first valuation: each call with N = 1 draws one valuation
+    and returns it.
+    """
+    variables = tuple(Var(f"p{j}", Sort.PROGRAM) for j in range(len(pools)))
+    concl = Equation(functools.reduce(Plus, variables), Zero())
+    check = _compile(False, False, True, (), concl, variables)
+    ops = dict.fromkeys(semantics._OPS) | {"zero": object(), "plus": lambda a, b: a}
+    domains = {f"D{j}": pool for j, pool in enumerate(pools)}
+    gb = random.Random(seed).getrandbits
+    return [check(**ops, N=1, gb=gb, **domains) for _ in range(samples)]
+
+
+_POWERS_OF_TWO = [c for k in range(9) for c in (2**k - 1, 2**k, 2**k + 1) if 1 <= c <= 300]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+def test_a_sampled_check_draws_what_random_choice_draws(seed):
+    # A pool of 2^k or 2^k + 1 elements takes k + 1 bits a draw and rejects
+    # about half of them; one of 2^k - 1 takes k bits and rejects one in 2^k.
+    for c in sorted({*range(1, 301, 7), *_POWERS_OF_TWO}):
+        pools = [tuple(f"e{i}" for i in range(size)) for size in (c, 301 - c, c)]
+        rng = random.Random(seed)
+        want = [(0, tuple(map(rng.choice, pools))) for _ in range(30)]
+        assert _compiled_draws(pools, 30, seed) == want, c
+
+
+@pytest.mark.parametrize("spec, hyps, concl, seed", [
+    ("product", ("q = p;p",), "p* = p", 3),
+    ("lemma6", ("p;q = q;p", "a = b"), "p;a = a;p", 2),
+])
+def test_a_variable_no_term_mentions_is_drawn_all_the_same(spec, hyps, concl, seed):
+    # r and s are drawn in every valuation, between and after the used
+    # variables: skipping them would draw other valuations from the stream.
+    variables = tuple(Var(name, SORTS[name]) for name in "paqrbs")
+    problem = (tuple(map(_eqn, hyps)), _eqn(concl), variables)
+    v = check_quasi_equation(make_builtin(spec), *problem[:2], Sampled(2000, seed), variables)
+    assert v.status == "refuted" and v.checked > 200
+    _assert_agrees(make_builtin(spec), problem, Sampled(2000, seed))
+
+
+@pytest.mark.parametrize("spec", ["chain3", "tropical"])
+def test_a_closed_sampled_equation_checks_every_sample(spec):
+    v = check_equation(make_builtin(spec), _eqn("1* = 1"), Sampled(samples=500, seed=3))
+    assert (v.status, v.checked) == ("sampled-valid", 500)
+    v = check_equation(make_builtin(spec), _eqn("1 = 0"), Sampled(samples=500, seed=3))
+    assert (v.status, v.checked, v.counterexample) == ("refuted", 1, {})
+
+
 def test_auto_splits_on_space_size():
     c3 = make_builtin("chain3")
     small = check_equation(c3, _eqn("a;a = a"), Auto(cap=8))
@@ -643,6 +695,14 @@ class TestCompiledAgainstReference:
         alg = _SAMPLED_DERIVED[spec]()
         assert not alg.finite
         _assert_agrees(alg, problem, Sampled(samples=40, seed=seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(("luka:1", "luka:3", "luka:7", "luka:15", "luka:31")),
+           _quasi_equations(), st.integers(0, 3))
+    def test_sampled_on_chains_of_two_to_the_k(self, spec, problem, seed):
+        # A pool of 2^k elements takes k + 1 bits a draw, and rejects about
+        # half of them.
+        _assert_agrees(make_builtin(spec), problem, Sampled(samples=40, seed=seed))
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(_FINITE), _quasi_equations(carrier=True))
