@@ -84,6 +84,7 @@ cell (see ``hoare.commutation_conditions``).
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -306,8 +307,6 @@ def _vector_variable(equations: Sequence[Equation], variables,
         nonlocal shared, may_raise
         match t:
             case Var(name, _):
-                if name not in var_pos:
-                    raise AlgebraError(f"no binding for variable {name!r}")
                 j, is_test = var_pos[name]
                 return 1 << j, is_test
             case Zero() | One():
@@ -418,8 +417,6 @@ class _Compiler:
     def node(self, t: Term) -> int:
         match t:
             case Var(name, _):
-                if name not in self.var_pos:
-                    raise AlgebraError(f"no binding for variable {name!r}")
                 j, sort = self.var_pos[name]
                 if j == self.vector:
                     return self._add(("var", j), f"bytes(D{j})", (), True, sort is Sort.TEST,
@@ -572,9 +569,9 @@ class _Compiler:
         return "\n".join(lines) + "\n"
 
 
-# Parameters of every generated function, in the order _Check._run_compiled passes
-# them, before the domains D0 ... Dn-1 (and, when sampled, before the sample count
-# N and the generator's getrandbits gb); tables are None if procedural.
+# Parameters of every generated function, in the order _run_compiled passes them,
+# before the domains D0 ... Dn-1 (and, when sampled, before the sample count N and
+# the generator's getrandbits gb); tables are None if procedural, star if finite.
 # ``views`` returns the byte views of a table carrier (``FiniteAlgebra.byte_views``).
 _OPS = ("zero", "one", "product", "P", "S", "A", "T", "views", "star", "plus", "seq", "arrow")
 
@@ -592,7 +589,22 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
     ``bytewise``: the check is exhaustive, on a finite carrier of at most
     ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
     so one variable may be computed as a vector.
+
+    Each variable of the terms must be declared, once, at the terms' sort.
     """
+    equations = (*hypotheses, conclusion)
+    mentioned = free_vars(*(t for e in equations for t in (e.lhs, e.rhs)))
+    declared: dict[str, Sort] = {}
+    for v in variables:
+        if v.name in declared:
+            raise AlgebraError(f"variable {v.name!r} is declared twice")
+        declared[v.name] = v.sort
+    for v in mentioned:
+        if v.name not in declared:
+            raise AlgebraError(f"no binding for variable {v.name!r}")
+        if declared[v.name] is not v.sort:
+            raise SortError(f"variable {v.name!r} is declared {declared[v.name].value}-sorted"
+                            f" but the terms use it {v.sort.value}-sorted")
     js = range(len(variables))
     vector = split = None
     if sampled:
@@ -600,8 +612,8 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         # r = getrandbits(len(D).bit_length()) below len(D).  Every variable
         # is drawn so, in variable order, a used one or not, which gives the
         # valuations choice over each domain in turn gives.  No domain is
-        # empty (run_sampled refuses an empty test pool, and every test is
-        # in the program pool); on one, the loop would never end.
+        # empty (check_quasi_equation refuses an empty test pool, and every
+        # test is in the program pool); on one, the loop would never end.
         sizes = "".join(f"c{j} = len(D{j}); b{j} = c{j}.bit_length()\n" for j in js)
         draws = "".join(f"\n    r = gb(b{j})\n    while r >= c{j}:\n        r = gb(b{j})"
                         f"\n    x{j} = D{j}[r]" for j in js)
@@ -610,9 +622,7 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         fail = "return n, (" + "".join(f"x{j}, " for j in js) + ")"
         data = ("N", "gb", *(f"D{j}" for j in js))
     else:
-        equations = (*hypotheses, conclusion)
-        names = {v.name for e in equations for t in (e.lhs, e.rhs) for v in free_vars(t)}
-        used = [j for j in js if variables[j].name in names]
+        used = [j for j in js if variables[j] in mentioned]
         if bytewise:
             vector = _vector_variable(equations, variables, used)
         loops = [[j] for j in used if j != vector]
@@ -658,110 +668,35 @@ def _sample_pools(alg: Algebra, rng: random.Random):
     return pool, [el for el in pool if alg.is_test(el)]
 
 
-def _space_size(domains: Sequence[Sequence[Element]]) -> int:
-    size = 1
-    for dom in domains:
-        size *= len(dom)
-    return size
+def _run_compiled(alg: Algebra, hypotheses: tuple[Equation, ...], conclusion: Equation,
+                  variables: tuple[Var, ...], sampled: bool, bytewise: bool, *data):
+    """Run the compiled check over ``data``.
+
+    ``data``: the domains, after the sample count and the seeded
+    generator's ``getrandbits`` when sampled.  ``bytewise``: the check may
+    compute a vector (see ``_compile``).
+    """
+    if alg.finite:  # no finite plan calls star
+        ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table,
+               alg.byte_views, None)
+    else:
+        ops = (None, None, None, None, None, functools.cache(alg.star))
+    check = _compile(alg.finite, bytewise, sampled, hypotheses, conclusion, variables)
+    return check(alg.zero, alg.one, iproduct, *ops, alg.plus, alg.seq, alg.arrow, *data)
 
 
-@dataclass
-class _Check:
-    """One (quasi-)equation check bound to an algebra and strategy."""
-
-    alg: Algebra
-    hypotheses: tuple[Equation, ...]
-    conclusion: Equation
-    variables: tuple[Var, ...]
-
-    def _run_compiled(self, sampled: bool, bytewise: bool, *data):
-        """Run the compiled check over ``data``.
-
-        ``data``: the domains, after the sample count and the seeded
-        generator's ``getrandbits`` when sampled.  ``bytewise``: the check
-        may compute a vector (see ``_compile``).
-        """
-        alg = self.alg
-        if alg.finite:
-            ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table,
-                   alg.byte_views, alg.star)
-        else:
-            ops = (None, None, None, None, None, functools.cache(alg.star))
-        check = _compile(alg.finite, bytewise, sampled, self.hypotheses, self.conclusion,
-                         self.variables)
-        return check(alg.zero, alg.one, iproduct, *ops, alg.plus, alg.seq, alg.arrow, *data)
-
-    def _verdict_for_failure(self, rank: int, vals: tuple, mode: str, space) -> Verdict:
-        alg = self.alg
-        val = {v.name: el for v, el in zip(self.variables, vals)}
-        lhs_val = _evaluate(alg, self.conclusion.lhs, val)
-        rhs_val = _evaluate(alg, self.conclusion.rhs, val)
-        return Verdict(
-            status="refuted",
-            mode=mode,
-            checked=rank + 1,
-            space=space,
-            counterexample={name: alg.el_name(el) for name, el in val.items()},
-            lhs_value=alg.el_name(lhs_val),
-            rhs_value=alg.el_name(rhs_val),
-        )
-
-    def run_exhaustive(self, cap: int) -> Verdict:
-        alg = self.alg
-        if not alg.finite:
-            raise AlgebraError(
-                f"exhaustive checking requires a finite algebra, and {alg.name!r} is procedural"
-            )
-        domains = _finite_domains(alg, self.variables)
-        space = _space_size(domains)
-        if space > cap:
-            raise SizeError(
-                f"valuation space of size {space} exceeds the exhaustive cap {cap};"
-                " use a sampled strategy"
-            )
-        return self._enumerate(domains, space)
-
-    def _enumerate(self, domains: Sequence[Sequence[Element]], space: int) -> Verdict:
-        size = self.alg.size  # type: ignore[union-attr]
-        bytewise = size <= _BYTE_CARRIER and space >= _VECTOR_SPACE
-        hit = self._run_compiled(False, bytewise, *domains)
-        if hit is None:
-            return Verdict(status="valid", mode="exhaustive", checked=space, space=space)
-        rank = 0
-        for dom, el in zip(domains, hit):
-            rank = rank * len(dom) + dom.index(el)
-        return self._verdict_for_failure(rank, hit, "exhaustive", space)
-
-    def run_sampled(self, samples: int, seed: int, space: Optional[int] = None) -> Verdict:
-        """``space``: the size of a finite carrier's valuation space, if already known."""
-        alg = self.alg
-        rng = random.Random(seed)
-        prog_pool, test_pool = _sample_pools(alg, rng)
-        if not test_pool:
-            raise AlgebraError(f"algebra {alg.name!r} offers no test samples")
-        domains = [test_pool if v.sort is Sort.TEST else prog_pool for v in self.variables]
-        if space is None and alg.finite:
-            space = _space_size(_finite_domains(alg, self.variables))
-        hit = self._run_compiled(True, False, samples, rng.getrandbits, *domains)
-        if hit is None:
-            return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
-        return self._verdict_for_failure(*hit, "sampled", space)
-
-    def run(self, strategy: Strategy) -> Verdict:
-        match strategy:
-            case Exhaustive(cap):
-                return self.run_exhaustive(cap)
-            case Sampled(samples, seed):
-                return self.run_sampled(samples, seed)
-            case Auto(cap, samples, seed):
-                if not self.alg.finite:
-                    return self.run_sampled(samples, seed)
-                domains = _finite_domains(self.alg, self.variables)
-                space = _space_size(domains)
-                if space <= cap:
-                    return self._enumerate(domains, space)
-                return self.run_sampled(samples, seed, space)
-        raise TypeError(f"not a strategy: {strategy!r}")
+def _refutation(alg: Algebra, conclusion: Equation, variables: tuple[Var, ...],
+                rank: int, vals: tuple, mode: str, space: Optional[int]) -> Verdict:
+    val = {v.name: el for v, el in zip(variables, vals)}
+    return Verdict(
+        status="refuted",
+        mode=mode,
+        checked=rank + 1,
+        space=space,
+        counterexample={name: alg.el_name(el) for name, el in val.items()},
+        lhs_value=alg.el_name(_evaluate(alg, conclusion.lhs, val)),
+        rhs_value=alg.el_name(_evaluate(alg, conclusion.rhs, val)),
+    )
 
 
 def check_equation(
@@ -781,9 +716,47 @@ def check_quasi_equation(
     strategy: Strategy = Exhaustive(),
     variables: Optional[Sequence[Var]] = None,
 ) -> Verdict:
-    """Check hypotheses => conclusion; vacuous valuations count as passes."""
+    """Check hypotheses => conclusion; vacuous valuations count as passes.
+
+    ``variables`` (default: the terms' own, in first-occurrence order) fixes
+    the enumeration order; it must declare the terms' variables at their sorts.
+    """
     hyps = tuple(hypotheses)
     if variables is None:
         variables = free_vars(*(t for e in (*hyps, conclusion) for t in (e.lhs, e.rhs)))
-    chk = _Check(alg, hyps, conclusion, tuple(variables))
-    return chk.run(strategy)
+    variables = tuple(variables)
+    domains = space = None
+    if alg.finite:
+        domains = _finite_domains(alg, variables)
+        space = math.prod(map(len, domains))
+    match strategy:
+        case Exhaustive() if domains is None:
+            raise AlgebraError(
+                f"exhaustive checking requires a finite algebra, and {alg.name!r} is procedural"
+            )
+        case Exhaustive(cap) if space > cap:
+            raise SizeError(
+                f"valuation space of size {space} exceeds the exhaustive cap {cap};"
+                " use a sampled strategy"
+            )
+        case Exhaustive(cap) | Auto(cap) if domains is not None and space <= cap:
+            bytewise = alg.size <= _BYTE_CARRIER and space >= _VECTOR_SPACE
+            hit = _run_compiled(alg, hyps, conclusion, variables, False, bytewise, *domains)
+            if hit is None:
+                return Verdict(status="valid", mode="exhaustive", checked=space, space=space)
+            rank = 0
+            for dom, el in zip(domains, hit):
+                rank = rank * len(dom) + dom.index(el)
+            return _refutation(alg, conclusion, variables, rank, hit, "exhaustive", space)
+        case Sampled(samples, seed) | Auto(_, samples, seed):
+            rng = random.Random(seed)
+            prog_pool, test_pool = _sample_pools(alg, rng)
+            if not test_pool:
+                raise AlgebraError(f"algebra {alg.name!r} offers no test samples")
+            pools = [test_pool if v.sort is Sort.TEST else prog_pool for v in variables]
+            hit = _run_compiled(alg, hyps, conclusion, variables, True, False,
+                                samples, rng.getrandbits, *pools)
+            if hit is None:
+                return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
+            return _refutation(alg, conclusion, variables, *hit, "sampled", space)
+    raise TypeError(f"not a strategy: {strategy!r}")

@@ -111,8 +111,19 @@ def test_leq_uses_the_derived_order():
 
 
 def test_exhaustive_cap_is_enforced():
-    with pytest.raises(SizeError):
+    text = "valuation space of size 216 exceeds the exhaustive cap 100; use a sampled strategy"
+    with pytest.raises(SizeError, match=f"^{re.escape(text)}$"):
         check_equation(make_builtin("godel:5"), _eqn("p;(q;r) = (p;q);r"), Exhaustive(cap=100))
+
+
+def test_exhaustive_checking_refuses_a_procedural_carrier():
+    with pytest.raises(AlgebraError, match="requires a finite algebra, and 'product' is procedural"):
+        check_equation(make_builtin("product"), _eqn("p+q = q+p"), Exhaustive())
+
+
+def test_a_non_strategy_is_refused():
+    with pytest.raises(TypeError, match="not a strategy: 'exhaustive'"):
+        check_equation(make_builtin("chain3"), _eqn("p+q = q+p"), "exhaustive")
 
 
 def test_quasi_equation_filters_by_hypotheses():
@@ -145,6 +156,38 @@ def test_a_variable_no_term_mentions_reports_its_first_element(names, checked, s
     assert (v.checked, v.space) == (checked, space)
     expected = {"a": "0", "b": "0", "p": "n", "q": "m"}
     assert v.counterexample == {name: expected[name] for name in names.split()}
+
+
+_A_TEST, _A_PROG = Var("a", Sort.TEST), Var("a", Sort.PROGRAM)
+_P, _Q = Var("p", Sort.PROGRAM), Var("q", Sort.PROGRAM)
+
+# Declared variables that disagree with the terms, each with its error.
+_BAD_DECLARATIONS = {
+    "a name declared twice": (
+        "ex9", (), _eqn("p;q = q;p"), (_P, _P, _Q),
+        AlgebraError, "variable 'p' is declared twice",
+    ),
+    "a declared sort that disagrees with the terms": (
+        "lemma4", (), _eqn("a;a = a"), (_A_PROG,),
+        SortError, "variable 'a' is declared program-sorted but the terms use it test-sorted",
+    ),
+    "one name at two sorts across sides": (
+        "lemma4", (_eqn("a = a"),), Equation(Seq(_A_PROG, _A_PROG), _A_PROG), (_A_PROG,),
+        SortError, "variable 'a' is used at two different sorts",
+    ),
+    "an undeclared name": (
+        "ex9", (), _eqn("p;q = q;p"), (_P,),
+        AlgebraError, "no binding for variable 'q'",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", [Exhaustive(), Sampled(50, 1)])
+@pytest.mark.parametrize("case", _BAD_DECLARATIONS)
+def test_declared_variables_must_match_the_terms(case, strategy):
+    spec, hyps, concl, variables, error, message = _BAD_DECLARATIONS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        check_quasi_equation(make_builtin(spec), hyps, concl, strategy, variables)
 
 
 # -- sampling and auto mode --------------------------------------------------
@@ -237,7 +280,17 @@ def test_auto_splits_on_space_size():
     small = check_equation(c3, _eqn("a;a = a"), Auto(cap=8))
     large = check_equation(c3, _eqn("p+q = q+p"), Auto(cap=8, samples=200, seed=0))
     assert small.mode == "exhaustive"
-    assert large.mode == "sampled" and large.checked == 200
+    assert (large.mode, large.checked, large.space) == ("sampled", 200, 9)
+
+
+@pytest.mark.parametrize("spec, strategy, space", [
+    ("chain3", Sampled(50, 1), 9),
+    ("product", Sampled(50, 1), None),
+    ("product", Auto(cap=8, samples=50, seed=1), None),
+])
+def test_a_sampled_verdict_reports_the_finite_space_or_none(spec, strategy, space):
+    v = check_equation(make_builtin(spec), _eqn("p+q = q+p"), strategy)
+    assert (v.mode, v.checked, v.space) == ("sampled", 50, space)
 
 
 def test_describe_strategy_shapes():
