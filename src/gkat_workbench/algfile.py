@@ -120,15 +120,14 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         test_indices.append(i)
     test_indices.sort()
 
-    lineno, rest = lines.keyword("zero")
-    if len(rest) != 1:
-        raise lines.fail(lineno, "expected exactly one element name after 'zero'")
-    zero = resolve(lineno, rest[0], "zero")
+    def constant(word: str) -> int:
+        lineno, rest = lines.keyword(word)
+        if len(rest) != 1:
+            raise lines.fail(lineno, f"expected exactly one element name after {word!r}")
+        return resolve(lineno, rest[0], word)
 
-    lineno, rest = lines.keyword("one")
-    if len(rest) != 1:
-        raise lines.fail(lineno, "expected exactly one element name after 'one'")
-    one = resolve(lineno, rest[0], "one")
+    zero = constant("zero")
+    one = constant("one")
 
     def resolve_row(lineno: int, toks: list[str], context: str) -> tuple[int, ...]:
         try:

@@ -16,7 +16,8 @@ One executable, ``gkat``, with a subcommand per kind of check:
 Algebras come from ``--builtin SPEC`` (see ``instances``), ``--algebra FILE``
 (the textual table format documented in ``algfile``), or ``--construct SPEC``.
 Exit status: 0 when every requested check passed, 1 when something was refuted
-(the counterexample is printed), 2 for usage or load errors.
+(the counterexample is printed), 2 for usage or load errors, and for input
+nested too deeply to read.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import shlex
 import sys
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence, get_args
 
 from .algebra import Algebra, AlgebraError, FiniteAlgebra
 from .algfile import dump_algebra, load_algebra
 from .constructions import flang_algebra, frel_algebra, fset_algebra, mat_algebra
 from .hoare import (
     ALL_RULES,
+    B_OVER,
     PreconditionError,
     check_demorgan,
     check_rule,
@@ -54,13 +56,14 @@ from .laws import (
 )
 from .semantics import (
     Auto,
-    Exhaustive,
     Sampled,
+    Strategy,
     Verdict,
     check_quasi_equation,
     eval_term,
 )
 from .terms import (
+    IDENT,
     KEYWORDS,
     ParseError,
     Sort,
@@ -70,8 +73,6 @@ from .terms import (
     parse_term,
     tokenize,
 )
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 CONSTRUCT_FORMS = (
     "fset:<base>:<points>",
@@ -177,12 +178,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+_STRATEGIES = {cls.mode: cls for cls in get_args(Strategy)}
+
+
 def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
     g = ap.add_argument_group("checking strategy")
     g.add_argument(
         "--mode",
-        choices=("exhaustive", "sample", "auto"),
-        default="auto",
+        choices=tuple(_STRATEGIES),
+        default=Auto.mode,
         help="exhaustive enumeration, random sampling, or per-check choice (default)",
     )
     g.add_argument(
@@ -204,15 +208,10 @@ def _add_output_opts(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--json", action="store_true", help="machine-readable report on stdout")
 
 
-def _strategy(args: argparse.Namespace):
-    cap = {} if args.cap is None else {"cap": args.cap}
-    match args.mode:
-        case "exhaustive":
-            return Exhaustive(**cap)
-        case "sample":
-            return Sampled(samples=args.samples, seed=args.seed)
-        case _:
-            return Auto(**cap, samples=args.samples, seed=args.seed)
+def _strategy(args: argparse.Namespace) -> Strategy:
+    """The ``--mode`` class, built from the fields the command line gives."""
+    cls = _STRATEGIES[args.mode]
+    return cls(**{f.name: v for f in fields(cls) if (v := getattr(args, f.name)) is not None})
 
 
 # -- rendering --------------------------------------------------------------
@@ -285,23 +284,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 1 if cls.class_name == "NotGKAT" else 0
 
 
-def _eval_sorts(alg: Algebra, text: str, lets: dict[str, int]) -> dict[str, Sort]:
-    """Sort every identifier in ``text``: bound names first, then elements."""
-    sorts: dict[str, Sort] = {}
+def _eval_bindings(alg: Algebra, text: str, lets: dict[str, int]) -> dict[str, int]:
+    """Bind every identifier in ``text``: by ``--let`` first, then as an element name."""
+    bound = dict(lets)
     for tok, _ in tokenize(text):
-        if not _IDENT.match(tok) or tok in KEYWORDS or tok in sorts:
-            continue
-        if tok in lets:
-            el = lets[tok]
-        else:
+        if IDENT.fullmatch(tok) and tok not in KEYWORDS and tok not in bound:
             try:
-                el = alg.resolve(tok)
+                bound[tok] = alg.resolve(tok)
             except AlgebraError:
                 raise ValueError(
                     f"{tok!r} is neither bound by --let nor an element of {alg.name!r}"
                 ) from None
-        sorts[tok] = Sort.TEST if alg.is_test(el) else Sort.PROGRAM
-    return sorts
+    return bound
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -314,18 +308,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     lets: dict[str, int] = {}
     for item in args.let or ():
         name, sep, elname = item.partition("=")
-        if not sep or not _IDENT.match(name):
+        if not sep or not IDENT.fullmatch(name):
             raise ValueError(f"--let wants NAME=ELEMENT, got {item!r}")
         lets[name] = alg.resolve(elname)
-    sorts = _eval_sorts(alg, text, lets)
+    bound = _eval_bindings(alg, text, lets)
+    sorts = {n: Sort.TEST if alg.is_test(e) else Sort.PROGRAM for n, e in bound.items()}
     if args.expr is not None:
         term = parse_term(text, sorts)
     else:
         term = parse_program(text, sorts)
-    valuation = {
-        v.name: lets[v.name] if v.name in lets else alg.resolve(v.name)
-        for v in free_vars(term)
-    }
+    valuation = {v.name: bound[v.name] for v in free_vars(term)}
     result = eval_term(alg, term, valuation)
     name = alg.el_name(result)
     payload = {
@@ -345,7 +337,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     for csv, sort in ((args.tests, Sort.TEST), (args.progs, Sort.PROGRAM)):
         for name in filter(None, (csv or "").split(",")):
             name = name.strip()
-            if not _IDENT.match(name):
+            if not IDENT.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
             if name in sorts:
                 raise ValueError(f"variable {name!r} declared twice")
@@ -499,8 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = add("lemmas", _cmd_lemmas, "commutation conditions and their implications")
     ap.add_argument(
         "--b-over",
-        choices=("tests", "carrier"),
-        default="tests",
+        choices=B_OVER,
+        default=B_OVER[0],
         help="quantify b over the test subset (default) or the whole carrier",
     )
 
@@ -527,6 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (AlgebraError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: a term or program is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -348,20 +348,19 @@ def flang_algebra(
         return _draw_lang(r, kalg, alphabet, maxlen, nonzero)
 
     def member(lang) -> bool:
-        if not isinstance(lang, tuple):
-            return False
-        seen = dict.fromkeys((w for w, _ in lang))
-        ok = all(
-            isinstance(w, str)
-            and len(w) <= maxlen
-            and all(c in alphabet for c in w)
-            and type(v) is int
-            and 0 <= v < kalg.size
-            and v != kalg.zero
-            for w, v in lang
-        )
-        return ok and len(seen) == len(lang) and lang == tuple(
-            sorted(lang, key=lambda wv: (len(wv[0]), wv[0]))
+        # Each item is a (word, weight) pair; the whole is in normal form.
+        return (
+            isinstance(lang, tuple)
+            and all(
+                isinstance(item, tuple)
+                and len(item) == 2
+                and isinstance(item[0], str)
+                and all(c in alphabet for c in item[0])
+                and type(item[1]) is int
+                and 0 <= item[1] < kalg.size
+                for item in lang
+            )
+            and lang == _lang_norm(kalg, dict(lang), maxlen)
         )
 
     return ProceduralAlgebra(

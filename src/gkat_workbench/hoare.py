@@ -186,6 +186,9 @@ class CommutationReport:
         }
 
 
+B_OVER = ("tests", "carrier")
+
+
 def commutation_conditions(
     alg: Algebra,
     strategy: Strategy = Exhaustive(),
@@ -200,8 +203,8 @@ def commutation_conditions(
     reproduces printed witnesses whose b is not a test.  Carrier mode needs
     a finite algebra; its report carries ``alg``'s own fingerprint.
     """
-    if b_over not in ("tests", "carrier"):
-        raise ValueError(f"b_over must be 'tests' or 'carrier', got {b_over!r}")
+    if b_over not in B_OVER:
+        raise ValueError(f"b_over must be {' or '.join(map(repr, B_OVER))}, got {b_over!r}")
     if b_over == "carrier" and not alg.finite:
         raise AlgebraError("carrier-mode commutation checking needs a finite algebra")
     fingerprint = alg.fingerprint()

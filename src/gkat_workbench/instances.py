@@ -91,36 +91,24 @@ def _powerset(ground: str) -> FiniteAlgebra:
     )
 
 
-def _luka(n: int) -> FiniteAlgebra:
+def _fraction_chain(kind: str, n: int, seq, arrow) -> FiniteAlgebra:
+    """The subchain {0, 1/n, …, 1} under max, with ``seq`` and ``arrow`` on numerators."""
     if not 1 <= n <= 255:
-        raise ValueError("luka chain needs 1 <= n <= 255")
+        raise ValueError(f"{kind} chain needs 1 <= n <= 255")
     names = [str(Fraction(i, n)) for i in range(n + 1)]
     return _chain(
-        f"luka:{n}",
-        names,
-        plus=max,
-        seq=lambda i, j: max(0, i + j - n),
-        arrow=lambda i, j: min(n, n - i + j),
-        star_to=n,
-        zero=0,
-        one=n,
+        f"{kind}:{n}", names, plus=max, seq=seq, arrow=arrow, star_to=n, zero=0, one=n
+    )
+
+
+def _luka(n: int) -> FiniteAlgebra:
+    return _fraction_chain(
+        "luka", n, seq=lambda i, j: max(0, i + j - n), arrow=lambda i, j: min(n, n - i + j)
     )
 
 
 def _godel(n: int) -> FiniteAlgebra:
-    if not 1 <= n <= 255:
-        raise ValueError("godel chain needs 1 <= n <= 255")
-    names = [str(Fraction(i, n)) for i in range(n + 1)]
-    return _chain(
-        f"godel:{n}",
-        names,
-        plus=max,
-        seq=min,
-        arrow=lambda i, j: n if i <= j else j,
-        star_to=n,
-        zero=0,
-        one=n,
-    )
+    return _fraction_chain("godel", n, seq=min, arrow=lambda i, j: n if i <= j else j)
 
 
 def _wajsberg(k: int) -> FiniteAlgebra:

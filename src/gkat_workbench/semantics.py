@@ -88,7 +88,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Mapping, Optional, Sequence, Union
+from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, AlgebraError, Element, LazyBytes, SizeError, SortError
 from .terms import Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, pretty
@@ -132,11 +132,13 @@ def _require_samples(samples: int) -> None:
 
 @dataclass(frozen=True)
 class Exhaustive:
+    mode: ClassVar[str] = "exhaustive"
     cap: int = 10**8
 
 
 @dataclass(frozen=True)
 class Sampled:
+    mode: ClassVar[str] = "sample"
     samples: int = 100_000
     seed: int = 0
 
@@ -146,6 +148,7 @@ class Sampled:
 
 @dataclass(frozen=True)
 class Auto:
+    mode: ClassVar[str] = "auto"
     cap: int = 100_000
     samples: int = 100_000
     seed: int = 0
@@ -158,14 +161,14 @@ Strategy = Union[Exhaustive, Sampled, Auto]
 
 
 def describe_strategy(strategy: Strategy) -> dict:
-    match strategy:
-        case Exhaustive(cap):
-            return {"mode": "exhaustive", "cap": cap}
-        case Sampled(samples, seed):
-            return {"mode": "sample", "samples": samples, "seed": seed}
-        case Auto(cap, samples, seed):
-            return {"mode": "auto", "cap": cap, "samples": samples, "seed": seed}
-    raise TypeError(f"not a strategy: {strategy!r}")
+    """The strategy's mode, then its fields in field order.
+
+    A dataclass's ``__init__`` sets the fields in that order, and they are
+    all that ``vars`` holds; ``asdict`` would deep-copy them, ten times slower.
+    """
+    if not isinstance(strategy, Strategy):
+        raise TypeError(f"not a strategy: {strategy!r}")
+    return {"mode": strategy.mode, **vars(strategy)}
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,9 @@ def free_vars(*terms: Term) -> tuple[Var, ...]:
 
 KEYWORDS = frozenset({"if", "then", "else", "while", "do", "skip", "halt"})
 
-_TOKEN = re.compile(r"->|<=|=|[A-Za-z][A-Za-z0-9_]*|[01();*+!{}]")
+#: An identifier: a variable here, and every name the command line reads as one.
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"->|<=|=|{IDENT.pattern}|[01();*+!{{}}]")
 _SPACE = re.compile(r"\s*")
 
 
@@ -251,7 +253,7 @@ class _Parser:
             t = self.term()
             self.expect(")")
             return t
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if IDENT.fullmatch(tok):
             if tok in KEYWORDS:
                 raise ParseError(f"{tok!r} is a reserved word (position {at})")
             sort = self.sorts.get(tok)
@@ -301,7 +303,7 @@ class _Parser:
             p = self.program()
             self.expect(")")
             return p
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok) and tok not in KEYWORDS:
+        if IDENT.fullmatch(tok) and tok not in KEYWORDS:
             return self.atom()
         raise ParseError(
             f"unexpected token {tok!r} at position {self.tokens[self.pos][1]} in program"

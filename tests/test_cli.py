@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
+from typing import get_args
 
 import pytest
 
 from gkat_workbench.algebra import FiniteAlgebra
 from gkat_workbench.algfile import load_algebra
-from gkat_workbench.cli import _build_parser, main
+from gkat_workbench.cli import _build_parser, _strategy, main
 from gkat_workbench.constructions import fset_algebra, mat_algebra
 from gkat_workbench.instances import make_builtin
-from gkat_workbench.semantics import Sampled
+from gkat_workbench.semantics import Auto, Exhaustive, Sampled, Strategy, describe_strategy
 
 
 def run(capsys, *argv: str):
@@ -154,9 +156,21 @@ def test_eval_json_payload(capsys) -> None:
 
 
 def test_eval_rejects_unbound_identifiers(capsys) -> None:
-    code, _, err = run(capsys, "eval", "--builtin", "ex9", "--expr", "q;m")
-    assert code == 2
-    assert "neither bound by --let nor an element of 'ex9'" in err
+    code, out, err = run(capsys, "eval", "--builtin", "ex9", "--expr", "q;m")
+    assert (code, out) == (2, "")
+    assert err == "error: 'q' is neither bound by --let nor an element of 'ex9'\n"
+
+
+def test_eval_let_shadows_an_element_name(capsys) -> None:
+    assert run(capsys, "eval", "--builtin", "ex9", "--expr", "m", "--let", "m=n") == (
+        0, "n\n", "")
+    code, out, _ = run(
+        capsys, "eval", "--builtin", "ex9", "--expr", "m;q", "--let", "q=0", "--let", "z=1",
+        "--json",
+    )
+    d = json.loads(out)
+    # Only the names the term uses are bound, in the order the term uses them.
+    assert (code, d["bindings"], d["value"]) == (0, {"m": "m", "q": "0"}, "0")
 
 
 @pytest.mark.parametrize(
@@ -357,6 +371,46 @@ def test_sample_counts_below_one_are_rejected(capsys, argv) -> None:
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "argument --samples: must be at least 1" in err
+
+
+def test_mode_choices_are_the_strategy_modes() -> None:
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    modes = [a for sub in commands.choices.values() for a in sub._actions if a.dest == "mode"]
+    assert len(modes) == 8  # every command but eval
+    for action in modes:
+        assert action.choices == ("exhaustive", "sample", "auto")
+        assert action.choices == tuple(cls.mode for cls in get_args(Strategy))
+        assert action.default == "auto" == Auto.mode
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+@pytest.mark.parametrize("mode", ["exhaustive", "sample", "auto"])
+def test_each_mode_builds_its_strategy(mode, cap) -> None:
+    argv = ["prove", "--builtin", "ex9", "--concl", "1 = 1", "--mode", mode,
+            "--samples", "9", "--seed", "4", *(["--cap", str(cap)] if cap else [])]
+    strategy = _strategy(_build_parser().parse_args(argv))
+    # A missing --cap keeps the class default; sampling takes no cap.
+    assert strategy == {
+        "exhaustive": Exhaustive() if cap is None else Exhaustive(cap),
+        "sample": Sampled(9, 4),
+        "auto": Auto(samples=9, seed=4) if cap is None else Auto(cap, 9, 4),
+    }[mode]
+    assert describe_strategy(strategy)["mode"] == mode
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "--builtin", "ex9", "--progs", "p", "--concl", ";".join("p" * 5000) + " = p"),
+        ("prove", "--builtin", "ex9", "--progs", "p", "--concl",
+         ";".join("p" * 5000) + " = p", "--json"),
+        ("eval", "--builtin", "ex9", "--expr", "(" * 10000 + "m" + ")" * 10000),
+    ],
+    ids=["prove", "prove-json", "eval"],
+)
+def test_input_nested_too_deeply_exits_2(capsys, argv) -> None:
+    assert run(capsys, *argv) == (2, "", "error: a term or program is nested too deeply\n")
 
 
 def test_samples_default_comes_from_sampled() -> None:

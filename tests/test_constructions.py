@@ -264,10 +264,15 @@ def test_mat_algebra_passes_the_gkat_suite_sampled() -> None:
         (lambda: mat_algebra(make_builtin("chain3"), 3, sampled=True), (0, True, 0)),
         (lambda: fset_algebra(make_builtin("luka:5"), 6, sampled=True), (True,) * 6),
         (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (("a", True),)),
+        (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (1,)),
+        (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (("a",),)),
+        (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (("a", 1, 2),)),
+        (lambda: flang_algebra(make_builtin("chain3"), None, "ab", 2), (["a", 1],)),
     ],
     ids=["mat-int", "fset-int", "mat-cell-99", "mat-short-code", "mat-long-code",
          "mat-row-27", "mat-row-negative", "mat-row-bool", "fset-cell-bool",
-         "flang-weight-bool"],
+         "flang-weight-bool", "flang-item-int", "flang-item-short", "flang-item-long",
+         "flang-item-list"],
 )
 def test_sampled_carriers_name_a_rejected_value_by_its_repr(build, value) -> None:
     alg = build()

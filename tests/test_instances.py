@@ -131,6 +131,28 @@ def test_a_bare_form_accepts_padding_and_an_empty_argument():
     assert make_builtin("ex9:").fingerprint() == fp
 
 
+@pytest.mark.parametrize(
+    "spec, fingerprint",
+    [
+        ("luka:0", "luka chain needs 1 <= n <= 255"),
+        ("luka:1", "sha256:200e3e1519e5616b64dd68af2cc69e85a4ee50345555a7588863f69dd5ae07c7"),
+        ("luka:255", "sha256:e79a925c376bc6f252bdb49e7abf0905b0a369f4b93756d77f87b06776ae712a"),
+        ("luka:256", "luka chain needs 1 <= n <= 255"),
+        ("godel:0", "godel chain needs 1 <= n <= 255"),
+        ("godel:1", "sha256:e2890e63220b1543330506a9caa961dd00783f016b666820b97e84f9757484e0"),
+        ("godel:255", "sha256:2d72a0eb14f8ed5bc03af71453b080f92fcf35b064a6e0157d283e13633f3897"),
+        ("godel:256", "godel chain needs 1 <= n <= 255"),
+    ],
+)
+def test_fraction_chains_at_their_bounds(spec, fingerprint):
+    if fingerprint.startswith("sha256:"):
+        assert make_builtin(spec).fingerprint() == fingerprint
+    else:
+        with pytest.raises(ValueError) as exc:
+            make_builtin(spec)
+        assert str(exc.value) == fingerprint
+
+
 def test_unit_chains_collapse_gracefully():
     # n=1 leaves just {0, 1} in both chain families.
     for spec in ("luka:1", "godel:1"):
