@@ -26,7 +26,7 @@ canonical rendering, which this module parses back bit-identically.
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from .algebra import AlgebraError, FiniteAlgebra
 
@@ -35,73 +35,49 @@ class AlgFileError(AlgebraError):
     """Malformed algebra file; message pinpoints source line (and cell)."""
 
 
-def _body(raw: str) -> str:
-    """A line without its comment and surrounding whitespace."""
-    return raw.split("#", 1)[0].strip()
-
-
-class _Lines:
-    """Comment/blank-stripped lines with positions, tokenised as they are read."""
-
-    def __init__(self, text: str, source: str):
-        self.source = source
-        self.raw = text.splitlines()
-        self.pos = 0  # index into ``raw`` of the next line to look at
-        self.last_line = next(
-            (lineno for lineno in range(len(self.raw), 0, -1) if _body(self.raw[lineno - 1])), 0
-        )
-
-    def fail(self, lineno: int, message: str) -> "AlgFileError":
-        return AlgFileError(f"{self.source}:{lineno}: {message}")
-
-    def _advance(self) -> Optional[tuple[int, list[str]]]:
-        while self.pos < len(self.raw):
-            self.pos += 1
-            body = _body(self.raw[self.pos - 1])
-            if body:
-                return self.pos, body.split()
-        return None
-
-    def next(self, context: str) -> tuple[int, list[str]]:
-        row = self._advance()
-        if row is None:
-            raise AlgFileError(
-                f"{self.source}:{self.last_line}: file ends before {context}"
-            )
-        return row
-
-    def keyword(self, *want: str) -> tuple[int, list[str]]:
-        lineno, toks = self.next(" ".join(want))
-        head = toks[: len(want)]
-        if head != list(want):
-            raise self.fail(
-                lineno, f"expected {' '.join(want)!r}, found {' '.join(head)!r}"
-            )
-        return lineno, toks[len(want) :]
-
-    def done(self) -> None:
-        row = self._advance()
-        if row is not None:
-            lineno, toks = row
-            raise self.fail(lineno, f"unexpected trailing content {' '.join(toks)!r}")
-
-
 def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
     """Parse the table format from a string."""
-    lines = _Lines(text, source)
 
-    lineno, rest = lines.keyword("algebra")
+    def read_rows():
+        """Each line's number and tokens, without comments and blank lines."""
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks
+
+    rows = read_rows()
+    last = 0  # the line of the last row read
+
+    def fail(lineno: int, message: str) -> AlgFileError:
+        return AlgFileError(f"{source}:{lineno}: {message}")
+
+    def next_row(context: str) -> tuple[int, list[str]]:
+        nonlocal last
+        row = next(rows, None)
+        if row is None:
+            raise fail(last, f"file ends before {context}")
+        last = row[0]
+        return row
+
+    def keyword(*want: str) -> tuple[int, list[str]]:
+        lineno, toks = next_row(" ".join(want))
+        head = toks[: len(want)]
+        if head != list(want):
+            raise fail(lineno, f"expected {' '.join(want)!r}, found {' '.join(head)!r}")
+        return lineno, toks[len(want) :]
+
+    lineno, rest = keyword("algebra")
     if len(rest) != 1:
-        raise lines.fail(lineno, "expected exactly one algebra name")
+        raise fail(lineno, "expected exactly one algebra name")
     name = rest[0]
 
-    lineno, names = lines.keyword("elements")
+    lineno, names = keyword("elements")
     if not names:
-        raise lines.fail(lineno, "expected at least one element name")
+        raise fail(lineno, "expected at least one element name")
     index: dict[str, int] = {}
     for n in names:
         if n in index:
-            raise lines.fail(lineno, f"duplicate element name {n!r}")
+            raise fail(lineno, f"duplicate element name {n!r}")
         index[n] = len(index)
     size = len(names)
 
@@ -109,21 +85,21 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
         try:
             return index[token]
         except KeyError:
-            raise lines.fail(lineno, f"{context}: unknown element name {token!r}") from None
+            raise fail(lineno, f"{context}: unknown element name {token!r}") from None
 
-    lineno, test_names = lines.keyword("tests")
+    lineno, test_names = keyword("tests")
     test_indices = []
     for n in test_names:
         i = resolve(lineno, n, "tests")
         if i in test_indices:
-            raise lines.fail(lineno, f"duplicate test {n!r}")
+            raise fail(lineno, f"duplicate test {n!r}")
         test_indices.append(i)
     test_indices.sort()
 
     def constant(word: str) -> int:
-        lineno, rest = lines.keyword(word)
+        lineno, rest = keyword(word)
         if len(rest) != 1:
-            raise lines.fail(lineno, f"expected exactly one element name after {word!r}")
+            raise fail(lineno, f"expected exactly one element name after {word!r}")
         return resolve(lineno, rest[0], word)
 
     zero = constant("zero")
@@ -139,33 +115,34 @@ def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
             )
 
     def read_table(tname: str) -> tuple[tuple[int, ...], ...]:
-        lineno, rest = lines.keyword("table", tname)
+        lineno, rest = keyword("table", tname)
         if rest:
-            raise lines.fail(lineno, f"unexpected tokens after 'table {tname}'")
-        rows = []
+            raise fail(lineno, f"unexpected tokens after 'table {tname}'")
+        table = []
         for i in range(size):
-            lineno, toks = lines.next(f"row {i + 1} of table {tname}")
+            lineno, toks = next_row(f"row {i + 1} of table {tname}")
             if len(toks) != size:
-                raise lines.fail(
+                raise fail(
                     lineno,
                     f"table {tname} row for {names[i]!r} has {len(toks)} entries,"
                     f" expected {size}",
                 )
-            rows.append(resolve_row(lineno, toks, f"table {tname}, row {names[i]!r}"))
-        return tuple(rows)
+            table.append(resolve_row(lineno, toks, f"table {tname}, row {names[i]!r}"))
+        return tuple(table)
 
     plus_table = read_table("plus")
     seq_table = read_table("seq")
     arrow_table = read_table("arrow")
 
-    lineno, rest = lines.keyword("table", "star")
+    lineno, rest = keyword("table", "star")
     if rest:
-        raise lines.fail(lineno, "unexpected tokens after 'table star'")
-    lineno, toks = lines.next("the star row")
+        raise fail(lineno, "unexpected tokens after 'table star'")
+    lineno, toks = next_row("the star row")
     if len(toks) != size:
-        raise lines.fail(lineno, f"star row has {len(toks)} entries, expected {size}")
+        raise fail(lineno, f"star row has {len(toks)} entries, expected {size}")
     star_table = resolve_row(lineno, toks, "table star")
-    lines.done()
+    for lineno, toks in rows:
+        raise fail(lineno, f"unexpected trailing content {' '.join(toks)!r}")
 
     return FiniteAlgebra(
         name=name,

@@ -9,9 +9,10 @@ any algebra passing ``gkat`` must also satisfy, and ``demorgan`` is the
 negation-of-join law used as a side condition by loop denesting.
 
 Nothing is ever assumed: every law is model-checked over the given
-algebra.  ``classify`` places an algebra in the strongest class whose
-suite fully passes, strongest first, and reports the discriminating
-counterexample for the first class that failed.
+algebra.  ``classify`` checks the ``gkat`` laws, then test idempotence,
+then excluded middle, and stops at the first law that fails: the algebra
+lies in the class just below that law's suite, and the failing verdict is
+the discriminating counterexample.
 """
 
 from __future__ import annotations
@@ -228,20 +229,15 @@ class Classification:
 def classify(alg: Algebra, strategy: Strategy = Auto()) -> Classification:
     """Place ``alg`` in the strongest class whose laws all pass.
 
-    Classes are tried strongest first (kat, then igkat, then gkat); the
-    witness records the first failing law of the first class that did not
-    pass, e.g. the test-idempotence counterexample for an algebra that is
-    graded but not idempotent.
+    The suites are nested, so the gkat laws, test idempotence and excluded
+    middle are checked in that order up to the first that fails, the
+    witness: for example the test-idempotence counterexample of an algebra
+    that is graded but not idempotent.
     """
-    laws = SUITES["gkat"]
-    verdicts, _ = check_laws(alg, laws, strategy)
-    for law, verdict in zip(laws, verdicts):
+    for class_name, law in (*(("NotGKAT", gkat_law) for gkat_law in SUITES["gkat"]),
+                            ("GKAT-not-IGKAT", TEST_IDEM_LAW),
+                            ("IGKAT-not-KAT", EXCLUDED_MIDDLE_LAW)):
+        verdict = check_law(alg, law, strategy)
         if not verdict.ok:
-            return Classification(alg.name, "NotGKAT", law.name, verdict)
-    idem = check_law(alg, TEST_IDEM_LAW, strategy)
-    if not idem.ok:
-        return Classification(alg.name, "GKAT-not-IGKAT", TEST_IDEM_LAW.name, idem)
-    excl = check_law(alg, EXCLUDED_MIDDLE_LAW, strategy)
-    if not excl.ok:
-        return Classification(alg.name, "IGKAT-not-KAT", EXCLUDED_MIDDLE_LAW.name, excl)
+            return Classification(alg.name, class_name, law.name, verdict)
     return Classification(alg.name, "KAT", None, None)

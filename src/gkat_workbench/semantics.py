@@ -40,9 +40,8 @@ Each check is compiled into one Python function (see ``_Compiler``):
   its first failing index; when loops over later variables remain, they
   run on for the current values of the earlier ones and the least index
   wins, so the counterexample is still the first in variable order.  A
-  check keeps the scalar loops when some arrow has an operand that is not
-  a test, when no variable is eligible, when it uses more than
-  ``_MAX_LOOPS`` variables, or on a larger carrier.
+  check keeps the scalar loops when no variable is eligible, when it uses
+  more than ``_MAX_LOOPS`` variables, or on a larger carrier.
 * A sampled check runs the same body in one loop, which draws each
   valuation from the seeded generator just before checking it, one
   variable at a time in variable order, by the same ``getrandbits`` calls
@@ -64,12 +63,18 @@ plan from the key alone, and the function reads every domain, table and
 operation through its parameters, so the key holds no algebra, element or
 seed.
 
-Evaluation order: only pure table lookups are hoisted.  Whatever can
-raise -- every procedural operation, and the guarded arrow on an operand
-that is not test-sorted -- runs in the innermost loop, left to right: a
-hypothesis's terms are computed just before that hypothesis is tested, and
-the conclusion's terms only once every hypothesis holds.  A check therefore
-raises exactly where evaluating each valuation in turn would.
+The terms of a check obey two rules, both enforced by ``_compile`` before
+any valuation is checked: each variable is declared once, at the sort the
+terms use it at, and each arrow's operands are test-sorted, as the parser
+requires (``terms.mk_arrow``; a hand-built ill-sorted ``Arrow`` raises its
+``SortError``).  A test-sorted term's value is then always a test, so on a
+finite carrier every node is a table lookup, which cannot raise.
+
+Evaluation order on a procedural carrier: every operation may raise, so
+each runs in the sampled loop, left to right: a hypothesis's terms are
+computed just before that hypothesis is tested, and the conclusion's terms
+only once every hypothesis holds.  A check therefore raises exactly where
+evaluating each valuation in turn would.
 
 ``eval_term`` and the values reported with a counterexample use a plain
 recursive evaluator, which is also the reference the tests hold the
@@ -91,7 +96,8 @@ from itertools import product as iproduct
 from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, AlgebraError, Element, LazyBytes, SizeError, SortError
-from .terms import Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, pretty
+from .terms import (Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, mk_arrow,
+                    pretty)
 
 REL_SYMBOL = {"eq": "=", "leq": "<="}
 
@@ -272,11 +278,6 @@ def _first_byte(r: int, width: int) -> int:
     return width - 1 - ((r.bit_length() - 1) >> 3)
 
 
-def _first_difference(a: bytes, b: bytes) -> int:
-    """The first index where two vectors of one width differ; they differ somewhere."""
-    return _first_byte(int.from_bytes(a, "big") ^ int.from_bytes(b, "big"), len(a))
-
-
 @functools.lru_cache(maxsize=None)
 def _fills(width: int) -> LazyBytes:
     """Vectors of ``width`` copies of one byte, by that byte, each made on first use.
@@ -295,40 +296,36 @@ def _vector_variable(equations: Sequence[Equation], variables,
     ``a <= b`` as the node ``a + b`` compared with ``b``: every node then
     reads at most one vector, so one ``bytes.translate`` computes it.  A
     program-sorted variable is preferred (a test domain is never wider),
-    then the later one.  There is none when some arrow has an operand that
-    is not a test (it must raise where the scalar loop would), or when the
-    check uses more than ``_MAX_LOOPS`` variables.
+    then the later one.  There is none when the check uses more than
+    ``_MAX_LOOPS`` variables.
     """
     if len(used) > _MAX_LOOPS:
         return None
-    var_pos = {v.name: (j, v.sort is Sort.TEST) for j, v in enumerate(variables)}
+    var_pos = {v.name: j for j, v in enumerate(variables)}
     shared = 0  # bit j: variable j is free in both operands of some node
-    may_raise = False
 
-    def walk(t: Term) -> tuple[int, bool]:
-        """The bits of ``t``'s free variables, and whether its value is a test."""
-        nonlocal shared, may_raise
+    def walk(t: Term) -> int:
+        """The bits of ``t``'s free variables."""
+        nonlocal shared
         match t:
             case Var(name, _):
-                j, is_test = var_pos[name]
-                return 1 << j, is_test
+                return 1 << var_pos[name]
             case Zero() | One():
-                return 0, True
+                return 0
             case Star(inner):
-                return walk(inner)[0], False
+                return walk(inner)
             case Plus(l, r) | Seq(l, r) | Arrow(l, r):
-                (lv, lt), (rv, rt) = walk(l), walk(r)
-                may_raise = may_raise or isinstance(t, Arrow) and not (lt and rt)
+                lv, rv = walk(l), walk(r)
                 shared |= lv & rv
-                return lv | rv, lt and rt
+                return lv | rv
         raise TypeError(f"not a term: {t!r}")
 
     for eqn in equations:
-        lv, rv = walk(eqn.lhs)[0], walk(eqn.rhs)[0]
+        lv, rv = walk(eqn.lhs), walk(eqn.rhs)
         if eqn.rel == "leq":
             shared |= lv & rv
     eligible = [j for j in used if not shared >> j & 1]
-    if may_raise or not eligible:
+    if not eligible:
         return None
     return max(eligible, key=lambda j: (variables[j].sort is Sort.PROGRAM, j))
 
@@ -339,8 +336,8 @@ class _Compiler:
     A node is a structurally distinct subterm, or a table row hoisted out of
     a lookup.  Node ``i`` is named ``x<j>`` (the j-th variable), ``zero``,
     ``one`` or ``t<i>``, and is computed at loop ``level[i]`` (-1: before
-    the first loop).  A pure node -- a table lookup -- sits at the deepest
-    loop of its operands; any other node sits in the innermost loop.
+    the first loop).  A table lookup sits at the deepest loop of its
+    operands; a call, on a procedural carrier, in the innermost loop.
 
     With a vector variable (``vector``, see ``_vector_variable``) no loop
     binds that variable: ``x<vector>`` is the bytes of its domain, and a
@@ -358,7 +355,7 @@ class _Compiler:
     def __init__(self, finite: bool, variables, var_level, inner: int,
                  vector: Optional[int] = None, split: Optional[int] = None):
         self.finite = finite
-        self.var_pos = {v.name: (j, v.sort) for j, v in enumerate(variables)}
+        self.var_pos = {v.name: j for j, v in enumerate(variables)}
         self.var_level = var_level
         self.inner = inner
         self.vector = vector
@@ -368,68 +365,60 @@ class _Compiler:
         self.expr: list[Optional[str]] = []  # None for loop variables and constants
         self.kids: list[tuple[int, ...]] = []
         self.level: list[int] = []
-        self.pure: list[bool] = []  # no node of the subterm can raise
-        self.is_test: list[bool] = []  # value is a test whenever it is computed
         self.vec: list[bool] = []  # value is a vector along the vector variable
         self.has_fills = False  # some scalar is compared with a vector
         self.visited: list[Optional[int]] = []  # per node, the last level _emit finished
 
-    def _add(self, key, expr, kids, pure, is_test, name=None, level=None, vec=False) -> int:
+    def _add(self, key, expr, kids, name=None, level=None, vec=False) -> int:
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.name)
-            for k in kids:
-                pure = pure and self.pure[k]
-                vec = vec or self.vec[k]
+            vec = vec or any(self.vec[k] for k in kids)
             if level is None:
-                level = max([self.level[k] for k in kids], default=-1) if pure else self.inner
+                level = max([self.level[k] for k in kids], default=-1)
             self.name.append(name or f"t{i}")
             self.expr.append(expr)
             self.kids.append(kids)
             self.level.append(level)
-            self.pure.append(pure)
-            self.is_test.append(is_test)
             self.vec.append(vec)
         return i
 
-    def _lookup(self, table: str, a: int, b: int, is_test: bool) -> int:
+    def _lookup(self, table: str, a: int, b: int) -> int:
         if self.vec[a] or self.vec[b]:  # a row along b's vector, or a column along a's
             vec, other, view = (b, a, "R") if self.vec[b] else (a, b, "C")
             line = f"{table}{view}[{self.name[other]}]"
             kids = (other, vec)
             if self.level[other] < self.level[vec]:
-                line_node = self._add((table + view, other), line, (other,), True, False)
+                line_node = self._add((table + view, other), line, (other,))
                 line, kids = self.name[line_node], (line_node, vec)
             expr = f"{self.name[vec]}.translate({line})"
         elif self.level[a] < self.level[b]:
-            row = self._add(("row", table, a), f"{table}[{self.name[a]}]", (a,), True, False)
+            row = self._add(("row", table, a), f"{table}[{self.name[a]}]", (a,))
             expr, kids = f"{self.name[row]}[{self.name[b]}]", (row, b)
         else:
             expr, kids = f"{table}[{self.name[a]}][{self.name[b]}]", (a, b)
-        return self._add((table, a, b), expr, kids, True, is_test)
+        return self._add((table, a, b), expr, kids)
 
     def _call(self, fn: str, *kids: int) -> int:
         args = ", ".join(self.name[k] for k in kids)
-        return self._add((fn, *kids), f"{fn}({args})", kids, False, False)
+        return self._add((fn, *kids), f"{fn}({args})", kids, level=self.inner)
 
     def _binary(self, fn: str, table: str, a: int, b: int) -> int:
         if self.finite:
-            return self._lookup(table, a, b, self.is_test[a] and self.is_test[b])
+            return self._lookup(table, a, b)
         return self._call(fn, a, b)
 
     def node(self, t: Term) -> int:
         match t:
             case Var(name, _):
-                j, sort = self.var_pos[name]
+                j = self.var_pos[name]
                 if j == self.vector:
-                    return self._add(("var", j), f"bytes(D{j})", (), True, sort is Sort.TEST,
-                                     f"x{j}", -1, vec=True)
-                return self._add(("var", j), None, (), True, sort is Sort.TEST, f"x{j}",
-                                 self.var_level[j])
+                    return self._add(("var", j), f"bytes(D{j})", (), f"x{j}", -1, vec=True)
+                return self._add(("var", j), None, (), f"x{j}", self.var_level[j])
             case Zero():
-                return self._add(("zero",), None, (), True, True, "zero")
+                return self._add(("zero",), None, (), "zero")
             case One():
-                return self._add(("one",), None, (), True, True, "one")
+                return self._add(("one",), None, (), "one")
             case Plus(l, r):
                 return self._binary("plus", "P", self.node(l), self.node(r))
             case Seq(l, r):
@@ -437,25 +426,21 @@ class _Compiler:
             case Star(inner):
                 a = self.node(inner)
                 if self.vec[a]:
-                    return self._add(("T", a), f"{self.name[a]}.translate(TB)", (a,), True, False)
+                    return self._add(("T", a), f"{self.name[a]}.translate(TB)", (a,))
                 if self.finite:
-                    return self._add(("T", a), f"T[{self.name[a]}]", (a,), True, False)
+                    return self._add(("T", a), f"T[{self.name[a]}]", (a,))
                 return self._call("star", a)
             case Arrow(l, r):
-                a, b = self.node(l), self.node(r)
-                tests = self.is_test[a] and self.is_test[b]
-                # The guarded arrow cannot raise between operands that are tests.
-                if self.finite and tests:
-                    return self._lookup("A", a, b, tests)
-                return self._call("arrow", a, b)
+                mk_arrow(l, r)  # the parser's sort rule: SortError on a program operand
+                return self._binary("arrow", "A", self.node(l), self.node(r))
         raise TypeError(f"not a term: {t!r}")
 
     def _fill(self, a: int) -> int:
         self.has_fills = True
-        return self._add(("fill", a), f"F[{self.name[a]}]", (a,), True, False, vec=True)
+        return self._add(("fill", a), f"F[{self.name[a]}]", (a,), vec=True)
 
     def _int(self, a: int) -> int:
-        return self._add(("int", a), f"fb({self.name[a]}, 'big')", (a,), True, False)
+        return self._add(("int", a), f"fb({self.name[a]}, 'big')", (a,))
 
     def equation(self, eqn: Equation) -> tuple[int, int]:
         """The two nodes the equation compares; ``a <= b`` compares a + b with b."""
@@ -494,20 +479,19 @@ class _Compiler:
             return f"fb({self.name[u]}, 'big')"
 
         a, b = conclusion
+        terms = [f"{as_int(a)} ^ {as_int(b)}"] if self.vec[a] else []
         if masked:
-            terms = [f"{as_int(a)} ^ {as_int(b)}"] if self.vec[a] else []
             for ha, hb in masked:
                 self._emit(ha, level, done, lines, pad)
                 self._emit(hb, level, done, lines, pad)
             fails = " | ".join(f"{as_int(ha)} ^ {as_int(hb)}" for ha, hb in masked)
             terms.append(f"fb(({fails}).to_bytes(W, 'big').translate(HOLDS), 'big')")
-            r = terms[0] if len(terms) == 1 else f"({terms[0]}) & {terms[1]}"
-            lines.append(f"{pad}r = {r}")
+        r = terms[0] if len(terms) == 1 else f"({terms[0]}) & {terms[1]}"
+        lines.append(f"{pad}r = {r}")
+        if masked:  # without a mask, the two sides differ somewhere
             lines.append(f"{pad}if r:")
             pad += "    "
-            index = "first_byte(r, W)"
-        else:
-            index = f"first_difference({self.name[a]}, {self.name[b]})"
+        index = "first_byte(r, W)"
         if self.split is None:  # the valuation reads the vector's element at index k
             lines.append(f"{pad}{fail.replace('[k]', f'[{index}]')}")
         else:  # a later iteration of the loops after the vector may fail at a smaller k
@@ -527,23 +511,20 @@ class _Compiler:
         masked = [(a, b) for a, b in items[:-1] if self.vec[a]]
         ints = [self._int(u) for pair in (masked and items) for u in pair
                 if self.vec[u] and self.level[u] < self.inner]
-        # A hypothesis moves out to the loop where it is decided only when it
-        # and every hypothesis before it are pure, so that no evaluation that
-        # might raise is skipped.
+        # On a finite carrier a hypothesis is tested at the loop where it is
+        # decided; on a procedural one, whose operations may raise, every
+        # equation is tested in the loop, in order.
         test_at: list[Optional[int]] = []
-        hoist = True
         for k, (a, b) in enumerate(items):
-            hoist = hoist and k < len(hypotheses) and self.pure[a] and self.pure[b]
-            masks = k < len(hypotheses) and self.vec[a]
-            at = max(self.level[a], self.level[b]) if hoist else self.inner
-            test_at.append(None if masks else at)
+            hypothesis = k < len(hypotheses)
+            at = max(self.level[a], self.level[b]) if hypothesis and self.finite else self.inner
+            test_at.append(None if hypothesis and self.vec[a] else at)
         done = [e is None for e in self.expr]
         self.visited = [None] * len(done)
         lines = [f"def check({', '.join(params)}):"]
         if self.vector is not None:
             lines.append("    PR, PC, SR, SC, AR, AC, TB = views()")
-            if masked or self.has_fills or self.split is not None:
-                lines.append(f"    W = len(D{self.vector})")
+            lines.append(f"    W = len(D{self.vector})")
             if self.has_fills:
                 lines.append("    F = fills(W)")
             if self.split is not None:
@@ -593,7 +574,9 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
     ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
     so one variable may be computed as a vector.
 
-    Each variable of the terms must be declared, once, at the terms' sort.
+    Each variable of the terms must be declared, once, at the terms' sort,
+    and each arrow must take test-sorted operands (checked as the terms
+    are compiled, with ``terms.mk_arrow``'s ``SortError``).
     """
     equations = (*hypotheses, conclusion)
     mentioned = free_vars(*(t for e in equations for t in (e.lhs, e.rhs)))
@@ -648,7 +631,7 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
     compiler = _Compiler(finite, variables, var_level, len(headers) - 1, vector, split)
     source = compiler.source(hypotheses, conclusion, headers, fail, _OPS + data)
     namespace: dict = {"HOLDS": _HOLDS, "fills": _fills, "fb": int.from_bytes,
-                       "first_byte": _first_byte, "first_difference": _first_difference}
+                       "first_byte": _first_byte}
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle.
     return namespace.pop("check")

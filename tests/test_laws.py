@@ -13,6 +13,7 @@ from gkat_workbench import (
     make_builtin,
     run_law_suite,
 )
+from gkat_workbench import laws
 from gkat_workbench.instances import STANDARD_FINITE
 from gkat_workbench.laws import SUITES, parse_equation
 from gkat_workbench.terms import Sort
@@ -89,6 +90,33 @@ def test_classification_of_non_graded_tables():
     assert cls.class_name == "NotGKAT"
     assert cls.witness_law == "seq-unit-right"
     assert cls.witness.counterexample == {"p": "1"}
+
+
+def test_classify_stops_at_the_first_failing_law(monkeypatch):
+    # Both elements are tests, and plus is the left projection: associative,
+    # but not commutative.  No law after plus-comm is checked.
+    alg = FiniteAlgebra(
+        name="left-projection",
+        element_names=("0", "1"),
+        test_indices=(0, 1),
+        zero=0,
+        one=1,
+        plus_table=((0, 0), (1, 1)),
+        seq_table=((0, 0), (0, 1)),
+        arrow_table=((1, 1), (0, 1)),
+        star_table=(1, 1),
+    )
+    checked = []
+    check_law = laws.check_law
+
+    def counting(alg, law, strategy):
+        checked.append(law.name)
+        return check_law(alg, law, strategy)
+
+    monkeypatch.setattr(laws, "check_law", counting)
+    cls = classify(alg, Exhaustive())
+    assert (cls.class_name, cls.witness_law) == ("NotGKAT", "plus-comm")
+    assert checked == ["plus-assoc", "plus-comm"]
 
 
 def test_specific_witness_values():

@@ -310,19 +310,28 @@ def test_sample_counts_below_one_are_rejected(make):
         make()
 
 
-def test_ill_sorted_arrow_behind_a_failing_hypothesis_is_never_evaluated():
-    # !p with p ranging over programs raises SortError once p is not a test,
-    # but the hypothesis 1 = 0 rejects every valuation first.
-    ex9 = make_builtin("ex9")
-    p = Var("p", Sort.PROGRAM)
-    bad = Equation(Arrow(p, Zero()), Arrow(p, Zero()))
-    never = _eqn("1 = 0")
-    for strategy in (Exhaustive(), Sampled(samples=50, seed=1)):
-        assert check_quasi_equation(ex9, (never,), bad, strategy).ok
-        # A later hypothesis that fails does not spare the evaluation of an earlier one.
-        for hyps in ((), (bad, never)):
-            with pytest.raises(SortError, match="arrow is defined only between tests"):
-                check_quasi_equation(ex9, hyps, bad, strategy)
+# p;!p = p, hand-built: the parser refuses !p for a program p.
+_ILL_SORTED = Equation(Seq(_P, Arrow(_P, Zero())), _P)
+
+
+@pytest.mark.parametrize("spec, strategy", [
+    pytest.param(spec, strategy, id=f"{spec}-{strategy.mode}")
+    for spec in ("ex9", "luka:5", "product")
+    for strategy in (Exhaustive(), Sampled(50, 1), Auto(samples=50, seed=1))
+    if spec != "product" or not isinstance(strategy, Exhaustive)
+])
+@pytest.mark.parametrize("hyps, concl", [
+    ((), _ILL_SORTED),
+    ((_ILL_SORTED,), _eqn("p = p")),
+    ((_eqn("1 = 0"),), _ILL_SORTED),  # no valuation reaches the conclusion
+], ids=["in the conclusion", "in a hypothesis", "behind a hypothesis 1 = 0"])
+def test_an_ill_sorted_arrow_is_refused_with_the_parsers_error(spec, strategy, hyps, concl):
+    # Every element of luka:5 is a test, so !p has a value at every p; the
+    # check refuses the term all the same, before checking any valuation.
+    with pytest.raises(SortError) as parsed:
+        parse_term("p;!p", SORTS)
+    with pytest.raises(SortError, match=f"^{re.escape(str(parsed.value))}$"):
+        check_quasi_equation(make_builtin(spec), hyps, concl, strategy)
 
 
 # -- compiled checks against the reference evaluator --------------------------
@@ -361,12 +370,10 @@ def _wide_table(spec: str):
 
 
 @st.composite
-def _quasi_equations(draw, carrier: bool = False, names: str = "abpq", most: int = 3):
+def _quasi_equations(draw, names: str = "abpq", most: int = 3):
     """0-2 hypotheses and a conclusion over at most ``most`` of the variables ``names``.
 
-    Arrows take test-sorted operands, except in carrier mode, where they
-    take any operand; checked over the all-tests view, they then read the
-    whole stored arrow table.
+    Arrows take test-sorted operands.
     """
     names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=most, unique=True))
     tests = [_TEST_VARS[n] for n in names if n in _TEST_VARS]
@@ -380,10 +387,7 @@ def _quasi_equations(draw, carrier: bool = False, names: str = "abpq", most: int
     prog_leaves = st.one_of(test_terms, st.sampled_from(progs)) if progs else test_terms
 
     def prog_ops(t):
-        ops = [st.builds(Plus, t, t), st.builds(Seq, t, t), st.builds(Star, t)]
-        if carrier:
-            ops.append(st.builds(Arrow, t, t))
-        return st.one_of(ops)
+        return st.one_of(st.builds(Plus, t, t), st.builds(Seq, t, t), st.builds(Star, t))
 
     terms = st.recursive(prog_leaves, prog_ops, max_leaves=6)
     eqns = st.builds(Equation, terms, terms, st.sampled_from(("eq", "leq")))
@@ -497,9 +501,6 @@ def _vector_of(hyps, concl, variables):
     return None if j is None else variables[j].name
 
 
-_P = Var("p", Sort.PROGRAM)
-
-
 @pytest.mark.parametrize("hyps, concl, names, want", [
     ((), "p;(q;r) = (p;q);r", "pqr", "r"),  # the later of the program variables
     ((), "a;p = p", "pa", "p"),  # a program variable before a test variable
@@ -507,13 +508,11 @@ _P = Var("p", Sort.PROGRAM)
     ((), "p;p = p", "p", None),  # p is free in both operands of p;p
     ((), "p + q <= q", "pq", "p"),  # compared as p + q + q with q
     (("q + p;r <= r",), "p*;q <= r", "pqr", "q"),  # star-ind-left: r is on both sides
-    ((), Equation(Seq(Arrow(_P, Zero()), _P), Zero()), "p", None),  # an arrow that may raise
 ])
 def test_the_vector_variable(hyps, concl, names, want):
     hyps = tuple(_eqn(h) for h in hyps)
-    concl = concl if isinstance(concl, Equation) else _eqn(concl)
     variables = tuple(Var(n, SORTS[n]) for n in names)
-    assert _vector_of(hyps, concl, variables) == want
+    assert _vector_of(hyps, _eqn(concl), variables) == want
 
 
 def test_a_smaller_failing_index_in_a_later_inner_loop_wins(monkeypatch):
@@ -648,8 +647,6 @@ def _sum_of(n: int) -> tuple:
     return (), Equation(total, Seq(total, total)), ps
 
 
-_X_TEST, _X_PROG = Var("x", Sort.TEST), Var("x", Sort.PROGRAM)
-
 # Pairs of checks that differ in one thing the generated source depends on.
 _SHAPE_PAIRS = {
     "finite vs procedural": (
@@ -659,12 +656,6 @@ _SHAPE_PAIRS = {
     "= vs <=": (
         ("ex9", ((), _eqn("p;q = q;p"), None), Exhaustive()),
         ("ex9", ((), _eqn("p;q <= q;p"), None), Exhaustive()),
-    ),
-    "test vs program sort": (
-        ("luka:5", ((), Equation(Seq(Arrow(_X_TEST, Zero()), _X_TEST), Zero()), (_X_TEST,)),
-         Exhaustive()),
-        ("luka:5", ((), Equation(Seq(Arrow(_X_PROG, Zero()), _X_PROG), Zero()), (_X_PROG,)),
-         Exhaustive()),
     ),
     "exhaustive vs sampled": (
         ("ex9", ((), _eqn("p;q = q;p"), None), Exhaustive()),
@@ -758,7 +749,7 @@ class TestCompiledAgainstReference:
         _assert_agrees(make_builtin(spec), problem, Sampled(samples=40, seed=seed))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from(_FINITE), _quasi_equations(carrier=True))
+    @given(st.sampled_from(_FINITE), _quasi_equations())
     def test_carrier_mode(self, spec, problem):
         _assert_agrees(_all_tests(make_builtin(spec)), problem, Exhaustive())
 
