@@ -14,7 +14,7 @@ Two realisations are provided:
   The arrow table is stored full-size (|K| x |K|) so printed tables can be
   transcribed verbatim, but only the tests x tests region is validated and
   reachable through ``arrow``; the rest is read through the view that
-  declares every element a test (see semantics.py).
+  declares every element a test (``FiniteAlgebra.all_tests_view``).
 
 * ``ProceduralAlgebra`` -- operations given as functions over arbitrary
   hashable values, with a declared sample list (always containing 0 and 1)
@@ -28,7 +28,7 @@ Two realisations are provided:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Optional, Union
 
@@ -255,6 +255,18 @@ class FiniteAlgebra:
             object.__setattr__(self, "_fingerprint", fp)
         return fp
 
+    def all_tests_view(self) -> FiniteAlgebra:
+        """The view of this algebra in which every element is a test, made once per object.
+
+        Its arrow reads every stored cell; carrier-mode commutation checks
+        run on it (see ``hoare.commutation_conditions``).
+        """
+        view = self.__dict__.get("_all_tests_view")
+        if view is None:
+            view = replace(self, test_indices=tuple(self.elements()))
+            object.__setattr__(self, "_all_tests_view", view)
+        return view
+
     def byte_views(self) -> tuple:
         """The tables as ``bytes.translate`` tables, for carriers of at most 256 elements.
 
@@ -303,6 +315,12 @@ class ProceduralAlgebra:
     ``random.Random``.  Only two methods wrap a field: ``arrow`` applies
     ``arrow_fn`` between tests only, and ``check_member`` raises on what
     ``member_pred`` rejects.
+
+    The operations and ``draw`` must be pure functions of their arguments
+    (``draw`` of the generator's state): a sampled check tabulates the
+    results of operations by the positions of their operands in the pools,
+    and the checks that share a carrier object and a seed share one draw of
+    the pools.
     """
 
     name: str

@@ -208,7 +208,7 @@ def commutation_conditions(
     if b_over == "carrier" and not alg.finite:
         raise AlgebraError("carrier-mode commutation checking needs a finite algebra")
     fingerprint = alg.fingerprint()
-    view = replace(alg, test_indices=tuple(alg.elements())) if b_over == "carrier" else alg
+    view = alg.all_tests_view() if b_over == "carrier" else alg
     verdicts, elapsed = check_laws(view, _COMMUTATION_LAWS, strategy)
     entries = tuple((src, dst, v) for (src, dst), v in zip(COMMUTATION_PAIRS, verdicts))
     return CommutationReport(

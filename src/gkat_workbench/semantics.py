@@ -49,19 +49,30 @@ Each check is compiled into one Python function (see ``_Compiler``):
   again while at least ``len(D)``).  It draws the valuations ``choice``
   would, consumes the stream no further than the valuation it stops at,
   and holds only the current one.  On procedural carriers the body calls
-  ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables;
-  ``star`` is passed through a ``functools.cache`` made fresh for each
-  run, so the check stars each distinct value once (a star that raises is
-  not stored, and raises again at the same valuation).
+  ``alg.plus`` / ``seq`` / ``star`` / ``arrow`` instead of indexing tables,
+  and tabulates small calls by draw position, after Michie's memo
+  functions ("'Memo' functions and machine learning", Nature 1968): a
+  call whose free variables have at most L = min(samples,
+  ``_TABLE_SLOTS``) joint positions in their pools has a list of that
+  many slots, indexed by the positions ``r<j>`` its variables were drawn
+  at.  The first draw of those positions computes the call and fills its
+  slot; later ones read the slot, and compute none of the call's operands.
+  No value is hashed, and the tables of a check never hold more than L
+  slots each, whatever the sample count.  ``star`` is also passed through
+  a ``functools.cache`` made fresh for each run, so the check stars each
+  distinct value once.  A call that raises fills no slot, and raises again
+  at the same valuation.  The pools of a procedural carrier depend only
+  on the carrier and the seed, so the checks that share both draw them
+  once (``_seeded_pools``).
 
 The function is generated and compiled once per process for each check
 (``_compile``, an LRU cache of 512 checks).  The key is the check: whether
 the carrier is finite, whether a vector variable may be chosen (see
 ``_VECTOR_SPACE``), whether it is sampled, the
-hypotheses, the conclusion and the variables.  ``_compile`` makes the loop
-plan from the key alone, and the function reads every domain, table and
-operation through its parameters, so the key holds no algebra, element or
-seed.
+hypotheses, the conclusion, the variables and the masks of the calls a
+sampled check tabulates.  ``_compile`` makes the loop plan from the key
+alone, and the function reads every domain, table and operation through
+its parameters, so the key holds no algebra, element or seed.
 
 The terms of a check obey two rules, both enforced by ``_compile`` before
 any valuation is checked: each variable is declared once, at the sort the
@@ -81,8 +92,8 @@ recursive evaluator, which is also the reference the tests hold the
 compiled checks to.
 
 Carrier mode is a view: a test-sorted variable ranges over a finite
-algebra's whole carrier in the all-tests view ``replace(alg,
-test_indices=tuple(alg.elements()))``, where the arrow reads every stored
+algebra's whole carrier in the all-tests view
+(``FiniteAlgebra.all_tests_view``), where the arrow reads every stored
 cell (see ``hoare.commutation_conditions``).
 """
 
@@ -258,6 +269,10 @@ def eval_term(alg: Algebra, t: Term, valuation: Mapping[str, Element]) -> Elemen
 # together by one loop over their product (CPython allows 20 nested blocks).
 _MAX_LOOPS = 10
 
+# Most slots a sampled check's table of one call's results may hold (see
+# ``_compile``); with fewer samples, at most one per sample.
+_TABLE_SLOTS = 4096
+
 # Carriers whose elements fit in a byte: an exhaustive check on one may
 # compute a variable as a vector of bytes (see ``_vector_variable``).
 _BYTE_CARRIER = 256
@@ -288,6 +303,38 @@ def _fills(width: int) -> LazyBytes:
     return LazyBytes(lambda b: bytes((b,)) * width)
 
 
+def _operand_masks(equations: Sequence[Equation], variables) -> list[tuple[int, int]]:
+    """The free variables of each operation's two operands, as masks (bit j: variable j).
+
+    One pair per plus, seq, arrow and star (whose second operand is empty),
+    and one per ``a <= b``, read as the node ``a + b``.  A name that
+    ``variables`` does not declare has no bit.
+    """
+    bit = {v.name: 1 << j for j, v in enumerate(variables)}
+    pairs = []
+
+    def walk(t: Term) -> int:
+        match t:
+            case Var(name, _):
+                return bit.get(name, 0)
+            case Zero() | One():
+                return 0
+            case Star(inner):
+                pair = walk(inner), 0
+            case Plus(l, r) | Seq(l, r) | Arrow(l, r):
+                pair = walk(l), walk(r)
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        pairs.append(pair)
+        return pair[0] | pair[1]
+
+    for eqn in equations:
+        pair = walk(eqn.lhs), walk(eqn.rhs)
+        if eqn.rel == "leq":
+            pairs.append(pair)
+    return pairs
+
+
 def _vector_variable(equations: Sequence[Equation], variables,
                      used: Sequence[int]) -> Optional[int]:
     """The variable an exhaustive check on a byte carrier computes as one vector, if any.
@@ -301,29 +348,9 @@ def _vector_variable(equations: Sequence[Equation], variables,
     """
     if len(used) > _MAX_LOOPS:
         return None
-    var_pos = {v.name: j for j, v in enumerate(variables)}
     shared = 0  # bit j: variable j is free in both operands of some node
-
-    def walk(t: Term) -> int:
-        """The bits of ``t``'s free variables."""
-        nonlocal shared
-        match t:
-            case Var(name, _):
-                return 1 << var_pos[name]
-            case Zero() | One():
-                return 0
-            case Star(inner):
-                return walk(inner)
-            case Plus(l, r) | Seq(l, r) | Arrow(l, r):
-                lv, rv = walk(l), walk(r)
-                shared |= lv & rv
-                return lv | rv
-        raise TypeError(f"not a term: {t!r}")
-
-    for eqn in equations:
-        lv, rv = walk(eqn.lhs), walk(eqn.rhs)
-        if eqn.rel == "leq":
-            shared |= lv & rv
+    for lv, rv in _operand_masks(equations, variables):
+        shared |= lv & rv
     eligible = [j for j in used if not shared >> j & 1]
     if not eligible:
         return None
@@ -337,7 +364,10 @@ class _Compiler:
     a lookup.  Node ``i`` is named ``x<j>`` (the j-th variable), ``zero``,
     ``one`` or ``t<i>``, and is computed at loop ``level[i]`` (-1: before
     the first loop).  A table lookup sits at the deepest loop of its
-    operands; a call, on a procedural carrier, in the innermost loop.
+    operands; a call, on a procedural carrier, in the innermost loop.  A
+    call whose free-variable mask is in ``tabulated`` has a ``slot``: a list
+    made before the loop, and the node of its key, the mixed-radix numeral
+    of its variables' draw positions ``r<j>`` (sizes ``c<j>``).
 
     With a vector variable (``vector``, see ``_vector_variable``) no loop
     binds that variable: ``x<vector>`` is the bytes of its domain, and a
@@ -353,8 +383,9 @@ class _Compiler:
     """
 
     def __init__(self, finite: bool, variables, var_level, inner: int,
-                 vector: Optional[int] = None, split: Optional[int] = None):
+                 vector: Optional[int] = None, split: Optional[int] = None, tabulated=()):
         self.finite = finite
+        self.tabulated = frozenset(tabulated)
         self.var_pos = {v.name: j for j, v in enumerate(variables)}
         self.var_level = var_level
         self.inner = inner
@@ -366,21 +397,27 @@ class _Compiler:
         self.kids: list[tuple[int, ...]] = []
         self.level: list[int] = []
         self.vec: list[bool] = []  # value is a vector along the vector variable
+        self.mask: list[int] = []  # bit j: variable j is free in the node
+        self.slot: list[Optional[tuple[int, int]]] = []  # a tabulated call's table and key
         self.has_fills = False  # some scalar is compared with a vector
         self.visited: list[Optional[int]] = []  # per node, the last level _emit finished
 
-    def _add(self, key, expr, kids, name=None, level=None, vec=False) -> int:
+    def _add(self, key, expr, kids, name=None, level=None, vec=False, mask=0) -> int:
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.name)
             vec = vec or any(self.vec[k] for k in kids)
             if level is None:
                 level = max([self.level[k] for k in kids], default=-1)
+            for k in kids:
+                mask |= self.mask[k]
             self.name.append(name or f"t{i}")
             self.expr.append(expr)
             self.kids.append(kids)
             self.level.append(level)
             self.vec.append(vec)
+            self.mask.append(mask)
+            self.slot.append(None)
         return i
 
     def _lookup(self, table: str, a: int, b: int) -> int:
@@ -401,7 +438,27 @@ class _Compiler:
 
     def _call(self, fn: str, *kids: int) -> int:
         args = ", ".join(self.name[k] for k in kids)
-        return self._add((fn, *kids), f"{fn}({args})", kids, level=self.inner)
+        i = self._add((fn, *kids), f"{fn}({args})", kids, level=self.inner)
+        mask = self.mask[i]
+        if mask in self.tabulated and self.slot[i] is None:
+            sizes = " * ".join(f"len(D{j})" for j in range(mask.bit_length()) if mask >> j & 1)
+            table = self._add(("table", i), f"[None] * ({sizes or 1})", (), level=-1)
+            self.slot[i] = table, self._key(mask)
+        return i
+
+    def _key(self, mask: int) -> int:
+        """The node of the draw positions of ``mask``'s variables, as one number.
+
+        It is the mixed-radix numeral of the positions ``r<j>``, in
+        variable order; with no variable, the constant 0.
+        """
+        if not mask:
+            return self._add(("key", 0), None, (), "0", -1)
+        j = mask.bit_length() - 1
+        if mask == 1 << j:
+            return self._add(("key", mask), None, (), f"r{j}", self.inner)
+        rest = self._key(mask ^ 1 << j)
+        return self._add(("key", mask), f"{self.name[rest]} * c{j} + r{j}", (rest,))
 
     def _binary(self, fn: str, table: str, a: int, b: int) -> int:
         if self.finite:
@@ -414,7 +471,7 @@ class _Compiler:
                 j = self.var_pos[name]
                 if j == self.vector:
                     return self._add(("var", j), f"bytes(D{j})", (), f"x{j}", -1, vec=True)
-                return self._add(("var", j), None, (), f"x{j}", self.var_level[j])
+                return self._add(("var", j), None, (), f"x{j}", self.var_level[j], mask=1 << j)
             case Zero():
                 return self._add(("zero",), None, (), "zero")
             case One():
@@ -452,13 +509,32 @@ class _Compiler:
         return a, b
 
     def _emit(self, i: int, level: int, done: list[bool], lines: list[str], pad: str) -> None:
-        """Append, in post-order, the statements of ``i``'s nodes placed at ``level``."""
+        """Append, in post-order, the statements of ``i``'s nodes placed at ``level``.
+
+        A tabulated call reads its slot, and computes its operands and
+        itself only when the slot is empty: what that branch computes is
+        not done after it.
+        """
         if done[i] or self.visited[i] == level:
             return
-        for k in self.kids[i]:
-            self._emit(k, level, done, lines, pad)
-        if self.level[i] == level:
-            lines.append(f"{pad}{self.name[i]} = {self.expr[i]}")
+        slot = self.slot[i]
+        if slot is None or self.level[i] != level:
+            for k in (*self.kids[i], *(slot or ())):
+                self._emit(k, level, done, lines, pad)
+            if self.level[i] == level:
+                lines.append(f"{pad}{self.name[i]} = {self.expr[i]}")
+                done[i] = True
+        else:
+            table, key = slot
+            self._emit(key, level, done, lines, pad)
+            name, cell = self.name[i], f"{self.name[table]}[{self.name[key]}]"
+            lines.append(f"{pad}{name} = {cell}")
+            lines.append(f"{pad}if {name} is None:")
+            outer = done[:], self.visited[:]
+            for k in self.kids[i]:
+                self._emit(k, level, done, lines, pad + "    ")
+            lines.append(f"{pad}    {name} = {cell} = {self.expr[i]}")
+            done[:], self.visited[:] = outer
             done[i] = True
         self.visited[i] = level  # nothing below is left to place at this level
 
@@ -557,19 +633,23 @@ class _Compiler:
 # before the domains D0 ... Dn-1 (and, when sampled, before the sample count N and
 # the generator's getrandbits gb); tables are None if procedural, star if finite.
 # ``views`` returns the byte views of a table carrier (``FiniteAlgebra.byte_views``).
+# A sampled check makes its own tables of call results, so none is a parameter.
 _OPS = ("zero", "one", "product", "P", "S", "A", "T", "views", "star", "plus", "seq", "arrow")
 
 
 @functools.lru_cache(maxsize=512)
 def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equation, ...],
-             conclusion: Equation, variables: tuple[Var, ...]):
+             conclusion: Equation, variables: tuple[Var, ...], tabulated: tuple[int, ...] = ()):
     """The compiled ``check`` function of one check, with its loop plan.
 
     A sampled check loops ``N`` times, draws one valuation per iteration
     from ``gb`` as ``random.Random.choice`` would from each domain, and
-    returns the failing rank and valuation.  An exhaustive one nests a loop
-    per variable a term mentions and returns the failing valuation, with
-    the first element of its domain for any other.
+    returns the failing rank and valuation.  ``tabulated``: the free-variable
+    masks (bit j: variable j) of the calls it tabulates, each in a list
+    with a slot per joint draw position of the mask's variables, made when
+    the check starts.  An exhaustive one nests a loop per variable a term
+    mentions and returns the failing valuation, with the first element of
+    its domain for any other.
     ``bytewise``: the check is exhaustive, on a finite carrier of at most
     ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
     so one variable may be computed as a vector.
@@ -601,8 +681,8 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         # empty (check_quasi_equation refuses an empty test pool, and every
         # test is in the program pool); on one, the loop would never end.
         sizes = "".join(f"c{j} = len(D{j}); b{j} = c{j}.bit_length()\n" for j in js)
-        draws = "".join(f"\n    r = gb(b{j})\n    while r >= c{j}:\n        r = gb(b{j})"
-                        f"\n    x{j} = D{j}[r]" for j in js)
+        draws = "".join(f"\n    r{j} = gb(b{j})\n    while r{j} >= c{j}:\n        r{j} = gb(b{j})"
+                        f"\n    x{j} = D{j}[r{j}]" for j in js)
         headers = [f"{sizes}for n in range(N):{draws}"]
         var_level = dict.fromkeys(js, 0)
         fail = "return n, (" + "".join(f"x{j}, " for j in js) + ")"
@@ -628,13 +708,21 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         ) + ")"
         fail = f"return {valuation}" if split is None else f"first, found = k, {valuation}"
         data = tuple(f"D{j}" for j in js)
-    compiler = _Compiler(finite, variables, var_level, len(headers) - 1, vector, split)
+    compiler = _Compiler(finite, variables, var_level, len(headers) - 1, vector, split, tabulated)
     source = compiler.source(hypotheses, conclusion, headers, fail, _OPS + data)
     namespace: dict = {"HOLDS": _HOLDS, "fills": _fills, "fb": int.from_bytes,
                        "first_byte": _first_byte}
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle.
     return namespace.pop("check")
+
+
+@functools.lru_cache(maxsize=512)
+def _call_masks(hypotheses: tuple[Equation, ...], conclusion: Equation,
+                variables: tuple[Var, ...]) -> tuple[int, ...]:
+    """The distinct free-variable masks of a procedural check's calls (see ``_operand_masks``)."""
+    pairs = _operand_masks((*hypotheses, conclusion), variables)
+    return tuple(sorted({lv | rv for lv, rv in pairs}))
 
 
 # -- valuation enumeration --------------------------------------------------
@@ -654,20 +742,49 @@ def _sample_pools(alg: Algebra, rng: random.Random):
     return pool, [el for el in pool if alg.is_test(el)]
 
 
+# The last procedural carrier and seed, its pools, and the generator's state
+# after drawing them (see ``_seeded_pools``).
+_last_pools: tuple = (None,) * 5
+
+
+def _seeded_pools(alg: Algebra, seed):
+    """``_sample_pools(alg, random.Random(seed))``, and that generator after it.
+
+    The pools of the last procedural carrier and seed are kept with the
+    generator's state after their draws, so the checks of a suite, rule or
+    denest that share a seed draw them once.  The carrier is the object
+    itself: two carriers may share a name and samples but not ``draw``.
+    A seed of None seeds each generator afresh, so it keeps nothing.
+    """
+    global _last_pools
+    last, last_seed, progs, tests, state = _last_pools
+    if last is alg and last_seed == seed:
+        rng = random.Random.__new__(random.Random)  # setstate sets the whole state
+        rng.setstate(state)
+        return progs, tests, rng
+    rng = random.Random(seed)
+    progs, tests = _sample_pools(alg, rng)
+    if not alg.finite and seed is not None:
+        _last_pools = alg, seed, progs, tests, rng.getstate()
+    return progs, tests, rng
+
+
 def _run_compiled(alg: Algebra, hypotheses: tuple[Equation, ...], conclusion: Equation,
-                  variables: tuple[Var, ...], sampled: bool, bytewise: bool, *data):
+                  variables: tuple[Var, ...], sampled: bool, bytewise: bool, *data,
+                  tabulated: tuple[int, ...] = ()):
     """Run the compiled check over ``data``.
 
     ``data``: the domains, after the sample count and the seeded
     generator's ``getrandbits`` when sampled.  ``bytewise``: the check may
-    compute a vector (see ``_compile``).
+    compute a vector; ``tabulated``: the masks of the calls it tabulates
+    (see ``_compile``).
     """
     if alg.finite:  # no finite plan calls star
         ops = (alg.plus_table, alg.seq_table, alg.arrow_table, alg.star_table,
                alg.byte_views, None)
     else:
         ops = (None, None, None, None, None, functools.cache(alg.star))
-    check = _compile(alg.finite, bytewise, sampled, hypotheses, conclusion, variables)
+    check = _compile(alg.finite, bytewise, sampled, hypotheses, conclusion, variables, tabulated)
     return check(alg.zero, alg.one, iproduct, *ops, alg.plus, alg.seq, alg.arrow, *data)
 
 
@@ -735,13 +852,20 @@ def check_quasi_equation(
                 rank = rank * len(dom) + dom.index(el)
             return _refutation(alg, conclusion, variables, rank, hit, "exhaustive", space)
         case Sampled(samples, seed) | Auto(_, samples, seed):
-            rng = random.Random(seed)
-            prog_pool, test_pool = _sample_pools(alg, rng)
+            prog_pool, test_pool, rng = _seeded_pools(alg, seed)
             if not test_pool:
                 raise AlgebraError(f"algebra {alg.name!r} offers no test samples")
             pools = [test_pool if v.sort is Sort.TEST else prog_pool for v in variables]
+            tabulated = ()
+            if not alg.finite:  # tabulate each call with at most ``slots`` joint positions
+                slots = min(samples, _TABLE_SLOTS)
+                sizes = [len(pool) for pool in pools]
+                tabulated = tuple(
+                    mask for mask in _call_masks(hyps, conclusion, variables)
+                    if math.prod(n for j, n in enumerate(sizes) if mask >> j & 1) <= slots
+                )
             hit = _run_compiled(alg, hyps, conclusion, variables, True, False,
-                                samples, rng.getrandbits, *pools)
+                                samples, rng.getrandbits, *pools, tabulated=tabulated)
             if hit is None:
                 return Verdict(status="sampled-valid", mode="sampled", checked=samples, space=space)
             return _refutation(alg, conclusion, variables, *hit, "sampled", space)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -184,6 +185,18 @@ def test_commutation_over_the_whole_carrier() -> None:
     assert v.counterexample == {"b": "n", "p": "m"}
     assert (v.lhs_value, v.rhs_value) == ("0", "n")
     assert (v.checked, v.space) == (7, 16)
+
+
+def test_carrier_mode_builds_the_all_tests_view_once(monkeypatch) -> None:
+    from gkat_workbench import algebra
+
+    built = []
+    monkeypatch.setattr(algebra, "replace", lambda *a, **kw: built.append(a) or replace(*a, **kw))
+    alg = make_builtin("lemma4")
+    first = commutation_conditions(alg, b_over="carrier")
+    second = commutation_conditions(alg, b_over="carrier")
+    assert len(built) == 1
+    assert replace(first, elapsed_ms=0) == replace(second, elapsed_ms=0)
 
 
 def test_carrier_mode_reports_the_input_algebras_fingerprint() -> None:

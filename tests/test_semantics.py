@@ -35,7 +35,7 @@ from gkat_workbench import (
 )
 from gkat_workbench import semantics
 from gkat_workbench.cli import build_construct
-from gkat_workbench.laws import SUITES, check_law
+from gkat_workbench.laws import SUITES, check_law, check_laws
 from gkat_workbench.semantics import Verdict, _compile, _sample_pools, describe_strategy
 from gkat_workbench.terms import (
     Arrow, One, Plus, Seq, Sort, Star, Var, Zero, free_vars, parse_term,
@@ -221,6 +221,46 @@ def test_a_sampled_check_draws_as_it_checks():
         tracemalloc.stop()
     assert v == Verdict(status="sampled-valid", mode="sampled", checked=100_000, space=None)
     assert peak < 1_000_000, peak
+
+
+def test_the_tables_of_a_sampled_check_do_not_grow_with_the_sample_count():
+    # The program pool of seed 0 holds 41 languages.  At 100,000 samples the
+    # three calls of two variables, 1,681 joint positions each, are
+    # tabulated under the cap of 4,096 slots; p;(q+r), of three, is not.
+    # Uncapped, its table of 68,921 slots and the values in them would take
+    # about 45 MB.
+    chain3 = make_builtin("chain3")
+    lang = flang_algebra(chain3, chain3, "ab", 3)
+    law = next(law for suite in SUITES.values() for law in suite if law.name == "left-distrib")
+    check_law(lang, law, Sampled(10))  # compile outside the trace
+    tracemalloc.start()
+    try:
+        v = check_law(lang, law, Sampled(100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v == Verdict(status="sampled-valid", mode="sampled", checked=100_000, space=None)
+    assert peak < 4_000_000, peak
+
+
+def test_the_checks_of_a_suite_draw_the_pools_once():
+    product = make_builtin("product")
+    draws = []
+
+    def counted(name: str) -> ProceduralAlgebra:
+        return replace(product, name=name, draw=lambda rng: draws.append(1) or product.draw(rng))
+
+    laws, alg = SUITES["gkat"], counted("product-counted")
+    want = check_laws(product, laws, Sampled(50, 1))[0]
+    assert check_laws(alg, laws, Sampled(50, 1))[0] == want
+    assert len(draws) == 48
+    check_laws(alg, laws, Sampled(50, 2))  # another seed draws again
+    assert len(draws) == 96
+    # So does another carrier, even one with the same name, samples and fingerprint.
+    twin = counted("product-counted")
+    assert twin.fingerprint() == alg.fingerprint()
+    check_laws(twin, laws, Sampled(50, 2))
+    assert len(draws) == 144
 
 
 def _compiled_draws(pools, samples: int, seed: int) -> list[tuple]:
@@ -727,18 +767,22 @@ class TestCompiledAgainstReference:
         problem = data.draw(_reordered(_quasi_equations(names=names, most=most)))
         _assert_agrees(_wide_table(spec), problem, Exhaustive(), both_plans=True)
 
+    # A procedural check tabulates the calls with at most min(samples,
+    # _TABLE_SLOTS) joint pool positions: at 40 samples the closed ones and
+    # some of one variable, at 2,000 also most of two.
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(("product", "tropical", *_FINITE)), _quasi_equations(),
-           st.integers(0, 3))
-    def test_sampled(self, spec, problem, seed):
-        _assert_agrees(make_builtin(spec), problem, Sampled(samples=40, seed=seed))
+           st.integers(0, 3), st.sampled_from((40, 2000)))
+    def test_sampled(self, spec, problem, seed, samples):
+        _assert_agrees(make_builtin(spec), problem, Sampled(samples=samples, seed=seed))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.sampled_from(tuple(_SAMPLED_DERIVED)), _quasi_equations(), st.integers(0, 3))
-    def test_sampled_derived(self, spec, problem, seed):
+    @given(st.sampled_from(tuple(_SAMPLED_DERIVED)), _quasi_equations(), st.integers(0, 3),
+           st.sampled_from((40, 2000)))
+    def test_sampled_derived(self, spec, problem, seed, samples):
         alg = _SAMPLED_DERIVED[spec]()
         assert not alg.finite
-        _assert_agrees(alg, problem, Sampled(samples=40, seed=seed))
+        _assert_agrees(alg, problem, Sampled(samples=samples, seed=seed))
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(("luka:1", "luka:3", "luka:7", "luka:15", "luka:31")),
