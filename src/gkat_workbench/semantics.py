@@ -56,8 +56,8 @@ Each check is compiled into one Python function (see ``_Compiler``):
   ``_TABLE_SLOTS``) joint positions in their pools has a list of that
   many slots, indexed by the positions ``r<j>`` its variables were drawn
   at.  The first draw of those positions computes the call and fills its
-  slot; later ones read the slot, and compute none of the call's operands.
-  No value is hashed, and the tables of a check never hold more than L
+  slot; later ones read it, after the slots of the call's operands, whose
+  variables are among its own.  No value is hashed, and the tables of a check never hold more than L
   slots each, whatever the sample count.  ``star`` is also passed through
   a ``functools.cache`` made fresh for each run, so the check stars each
   distinct value once.  A call that raises fills no slot, and raises again
@@ -88,8 +88,8 @@ only once every hypothesis holds.  A check therefore raises exactly where
 evaluating each valuation in turn would.
 
 ``eval_term`` and the values reported with a counterexample use a plain
-recursive evaluator, which is also the reference the tests hold the
-compiled checks to.
+evaluator over ``terms.postorder``, which is also the reference the tests
+hold the compiled checks to.
 
 Carrier mode is a view: a test-sorted variable ranges over a finite
 algebra's whole carrier in the all-tests view
@@ -108,7 +108,7 @@ from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra, AlgebraError, Element, LazyBytes, SizeError, SortError
 from .terms import (Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, mk_arrow,
-                    pretty)
+                    postorder, pretty)
 
 REL_SYMBOL = {"eq": "=", "leq": "<="}
 
@@ -127,19 +127,6 @@ class Equation:
 
     def render(self) -> str:
         return f"{pretty(self.lhs)} {REL_SYMBOL[self.rel]} {pretty(self.rhs)}"
-
-    def __hash__(self) -> int:
-        # A check is looked up by its equations (see ``_compile``): the term
-        # trees are hashed once per equation, not on every lookup.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.lhs, self.rhs, self.rel))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a pickle carries no hash.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def _require_samples(samples: int) -> None:
@@ -225,27 +212,12 @@ class Verdict:
 
 
 def _evaluate(alg: Algebra, t: Term, val: Mapping[str, Element]) -> Element:
-    """Plain structural recursion, left operand first."""
-
-    def ev(u: Term) -> Element:
-        match u:
-            case Var(name, _):
-                return val[name]
-            case Zero():
-                return alg.zero
-            case One():
-                return alg.one
-            case Plus(l, r):
-                return alg.plus(ev(l), ev(r))
-            case Seq(l, r):
-                return alg.seq(ev(l), ev(r))
-            case Star(inner):
-                return alg.star(ev(inner))
-            case Arrow(l, r):
-                return alg.arrow(ev(l), ev(r))
-        raise TypeError(f"not a term: {u!r}")
-
-    return ev(t)
+    """Each distinct subterm once, after its operands, left operand first."""
+    ops = {Plus: alg.plus, Seq: alg.seq, Star: alg.star, Arrow: alg.arrow}
+    value: dict[Term, Element] = {Zero(): alg.zero, One(): alg.one}
+    for u in postorder((t,), set(value)):
+        value[u] = val[u.name] if type(u) is Var else ops[type(u)](*map(value.get, u.operands))
+    return value[t]
 
 
 def eval_term(alg: Algebra, t: Term, valuation: Mapping[str, Element]) -> Element:
@@ -306,32 +278,20 @@ def _fills(width: int) -> LazyBytes:
 def _operand_masks(equations: Sequence[Equation], variables) -> list[tuple[int, int]]:
     """The free variables of each operation's two operands, as masks (bit j: variable j).
 
-    One pair per plus, seq, arrow and star (whose second operand is empty),
-    and one per ``a <= b``, read as the node ``a + b``.  A name that
-    ``variables`` does not declare has no bit.
+    One pair per distinct plus, seq, arrow and star (whose second operand
+    is empty), and one per ``a <= b``, read as the node ``a + b``.  A name
+    that ``variables`` does not declare has no bit.
     """
     bit = {v.name: 1 << j for j, v in enumerate(variables)}
+    mask: dict[Term, int] = {}
     pairs = []
-
-    def walk(t: Term) -> int:
-        match t:
-            case Var(name, _):
-                return bit.get(name, 0)
-            case Zero() | One():
-                return 0
-            case Star(inner):
-                pair = walk(inner), 0
-            case Plus(l, r) | Seq(l, r) | Arrow(l, r):
-                pair = walk(l), walk(r)
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        pairs.append(pair)
-        return pair[0] | pair[1]
-
-    for eqn in equations:
-        pair = walk(eqn.lhs), walk(eqn.rhs)
-        if eqn.rel == "leq":
+    for u in postorder(t for e in equations for t in (e.lhs, e.rhs)):
+        mask[u] = bit.get(u.name, 0) if type(u) is Var else 0
+        if u.operands:
+            pair = mask[u.operands[0]], mask[u.operands[1]] if len(u.operands) == 2 else 0
             pairs.append(pair)
+            mask[u] = pair[0] | pair[1]
+    pairs.extend((mask[e.lhs], mask[e.rhs]) for e in equations if e.rel == "leq")
     return pairs
 
 
@@ -365,9 +325,9 @@ class _Compiler:
     ``one`` or ``t<i>``, and is computed at loop ``level[i]`` (-1: before
     the first loop).  A table lookup sits at the deepest loop of its
     operands; a call, on a procedural carrier, in the innermost loop.  A
-    call whose free-variable mask is in ``tabulated`` has a ``slot``: a list
-    made before the loop, and the node of its key, the mixed-radix numeral
-    of its variables' draw positions ``r<j>`` (sizes ``c<j>``).
+    call whose free-variable mask is in ``tabulated`` has a ``slot`` in a
+    list made before the loop, at its key, the mixed-radix numeral of its
+    variables' draw positions ``r<j>`` (sizes ``c<j>``): both are operands.
 
     With a vector variable (``vector``, see ``_vector_variable``) no loop
     binds that variable: ``x<vector>`` is the bytes of its domain, and a
@@ -392,15 +352,15 @@ class _Compiler:
         self.vector = vector
         self.split = split
         self.ids: dict[tuple, int] = {}
+        self.nodes: dict[Term, int] = {}  # each subterm's node
         self.name: list[str] = []
         self.expr: list[Optional[str]] = []  # None for loop variables and constants
         self.kids: list[tuple[int, ...]] = []
         self.level: list[int] = []
         self.vec: list[bool] = []  # value is a vector along the vector variable
         self.mask: list[int] = []  # bit j: variable j is free in the node
-        self.slot: list[Optional[tuple[int, int]]] = []  # a tabulated call's table and key
+        self.slot: list[Optional[str]] = []  # a tabulated call's cell, ``table[key]``
         self.has_fills = False  # some scalar is compared with a vector
-        self.visited: list[Optional[int]] = []  # per node, the last level _emit finished
 
     def _add(self, key, expr, kids, name=None, level=None, vec=False, mask=0) -> int:
         i = self.ids.get(key)
@@ -443,7 +403,9 @@ class _Compiler:
         if mask in self.tabulated and self.slot[i] is None:
             sizes = " * ".join(f"len(D{j})" for j in range(mask.bit_length()) if mask >> j & 1)
             table = self._add(("table", i), f"[None] * ({sizes or 1})", (), level=-1)
-            self.slot[i] = table, self._key(mask)
+            key = self._key(mask)
+            self.slot[i] = f"{self.name[table]}[{self.name[key]}]"
+            self.kids[i] += (table, key)
         return i
 
     def _key(self, mask: int) -> int:
@@ -466,6 +428,12 @@ class _Compiler:
         return self._call(fn, a, b)
 
     def node(self, t: Term) -> int:
+        """The node of ``t``, after adding those of its subterms not yet added."""
+        for u in postorder((t,), set(self.nodes)):
+            self.nodes[u] = self._node(u)
+        return self.nodes[t]
+
+    def _node(self, t: Term) -> int:
         match t:
             case Var(name, _):
                 j = self.var_pos[name]
@@ -477,11 +445,11 @@ class _Compiler:
             case One():
                 return self._add(("one",), None, (), "one")
             case Plus(l, r):
-                return self._binary("plus", "P", self.node(l), self.node(r))
+                return self._binary("plus", "P", self.nodes[l], self.nodes[r])
             case Seq(l, r):
-                return self._binary("seq", "S", self.node(l), self.node(r))
+                return self._binary("seq", "S", self.nodes[l], self.nodes[r])
             case Star(inner):
-                a = self.node(inner)
+                a = self.nodes[inner]
                 if self.vec[a]:
                     return self._add(("T", a), f"{self.name[a]}.translate(TB)", (a,))
                 if self.finite:
@@ -489,7 +457,7 @@ class _Compiler:
                 return self._call("star", a)
             case Arrow(l, r):
                 mk_arrow(l, r)  # the parser's sort rule: SortError on a program operand
-                return self._binary("arrow", "A", self.node(l), self.node(r))
+                return self._binary("arrow", "A", self.nodes[l], self.nodes[r])
         raise TypeError(f"not a term: {t!r}")
 
     def _fill(self, a: int) -> int:
@@ -508,37 +476,24 @@ class _Compiler:
             a, b = (a, self._fill(b)) if self.vec[a] else (self._fill(a), b)
         return a, b
 
-    def _emit(self, i: int, level: int, done: list[bool], lines: list[str], pad: str) -> None:
-        """Append, in post-order, the statements of ``i``'s nodes placed at ``level``.
+    def _emit(self, roots, level: int, seen: set[int], lines: list[str], pad: str) -> None:
+        """Append, in post-order, the statements of the nodes below ``roots`` placed at ``level``.
 
-        A tabulated call reads its slot, and computes its operands and
-        itself only when the slot is empty: what that branch computes is
-        not done after it.
+        ``seen``: the nodes that need no walk, placed in an outer loop (with
+        all below them), never computed, or walked at this level.  A
+        tabulated call reads its slot and fills it when empty, after its
+        operands, which are tabulated too: their masks are subsets of its.
         """
-        if done[i] or self.visited[i] == level:
-            return
-        slot = self.slot[i]
-        if slot is None or self.level[i] != level:
-            for k in (*self.kids[i], *(slot or ())):
-                self._emit(k, level, done, lines, pad)
+        for i in postorder(roots, seen, self.kids.__getitem__):
             if self.level[i] == level:
-                lines.append(f"{pad}{self.name[i]} = {self.expr[i]}")
-                done[i] = True
-        else:
-            table, key = slot
-            self._emit(key, level, done, lines, pad)
-            name, cell = self.name[i], f"{self.name[table]}[{self.name[key]}]"
-            lines.append(f"{pad}{name} = {cell}")
-            lines.append(f"{pad}if {name} is None:")
-            outer = done[:], self.visited[:]
-            for k in self.kids[i]:
-                self._emit(k, level, done, lines, pad + "    ")
-            lines.append(f"{pad}    {name} = {cell} = {self.expr[i]}")
-            done[:], self.visited[:] = outer
-            done[i] = True
-        self.visited[i] = level  # nothing below is left to place at this level
+                name, cell = self.name[i], self.slot[i]
+                if cell is None:
+                    lines.append(f"{pad}{name} = {self.expr[i]}")
+                else:
+                    lines += [f"{pad}{name} = {cell}", f"{pad}if {name} is None:",
+                              f"{pad}    {name} = {cell} = {self.expr[i]}"]
 
-    def _vector_failure(self, conclusion, masked, level, done, lines, pad, fail: str) -> None:
+    def _vector_failure(self, conclusion, masked, level, seen, lines, pad, fail: str) -> None:
         """The statements that find the first failing index ``k`` along the vector.
 
         They run where the conclusion's two sides differ.  The bytes of the
@@ -557,9 +512,7 @@ class _Compiler:
         a, b = conclusion
         terms = [f"{as_int(a)} ^ {as_int(b)}"] if self.vec[a] else []
         if masked:
-            for ha, hb in masked:
-                self._emit(ha, level, done, lines, pad)
-                self._emit(hb, level, done, lines, pad)
+            self._emit([u for pair in masked for u in pair], level, seen, lines, pad)
             fails = " | ".join(f"{as_int(ha)} ^ {as_int(hb)}" for ha, hb in masked)
             terms.append(f"fb(({fails}).to_bytes(W, 'big').translate(HOLDS), 'big')")
         r = terms[0] if len(terms) == 1 else f"({terms[0]}) & {terms[1]}"
@@ -595,8 +548,6 @@ class _Compiler:
             hypothesis = k < len(hypotheses)
             at = max(self.level[a], self.level[b]) if hypothesis and self.finite else self.inner
             test_at.append(None if hypothesis and self.vec[a] else at)
-        done = [e is None for e in self.expr]
-        self.visited = [None] * len(done)
         lines = [f"def check({', '.join(params)}):"]
         if self.vector is not None:
             lines.append("    PR, PC, SR, SC, AR, AC, TB = views()")
@@ -607,21 +558,21 @@ class _Compiler:
                 lines.append("    first = W")
         for level in range(-1, self.inner + 1):
             pad = "    " * (level + 2)
+            seen = {i for i, e in enumerate(self.expr) if e is None or self.level[i] < level}
             if level >= 0:
                 lines.extend(pad[4:] + line for line in headers[level].split("\n"))
             for k, (a, b) in enumerate(items):
                 if test_at[k] == level:
-                    self._emit(a, level, done, lines, pad)
-                    self._emit(b, level, done, lines, pad)
+                    self._emit((a, b), level, seen, lines, pad)
                     lines.append(f"{pad}if not {self.name[a]} == {self.name[b]}:")
                     if k < len(hypotheses):
                         lines.append(f"{pad}    {'continue' if level >= 0 else 'return None'}")
                     elif self.vector is None:
                         lines.append(f"{pad}    {fail}")
                     else:
-                        self._vector_failure((a, b), masked, level, done, lines, pad + "    ", fail)
-            for i in (*(u for pair in items for u in pair), *ints):  # what the inner loops need
-                self._emit(i, level, done, lines, pad)
+                        self._vector_failure((a, b), masked, level, seen, lines, pad + "    ", fail)
+            needed = (*(u for pair in items for u in pair), *ints)  # what the inner loops need
+            self._emit(needed, level, seen, lines, pad)
         if self.split is not None:  # the loops after the vector variable are done
             lines.append(f"{'    ' * (self.split + 1)}if first < W:")
             lines.append(f"{'    ' * (self.split + 2)}return found")

@@ -6,8 +6,8 @@ Term surface syntax (ASCII), loosest to tightest binding:
     arrow  := sum ("->" arrow)?          right-associative
     sum    := seq ("+" seq)*
     seq    := star (";" star)*
-    star   := atom "*"*                  postfix
-    atom   := ident | "0" | "1" | "!" atom | "(" term ")"
+    star   := "!"* atom "*"*             "!" binds tighter: !a* is (!a)*
+    atom   := ident | "0" | "1" | "(" term ")"
 
 ``!a`` is surface sugar for ``a -> 0``; the AST stores the arrow form, and
 the pretty-printer prefers the sugar when it prints one back.  Terms are
@@ -28,14 +28,22 @@ straight to the term it stands for.
 ``if b then { p } else { q }`` is ``b;p + !b;q``, an ``if`` without
 ``else`` takes a skip branch (``b;p + !b``), and ``while b do { p }`` is
 ``(b;p)*;!b``.
+
+Terms are hash-consed, after Filliâtre and Conchon ("Type-safe modular
+hash-consing", ML Workshop 2006), so a term is a DAG of shared subterms.
+Every walk of a term -- its free variables and text here, its value and
+its check's plan in ``semantics`` -- visits each distinct subterm once, in
+``postorder``, which keeps its own stack: only the parser recurses, once
+per parenthesis or brace.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+import weakref
+from operator import attrgetter
+from typing import Callable, ClassVar, Iterable, Mapping, Optional
 
 from .algebra import SortError
 
@@ -43,10 +51,6 @@ from .algebra import SortError
 class Sort(enum.Enum):
     TEST = "test"
     PROGRAM = "program"
-
-    # Members are singletons, so hashing by identity agrees with equality;
-    # it spares every term hash a call of the Python-level ``Enum.__hash__``.
-    __hash__ = object.__hash__
 
 
 class ParseError(Exception):
@@ -56,67 +60,120 @@ class ParseError(Exception):
 # -- term AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: Sort
+class Term:
+    """A hash-consed term: building one equal to a live term returns that term.
+
+    So terms compare and hash by identity, and are shared: never assign a
+    field.  Each constructor class keeps its live terms weakly in ``_live``,
+    by the fields ``__match_args__`` names and ``_build`` sets, with the
+    ``sort`` and the ``operands``.  Terms pickle and copy to the interned
+    term, and print as dataclasses do.
+    """
+
+    __slots__ = ("operands", "sort", "_text", "__weakref__")
+    __match_args__: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._live = weakref.WeakValueDictionary()
+
+    def __new__(cls, *fields):
+        t = cls._live.get(fields)
+        if t is None:
+            t = object.__new__(cls)
+            t._build(*fields)
+            cls._live[fields] = t
+        return t
+
+    def _build(self) -> None:
+        self.operands, self.sort = (), Sort.TEST
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        text: dict[Term, str] = {}
+        for t in postorder((self,)):
+            fields = (f"{f}={text[v] if isinstance(v, Term) else repr(v)}"
+                      for f in t.__match_args__ for v in (getattr(t, f),))
+            text[t] = f"{type(t).__name__}({', '.join(fields)})"
+        return text[self]
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Var(Term):
+    __slots__ = ("name",)
+    __match_args__ = ("name", "sort")
+
+    def _build(self, name: str, sort: Sort) -> None:
+        self.name, self.sort, self.operands = name, sort, ()
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class Zero(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "Term"
-    right: "Term"
+class One(Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: "Term"
-    right: "Term"
+class _Binary(Term):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def _build(self, left: Term, right: Term) -> None:
+        self.operands = self.left, self.right = left, right
+        test = type(self) is Arrow or left.sort is right.sort is Sort.TEST
+        self.sort = Sort.TEST if test else Sort.PROGRAM
 
 
-@dataclass(frozen=True)
-class Star:
-    inner: "Term"
+class Plus(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Arrow:
-    left: "Term"
-    right: "Term"
+class Seq(_Binary):
+    __slots__ = ()
 
 
-Term = Union[Var, Zero, One, Plus, Seq, Star, Arrow]
+class Arrow(_Binary):
+    __slots__ = ()
+
+
+class Star(Term):
+    __slots__ = __match_args__ = ("inner",)
+
+    def _build(self, inner: Term) -> None:
+        self.operands, self.inner, self.sort = (inner,), inner, Sort.PROGRAM
+
+
+def postorder(roots: Iterable, seen: Optional[set] = None,
+              operands: Callable = attrgetter("operands")) -> list:
+    """Every node reachable from ``roots`` once, after its operands, left to right.
+
+    A node in ``seen`` is skipped with all below it, and each node reached
+    joins ``seen``.  A graph other than a term passes its own ``operands``.
+    """
+    seen = set() if seen is None else seen
+    order = []
+    stack = [(None, iter(roots))]
+    while stack:
+        node, todo = stack[-1]
+        for u in todo:
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, iter(operands(u))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order[:-1]  # without the roots' own frame
 
 
 def sort_of(t: Term) -> Sort:
-    match t:
-        case Var(_, sort):
-            return sort
-        case Zero() | One() | Arrow(_, _):
-            return Sort.TEST
-        case Plus(l, r) | Seq(l, r):
-            if sort_of(l) is Sort.TEST and sort_of(r) is Sort.TEST:
-                return Sort.TEST
-            return Sort.PROGRAM
-        case Star(_):
-            return Sort.PROGRAM
-    raise TypeError(f"not a term: {t!r}")
+    return t.sort
 
 
 def mk_arrow(left: Term, right: Term) -> Arrow:
     """Build an arrow, enforcing test-sorted operands."""
     for side, operand in (("left", left), ("right", right)):
-        if sort_of(operand) is not Sort.TEST:
+        if operand.sort is not Sort.TEST:
             raise SortError(
                 f"arrow {side} operand must be test-sorted, got program term '{pretty(operand)}'"
             )
@@ -133,25 +190,11 @@ def free_vars(*terms: Term) -> tuple[Var, ...]:
     Rejects a name used at two sorts.
     """
     seen: dict[str, Var] = {}
-
-    def walk(u: Term) -> None:
-        match u:
-            case Var(name, _):
-                prev = seen.get(name)
-                if prev is None:
-                    seen[name] = u
-                elif prev.sort is not u.sort:
-                    raise SortError(f"variable {name!r} is used at two different sorts")
-            case Plus(l, r) | Seq(l, r) | Arrow(l, r):
-                walk(l)
-                walk(r)
-            case Star(inner):
-                walk(inner)
-            case _:
-                pass
-
-    for t in terms:
-        walk(t)
+    for u in postorder(terms):
+        if type(u) is Var:
+            prev = seen.setdefault(u.name, u)
+            if prev.sort is not u.sort:
+                raise SortError(f"variable {u.name!r} is used at two different sorts")
     return tuple(seen.values())
 
 
@@ -212,12 +255,14 @@ class _Parser:
     # term grammar
 
     def term(self) -> Term:
-        left = self.sum()
-        if self.peek() == "->":
+        operands = [self.sum()]
+        while self.peek() == "->":
             self.next()
-            right = self.term()
-            return mk_arrow(left, right)
-        return left
+            operands.append(self.sum())
+        t = operands.pop()
+        while operands:  # right-associative: the last arrow is built first
+            t = mk_arrow(operands.pop(), t)
+        return t
 
     def sum(self) -> Term:
         t = self.seq()
@@ -234,7 +279,13 @@ class _Parser:
         return t
 
     def starred(self) -> Term:
+        bangs = 0
+        while self.peek() == "!":
+            self.next()
+            bangs += 1
         t = self.atom()
+        for _ in range(bangs):
+            t = mk_not(t)
         while self.peek() == "*":
             self.next()
             t = Star(t)
@@ -246,9 +297,6 @@ class _Parser:
             return Zero()
         if tok == "1":
             return One()
-        if tok == "!":
-            inner = self.atom()
-            return mk_not(inner)
         if tok == "(":
             t = self.term()
             self.expect(")")
@@ -317,7 +365,7 @@ class _Parser:
 
     def guard(self, stop: str) -> Term:
         t = self.term()
-        if sort_of(t) is not Sort.TEST:
+        if t.sort is not Sort.TEST:
             raise SortError(
                 f"guard before {stop!r} must be test-sorted, got program term '{pretty(t)}'"
             )
@@ -353,30 +401,31 @@ def pretty(t: Term) -> str:
 
     Chains of the same binary operator print without parentheses only in
     the left-folded grouping the parser produces, so parsing the output
-    always reconstructs the exact tree.
+    always reconstructs the exact tree.  A term keeps its text once printed.
     """
-    return _render(t, 0)
+    if hasattr(t, "_text"):
+        return t._text
+    text: dict[Term, tuple[str, int]] = {}  # each subterm's text and binding level
 
+    def at(u: Term, level: int) -> str:
+        s, own = text[u]
+        return f"({s})" if level > own else s
 
-def _render(t: Term, level: int) -> str:
-    match t:
-        case Var(name, _):
-            return name
-        case Zero():
-            return "0"
-        case One():
-            return "1"
-        case Arrow(l, Zero()):
-            return "!" + _render(l, _LVL_ATOM)
-        case Arrow(l, r):
-            s = _render(l, _LVL_ARROW + 1) + "->" + _render(r, _LVL_ARROW)
-            return f"({s})" if level > _LVL_ARROW else s
-        case Plus(l, r):
-            s = _render(l, _LVL_PLUS) + "+" + _render(r, _LVL_PLUS + 1)
-            return f"({s})" if level > _LVL_PLUS else s
-        case Seq(l, r):
-            s = _render(l, _LVL_SEQ) + ";" + _render(r, _LVL_SEQ + 1)
-            return f"({s})" if level > _LVL_SEQ else s
-        case Star(inner):
-            return _render(inner, _LVL_ATOM) + "*"
-    raise TypeError(f"not a term: {t!r}")
+    for u in postorder((t,)):
+        match u:
+            case Var(name, _):
+                text[u] = name, _LVL_ATOM
+            case Zero() | One():
+                text[u] = "0" if type(u) is Zero else "1", _LVL_ATOM
+            case Arrow(l, Zero()):
+                text[u] = "!" + at(l, _LVL_ATOM), _LVL_ATOM
+            case Arrow(l, r):
+                text[u] = at(l, _LVL_ARROW + 1) + "->" + at(r, _LVL_ARROW), _LVL_ARROW
+            case Plus(l, r):
+                text[u] = at(l, _LVL_PLUS) + "+" + at(r, _LVL_PLUS + 1), _LVL_PLUS
+            case Seq(l, r):
+                text[u] = at(l, _LVL_SEQ) + ";" + at(r, _LVL_SEQ + 1), _LVL_SEQ
+            case Star(inner):
+                text[u] = at(inner, _LVL_ATOM) + "*", _LVL_ATOM
+    t._text = text[t][0]
+    return t._text

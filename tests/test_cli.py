@@ -399,18 +399,30 @@ def test_each_mode_builds_its_strategy(mode, cap) -> None:
     assert describe_strategy(strategy)["mode"] == mode
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("prove", "--builtin", "ex9", "--progs", "p", "--concl", ";".join("p" * 5000) + " = p"),
-        ("prove", "--builtin", "ex9", "--progs", "p", "--concl",
-         ";".join("p" * 5000) + " = p", "--json"),
-        ("eval", "--builtin", "ex9", "--expr", "(" * 10000 + "m" + ")" * 10000),
-    ],
-    ids=["prove", "prove-json", "eval"],
-)
-def test_input_nested_too_deeply_exits_2(capsys, argv) -> None:
+def test_input_nested_too_deeply_exits_2(capsys) -> None:
+    # The parser recurses once per parenthesis; nothing else recurses on a term.
+    argv = ("eval", "--builtin", "ex9", "--expr", "(" * 10000 + "m" + ")" * 10000)
     assert run(capsys, *argv) == (2, "", "error: a term or program is nested too deeply\n")
+
+
+def test_a_long_chain_gets_a_verdict(capsys) -> None:
+    argv = ("prove", "--builtin", "ex9", "--progs", "p", "--concl", ";".join("p" * 5000) + " = p")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "") and "Refuted  [exhaustive, checked 2 of 4]" in out
+    code, out, err = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert (code, err, report["status"], report["counterexample"]) == (1, "", "refuted", {"p": "n"})
+
+
+def test_fifty_nested_tabulated_calls_compile(capsys) -> None:
+    # Each tabulated call reads its slot at the loop's own indentation, so
+    # nesting calls does not nest blocks (CPython allows 100 levels).
+    t = "p"
+    for _ in range(50):
+        t = f"({t}+p);q"
+    code, out, err = run(capsys, "prove", "--builtin", "product", "--progs", "p,q",
+                         "--concl", f"{t} = p")
+    assert (code, err) == (1, "") and "Refuted  [sampled, checked 1]" in out
 
 
 def test_samples_default_comes_from_sampled() -> None:

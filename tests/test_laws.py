@@ -7,15 +7,18 @@ import json
 import pytest
 
 from gkat_workbench import (
+    Auto,
     Exhaustive,
     FiniteAlgebra,
     classify,
+    fset_algebra,
     make_builtin,
     run_law_suite,
+    star_lfp,
 )
 from gkat_workbench import laws
 from gkat_workbench.instances import STANDARD_FINITE
-from gkat_workbench.laws import SUITES, parse_equation
+from gkat_workbench.laws import SUITES, check_law, parse_equation
 from gkat_workbench.terms import Sort
 
 
@@ -166,3 +169,46 @@ def test_parse_equation_reads_both_relations_and_rejects_neither():
     assert parse_equation("a;a = a", sorts).rel == "eq"
     with pytest.raises(ValueError, match="equation needs '=' or '<='"):
         parse_equation("p;a", sorts)
+
+
+def _test_subalgebra(base: FiniteAlgebra) -> FiniteAlgebra:
+    """The tests of ``base`` as an algebra, starred as ``fset_algebra`` stars them."""
+    tests = base.tests()
+    pos = {t: i for i, t in enumerate(tests)}
+
+    def restrict(table):
+        return tuple(tuple(pos[table[a][b]] for b in tests) for a in tests)
+
+    return FiniteAlgebra(
+        name=f"tests:{base.name}",
+        element_names=tuple(map(base.el_name, tests)),
+        test_indices=tuple(range(len(tests))),
+        zero=pos[base.zero],
+        one=pos[base.one],
+        plus_table=restrict(base.plus_table),
+        seq_table=restrict(base.seq_table),
+        arrow_table=restrict(base.arrow_table),
+        star_table=tuple(pos[star_lfp(base, t)] for t in tests),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["bool2", "chain3", "godel:3", "luka:2", "luka:3", "wajsberg:3", "ex9", "lemma4",
+             "powerset:xy"]
+)
+def test_products_and_subalgebras_preserve_quasi_identities(spec):
+    # The theorem (Burris and Sankappanavar, "A Course in Universal
+    # Algebra", 1981): a quasi-identity true in every factor is true in
+    # their direct product, and one true in an algebra is true in each of
+    # its subalgebras.  fset:T:n is the n-th power of T's test subalgebra,
+    # which embeds in it along the diagonal, so each law holds in the power
+    # exactly when it holds in the factor.  A power past the cap is
+    # sampled, which could only miss a counterexample.
+    base = make_builtin(spec)
+    factor = _test_subalgebra(base)
+    laws_ = {law.name: law for suite in SUITES.values() for law in suite}
+    holds = {name: check_law(factor, law).ok for name, law in laws_.items()}
+    for points in (2, 3):
+        power = fset_algebra(base, points)
+        got = {name: check_law(power, law, Auto(samples=1000)).ok for name, law in laws_.items()}
+        assert got == holds, points

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -33,6 +37,7 @@ from gkat_workbench import (
     make_builtin,
     mat_algebra,
 )
+import gkat_workbench
 from gkat_workbench import semantics
 from gkat_workbench.cli import build_construct
 from gkat_workbench.laws import SUITES, check_law, check_laws
@@ -241,6 +246,16 @@ def test_the_tables_of_a_sampled_check_do_not_grow_with_the_sample_count():
         tracemalloc.stop()
     assert v == Verdict(status="sampled-valid", mode="sampled", checked=100_000, space=None)
     assert peak < 4_000_000, peak
+
+
+def test_fifty_nested_tabulated_calls_compile_and_check():
+    # Every call of ((p+p);q+p);q... is tabulated; each reads its slot at
+    # the loop's own indentation, so fifty nested calls nest no blocks.
+    t = "p"
+    for _ in range(50):
+        t = f"({t}+p);q"
+    v = check_equation(make_builtin("product"), _eqn(f"{t};1 = {t}"), Sampled(4000))
+    assert v == Verdict(status="sampled-valid", mode="sampled", checked=4000, space=None)
 
 
 def test_the_checks_of_a_suite_draw_the_pools_once():
@@ -618,13 +633,47 @@ def test_only_a_check_of_two_to_the_16_valuations_computes_a_vector():
     assert again == want
 
 
-def test_an_equation_hashes_by_its_terms_once_and_pickles_without_the_hash():
+def test_an_equation_hashes_by_its_terms_and_pickles_to_the_same_terms():
     e = _eqn("p;(q;r) = (p;q);r")
     copy = _eqn("p;(q;r) = (p;q);r")
     assert hash(e) == hash(copy) and e == copy
-    assert "_hash" in e.__dict__
     back = pickle.loads(pickle.dumps(e))
-    assert back == e and "_hash" not in back.__dict__ and hash(back) == hash(e)
+    assert back == e and hash(back) == hash(e)
+    assert back.lhs is e.lhs and back.rhs is e.rhs
+
+
+_DEEP_CHAIN = """
+import json, sys
+import gkat_workbench as G
+from gkat_workbench.terms import One, Seq
+sys.setrecursionlimit(200)  # a walk that recurses once per level fails
+text = ";".join("p" * 10_000)
+p = G.Var("p", G.Sort.PROGRAM)
+t = G.parse_term(text, {"p": G.Sort.PROGRAM})
+assert G.pretty(t) == text and G.free_vars(t) == (p,)
+ex9, tropical = G.make_builtin("ex9"), G.make_builtin("tropical")
+out = {"eval": ex9.el_name(G.eval_term(ex9, t, {"p": ex9.resolve("n")}))}
+for strategy in (G.Exhaustive(), G.Sampled(100)):
+    out[strategy.mode] = G.check_equation(ex9, G.Equation(t, p), strategy).to_dict()
+out["tropical"] = G.check_equation(tropical, G.Equation(Seq(t, One()), t), G.Sampled(20)).to_dict()
+print(json.dumps(out))
+"""
+
+
+def test_a_chain_ten_thousand_deep_is_parsed_printed_and_checked_without_recursion():
+    src = os.path.dirname(os.path.dirname(gkat_workbench.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _DEEP_CHAIN], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    assert out["eval"] == "0"  # n;n = 0 in ex9
+    assert out["exhaustive"] == {"status": "refuted", "mode": "exhaustive", "checked": 2,
+                                 "space": 4, "counterexample": {"p": "n"},
+                                 "lhs_value": "0", "rhs_value": "n"}
+    assert out["sample"]["status"] == "refuted" and out["sample"]["lhs_value"] == "0"
+    assert out["tropical"] == {"status": "sampled-valid", "mode": "sampled", "checked": 20,
+                               "space": None}
 
 
 @pytest.mark.parametrize("strategy", [Auto(), Auto(cap=8, samples=50)])

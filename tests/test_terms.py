@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +86,28 @@ def test_sorts_of_compound_terms():
     assert sort_of(Seq(_a, _p)) is Sort.PROGRAM
     assert sort_of(Star(_a)) is Sort.PROGRAM
     assert sort_of(Arrow(_a, _b)) is Sort.TEST
+
+
+def test_equal_terms_are_one_object():
+    t = parse_term("(a;p + !a;q)*;!a", SORTS)
+    assert parse_term("(a;p + !a;q)*;!a", SORTS) is t
+    assert Seq(Star(Plus(Seq(_a, _p), Seq(mk_not(_a), _q))), Arrow(_a, Zero())) is t
+    assert Var("a", Sort.TEST) is _a and Var("a", Sort.PROGRAM) is not _a
+    assert Plus(_p, _q) is not Seq(_p, _q) and Plus(_p, _q) is not Plus(_q, _p)
+
+
+def test_pickle_and_copy_return_the_interned_term():
+    t = parse_term("(a;p + !a;q)*;!a", SORTS)
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t) is t and copy.copy(t) is t
+
+
+def test_a_dead_term_leaves_no_entry():
+    live = len(Plus._live)
+    t = Plus(Var("dead", Sort.PROGRAM), _p)
+    assert len(Plus._live) == live + 1
+    del t
+    assert len(Plus._live) == live
 
 
 def test_free_vars_in_first_occurrence_order():
