@@ -14,14 +14,33 @@ names in ``_BUILDERS``.  Three kinds of builder sit behind the forms:
   nonnegative rationals with infinity) algebras have carriers that are not
   finitely closed under the residual, so they are procedural: operations
   as functions, checked by sampling from a fixed pool plus seeded draws.
+
+The two procedural carriers compute on machine integers, and exactly:
+
+* a ``product`` value is a reduced pair ``(n, d)`` of ints standing for
+  n/d, with 0 <= n <= d.  ``plus`` compares by cross-multiplying and
+  keeps its first operand on a tie, as ``max`` does; ``seq`` and ``arrow``
+  reduce by ``math.gcd``.  A reduced pair is the only pair for its
+  rational, so tuple equality is equality of rationals;
+* a finite ``tropical`` cost is an int standing for itself divided by
+  ``_D`` = 27,720 = lcm(1, …, 12), and infinity is ``INF``, a float.
+  Every pooled and drawn cost has a denominator of at most 12, so it is a
+  whole multiple of 1/_D, and min, + and the truncated difference y - x
+  keep it one; an int is its only coding.
+
+Either way a value compares, hashes and deduplicates as the rational it
+stands for would, and ``el_name`` renders the text ``str(Fraction)``
+gives for that rational, at any length.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
@@ -129,61 +148,74 @@ def _wajsberg(k: int) -> FiniteAlgebra:
 
 # --- procedural instances -------------------------------------------------
 
-_PRODUCT_POOL = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 3),
-    Fraction(1, 4),
-    Fraction(3, 4),
-    Fraction(2, 5),
-    Fraction(5, 7),
-    Fraction(9, 10),
-)
+_D = 27_720
 
-_TROPICAL_POOL = (
-    INF,
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(2),
-    Fraction(5),
-    Fraction(7, 3),
-)
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _ratio_name(n: int, d: int) -> str:
+    """The text of ``str(Fraction(n, d))``, exact at any length.
+
+    ``str(int)`` refuses more than 4,300 digits by default; an int made a
+    ``Decimal`` converts exactly and has no such limit.
+    """
+    n, d = _reduced(n, d)
+    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+
+
+_PRODUCT_POOL = ((0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (5, 7), (9, 10))
+
+_TROPICAL_POOL = (INF, 0, _D, _D // 2, 2 * _D, 5 * _D, 7 * (_D // 3))
 
 
 def _product_algebra() -> ProceduralAlgebra:
-    one = Fraction(1)
-    zero = Fraction(0)
+    zero, one = (0, 1), (1, 1)
 
-    def arrow(x: Fraction, y: Fraction) -> Fraction:
-        return one if x <= y else y / x
+    def plus(x, y):
+        # max; the first operand on a tie, as max returns it
+        return y if x[0] * y[1] < y[0] * x[1] else x
 
-    def draw(rng: random.Random) -> Fraction:
+    def seq(x, y):
+        return _reduced(x[0] * y[0], x[1] * y[1])
+
+    def arrow(x, y):
+        n, d = y[0] * x[1], y[1] * x[0]
+        return one if x[0] * y[1] <= n else _reduced(n, d)
+
+    def draw(rng: random.Random):
         d = rng.randint(1, 30)
-        return Fraction(rng.randint(0, d), d)
+        return _reduced(rng.randint(0, d), d)
+
+    def member(v) -> bool:
+        return (
+            type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)  # not bool
+            and 0 <= v[0] <= v[1] and gcd(*v) == 1
+        )
 
     return ProceduralAlgebra(
         name="product",
         zero=zero,
         one=one,
-        plus=max,
-        seq=lambda x, y: x * y,
+        plus=plus,
+        seq=seq,
         star=lambda x: one,
         arrow_fn=arrow,
         is_test=lambda v: True,
         samples=_PRODUCT_POOL,
         draw=draw,
-        el_name=str,
-        member_pred=lambda v: isinstance(v, Fraction) and zero <= v <= one,
+        el_name=lambda v: _ratio_name(*v),
+        member_pred=member,
     )
 
 
 def _tropical_algebra() -> ProceduralAlgebra:
-    one = Fraction(0)
+    one = 0
 
     def seq(x, y):
+        # explicit: an int past a float's range plus inf raises OverflowError
         if x == INF or y == INF:
             return INF
         return x + y
@@ -195,14 +227,14 @@ def _tropical_algebra() -> ProceduralAlgebra:
             return one
         if y == INF:
             return INF
-        return max(y - x, one)
+        return y - x if y > x else one
 
     def draw(rng: random.Random):
         # Infinity one time in eight, otherwise a finite cost up to 100.
         if rng.random() < 0.125:
             return INF
         d = rng.randint(1, 12)
-        return Fraction(rng.randint(0, 100 * d), d)
+        return rng.randint(0, 100 * d) * (_D // d)
 
     return ProceduralAlgebra(
         name="tropical",
@@ -215,8 +247,8 @@ def _tropical_algebra() -> ProceduralAlgebra:
         is_test=lambda v: True,
         samples=_TROPICAL_POOL,
         draw=draw,
-        el_name=lambda v: "inf" if v == INF else str(v),
-        member_pred=lambda v: v == INF or (isinstance(v, Fraction) and v >= 0),
+        el_name=lambda v: "inf" if v == INF else _ratio_name(v, _D),
+        member_pred=lambda v: (type(v) is float and v == INF) or (type(v) is int and v >= 0),
     )
 
 

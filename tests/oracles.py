@@ -2,12 +2,24 @@
 
 Matrices here are tuples of row tuples of base indices, computed cell by
 cell from the base's tables; nothing is shared with the row-coded kernels
-of ``gkat_workbench.constructions``.
+of ``gkat_workbench.constructions``.  The product and tropical carriers
+here compute on ``fractions.Fraction``, the plain rational arithmetic that
+the integer codings of ``gkat_workbench.instances`` must reproduce: the
+same draws, the same pools and the same names.
 """
 
 from __future__ import annotations
 
-from gkat_workbench.algebra import Algebra, DivergenceError, Element, FiniteAlgebra
+import random
+from fractions import Fraction
+
+from gkat_workbench.algebra import (
+    Algebra,
+    DivergenceError,
+    Element,
+    FiniteAlgebra,
+    ProceduralAlgebra,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -109,3 +121,69 @@ def mat_element(alg: Algebra, base_size: int, m: Matrix) -> Element:
     if not alg.finite:
         return code
     return sum(r * base_size ** (n * (n - 1 - i)) for i, r in enumerate(code))
+
+
+# -- the procedural carriers on Fraction ----------------------------------
+
+INF = float("inf")
+
+
+def fraction_product() -> ProceduralAlgebra:
+    """[0, 1] under max and multiplication, with the Goguen residual."""
+    one, zero = Fraction(1), Fraction(0)
+
+    def draw(rng: random.Random) -> Fraction:
+        d = rng.randint(1, 30)
+        return Fraction(rng.randint(0, d), d)
+
+    return ProceduralAlgebra(
+        name="product",
+        zero=zero,
+        one=one,
+        plus=max,
+        seq=lambda x, y: x * y,
+        star=lambda x: one,
+        arrow_fn=lambda x, y: one if x <= y else y / x,
+        is_test=lambda v: True,
+        samples=tuple(Fraction(n, d) for n, d in (
+            (0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (5, 7), (9, 10))),
+        draw=draw,
+        el_name=str,
+        member_pred=lambda v: isinstance(v, Fraction) and zero <= v <= one,
+    )
+
+
+def fraction_tropical() -> ProceduralAlgebra:
+    """Nonnegative rational costs and infinity under min and plus."""
+    one = Fraction(0)
+
+    def seq(x, y):
+        return INF if x == INF or y == INF else x + y
+
+    def arrow(x, y):
+        if x == INF:
+            return one
+        if y == INF:
+            return INF
+        return max(y - x, one)
+
+    def draw(rng: random.Random):
+        if rng.random() < 0.125:
+            return INF
+        d = rng.randint(1, 12)
+        return Fraction(rng.randint(0, 100 * d), d)
+
+    return ProceduralAlgebra(
+        name="tropical",
+        zero=INF,
+        one=one,
+        plus=min,
+        seq=seq,
+        star=lambda x: one,
+        arrow_fn=arrow,
+        is_test=lambda v: True,
+        samples=(INF, *map(Fraction, (0, 1, "1/2", 2, 5, "7/3"))),
+        draw=draw,
+        el_name=lambda v: "inf" if v == INF else str(v),
+        member_pred=lambda v: v == INF or (isinstance(v, Fraction) and v >= 0),
+    )

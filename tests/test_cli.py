@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import time
 from typing import get_args
 
@@ -423,6 +424,19 @@ def test_fifty_nested_tabulated_calls_compile(capsys) -> None:
     code, out, err = run(capsys, "prove", "--builtin", "product", "--progs", "p,q",
                          "--concl", f"{t} = p")
     assert (code, err) == (1, "") and "Refuted  [sampled, checked 1]" in out
+
+
+def test_a_refutation_past_the_int_digit_limit_is_printed(capsys) -> None:
+    # p = 2/7 refutes it; the left side, 2^7000/7^7000, has a denominator of
+    # 5,916 digits, past the 4,300 that str(int) converts by default.
+    chain = ";".join(["p"] * 7_000)
+    code, out, err = run(capsys, "prove", "--builtin", "product", "--progs", "p",
+                         "--concl", f"{chain} = p")
+    assert (code, err) == (1, "") and "counterexample: p=2/7" in out
+    lhs, rhs = re.search(r"lhs = (\S+)\s+rhs = (\S+)", out).groups()
+    num, den = lhs.split("/")
+    assert rhs == "2/7" and (len(num), len(den)) == (2_108, 5_916)
+    assert int(num) == 2**7_000 and int(den[:4_000]) * 10**1_916 + int(den[4_000:]) == 7**7_000
 
 
 def test_samples_default_comes_from_sampled() -> None:

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gkat_workbench import make_builtin
+from gkat_workbench.algebra import DomainError
+from gkat_workbench.hoare import (
+    ALL_RULES,
+    PreconditionError,
+    check_rule,
+    commutation_conditions,
+    denesting_equivalence,
+)
 from gkat_workbench.instances import INF, STANDARD_FINITE
-from oracles import derived_leq
+from gkat_workbench.laws import SUITES, check_law
+from gkat_workbench.semantics import Sampled, _sample_pools
+from oracles import derived_leq, fraction_product, fraction_tropical
 
 
 def _op(alg, op, *names):
@@ -160,13 +171,18 @@ def test_unit_chains_collapse_gracefully():
         assert alg.element_names == ("0", "1")
 
 
+def _member(alg, name):
+    """The pool member of the procedural carrier ``alg`` named ``name``."""
+    return next(v for v in alg.samples if alg.el_name(v) == name)
+
+
 def test_product_carrier_operations():
     prod = make_builtin("product")
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    assert prod.seq(half, third) == Fraction(1, 6)
+    half, third = _member(prod, "1/2"), _member(prod, "1/3")
+    assert prod.el_name(prod.seq(half, third)) == "1/6"
     assert prod.plus(half, third) == half
     assert prod.arrow(third, half) == prod.one
-    assert prod.arrow(half, third) == Fraction(2, 3)
+    assert prod.arrow(half, third) == _member(prod, "2/3")
     assert prod.star(half) == prod.one
     assert prod.is_test(half)
     assert prod.zero in prod.samples and prod.one in prod.samples
@@ -174,11 +190,11 @@ def test_product_carrier_operations():
 
 def test_cost_carrier_operations():
     trop = make_builtin("tropical")
-    two, five = Fraction(2), Fraction(5)
+    two, five = _member(trop, "2"), _member(trop, "5")
     assert trop.plus(two, five) == two  # cheaper branch wins
-    assert trop.seq(two, five) == Fraction(7)
+    assert trop.el_name(trop.seq(two, five)) == "7"
     assert trop.seq(two, INF) == INF
-    assert trop.arrow(two, five) == Fraction(3)
+    assert trop.el_name(trop.arrow(two, five)) == "3"
     assert trop.arrow(five, two) == trop.one
     assert trop.arrow(INF, two) == trop.one
     assert trop.el_name(INF) == "inf"
@@ -186,9 +202,33 @@ def test_cost_carrier_operations():
     assert derived_leq(trop, five, two)
 
 
-def test_sampled_draws_are_members():
-    import random
+@pytest.mark.parametrize(
+    ("spec", "value"),
+    [
+        ("product", Fraction(1, 2)),  # the old coding
+        ("product", (2, 4)),  # not reduced
+        ("product", (3, 2)),  # above one
+        ("product", (-1, 2)),
+        ("product", (0, 0)),
+        ("product", (True, True)),
+        ("product", (1.0, 2)),
+        ("product", [1, 2]),
+        ("product", (1, 2, 1)),
+        ("tropical", Fraction(2)),  # the old coding
+        ("tropical", -1),
+        ("tropical", True),
+        ("tropical", 2.0),
+        ("tropical", float("-inf")),
+        ("tropical", float("nan")),
+        ("tropical", "inf"),
+    ],
+)
+def test_procedural_membership_rejects_other_forms(spec, value):
+    with pytest.raises(DomainError):
+        make_builtin(spec).check_member(value)
 
+
+def test_sampled_draws_are_members():
     for spec in ("product", "tropical"):
         alg = make_builtin(spec)
         rng = random.Random(11)
@@ -210,3 +250,50 @@ class TestResiduation:
         lhs = derived_leq(alg, alg.seq(a, b), c)
         rhs = derived_leq(alg, b, alg.arrow(a, c))
         assert lhs == rhs
+
+
+class TestIntegerCodings:
+    """The integer codings of product and tropical against ``Fraction`` arithmetic.
+
+    Both sides draw the same pools from the same seed, so a pool position
+    names one value on each side; every operation, and every verdict, must
+    read the same.
+    """
+
+    CODINGS = (("product", fraction_product), ("tropical", fraction_tropical))
+
+    @pytest.mark.parametrize(("spec", "reference"), CODINGS)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_every_pool_pair_names_the_reference_result(self, spec, reference, seed):
+        alg, ref = make_builtin(spec), reference()
+        pool = _sample_pools(alg, random.Random(seed))[0]
+        ref_pool = _sample_pools(ref, random.Random(seed))[0]
+        assert [alg.el_name(x) for x in pool] == [str(x) for x in ref_pool]
+        for x, rx in zip(pool, ref_pool):
+            assert alg.el_name(alg.star(x)) == str(ref.star(rx))
+            for y, ry in zip(pool, ref_pool):
+                for op in ("plus", "seq", "arrow"):
+                    assert alg.el_name(getattr(alg, op)(x, y)) == str(getattr(ref, op)(rx, ry))
+
+    @staticmethod
+    def _verdicts(alg, strategy) -> list:
+        out: list = [alg.fingerprint()]
+        out += [check_law(alg, law, strategy).to_dict()
+               for suite in SUITES.values() for law in suite]
+        out += [check_rule(alg, rule, strategy).to_dict() for rule in ALL_RULES]
+        out += [v.to_dict() for _, _, v in commutation_conditions(alg, strategy).entries]
+        try:
+            report = denesting_equivalence(alg, strategy)
+        except PreconditionError as exc:
+            out.append(str(exc))
+        else:
+            out += [v.to_dict() for rep in report.side_reports for _, v in rep.entries]
+            out += [v.to_dict() for _, _, v in report.entries]
+        return out
+
+    @pytest.mark.parametrize(("spec", "reference"), CODINGS)
+    @pytest.mark.parametrize(("samples", "seed"), [(300, 0), (300, 5), (2_000, 1), (2_000, 9)])
+    def test_every_verdict_matches_the_reference(self, spec, reference, samples, seed):
+        strategy = Sampled(samples, seed)
+        got = self._verdicts(make_builtin(spec), strategy)
+        assert got == self._verdicts(reference(), strategy)
