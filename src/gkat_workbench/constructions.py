@@ -30,7 +30,9 @@ Carriers and operations:
 * graded languages over an alphabet: finitely-supported maps from words
   to K, concatenation summing over every factorisation of a word
   (including the empty prefix and suffix); observation is cut off at
-  words of length ``maxlen``; always procedural.
+  words of length ``maxlen``; always procedural.  A language is stored as
+  its nonzero (word, weight) pairs in string order of the words; only
+  ``el_name`` knows shortlex, and lists them shorter words first.
 
 Every matrix carrier is built on row codes: an n×n matrix is the tuple of
 its n row numbers, a row's number being the numeral of its cells in base
@@ -233,21 +235,17 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
 Language = tuple[tuple[str, int], ...]
 
 
-def _lang_norm(base: FiniteAlgebra, items: dict, maxlen: int) -> Language:
-    return tuple(
-        sorted(
-            ((w, v) for w, v in items.items() if v != base.zero and len(w) <= maxlen),
-            key=lambda wv: (len(wv[0]), wv[0]),
-        )
-    )
+def _lang_norm(base: FiniteAlgebra, items: dict) -> Language:
+    """The nonzero (word, weight) pairs of ``items``, in string order of the words."""
+    return tuple(sorted([wv for wv in items.items() if wv[1] != base.zero]))
 
 
-def flang_union(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
+def flang_union(base: FiniteAlgebra, l1: Language, l2: Language) -> Language:
     plus = base.plus_table
     acc = dict(l1)
     for w, v in l2:
         acc[w] = plus[acc[w]][v] if w in acc else v
-    return _lang_norm(base, acc, maxlen)
+    return _lang_norm(base, acc)
 
 
 def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
@@ -261,7 +259,7 @@ def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -
                 continue
             piece = seq[a][b]
             acc[w] = plus[acc[w]][piece] if w in acc else piece
-    return _lang_norm(base, acc, maxlen)
+    return _lang_norm(base, acc)
 
 
 def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
@@ -271,7 +269,7 @@ def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
     eps: Language = ((("", base.one),) if base.one != base.zero else ())
     cur = eps
     for _ in range(steps):
-        nxt = flang_union(base, eps, flang_concat(base, lang, cur, maxlen), maxlen)
+        nxt = flang_union(base, eps, flang_concat(base, lang, cur, maxlen))
         if nxt == cur:
             return cur
         cur = nxt
@@ -328,46 +326,52 @@ def flang_algebra(
         return all(w == "" and v in t_test_set for w, v in lang)
 
     def arrow(l1: Language, l2: Language) -> Language:
-        a = dict(l1).get("", kalg.zero)
-        b = dict(l2).get("", kalg.zero)
-        r = t_arrow(a, b)
-        return ((("", r),) if r != kalg.zero else ())
+        r = t_arrow(dict(l1).get("", kalg.zero), dict(l2).get("", kalg.zero))
+        return (("", r),) if r != kalg.zero else ()
 
     def el_name(lang: Language) -> str:
-        return "{" + ",".join(f"{w or 'eps'}:{kalg.el_name(v)}" for w, v in lang) + "}"
+        items = sorted(lang, key=lambda wv: (len(wv[0]), wv[0]))  # shortlex
+        return "{" + ",".join(f"{w or 'eps'}:{kalg.el_name(v)}" for w, v in items) + "}"
 
     nonzero = [e for e in kalg.elements() if e != kalg.zero]
+
+    def draw(rng: random.Random) -> Language:
+        items: dict = {}
+        for _ in range(rng.randint(0, 4)):
+            length = rng.randint(0, maxlen)
+            word = "".join(rng.choice(alphabet) for _ in range(length))
+            items[word] = rng.choice(nonzero)
+        return _lang_norm(kalg, items)
+
     samples: list[Language] = [zero, one]
     samples += [((c, kalg.one),) for c in alphabet]
     samples += [(("", t),) for t in t_tests if t not in (kalg.zero, kalg.one)]
     rng = random.Random(0xF1A)
     while len(samples) < 2 + len(alphabet) + len(t_tests) + 12:
-        samples.append(_draw_lang(rng, kalg, alphabet, maxlen, nonzero))
-
-    def draw(r: random.Random) -> Language:
-        return _draw_lang(r, kalg, alphabet, maxlen, nonzero)
+        samples.append(draw(rng))
 
     def member(lang) -> bool:
-        # Each item is a (word, weight) pair; the whole is in normal form.
+        # Each item is a (word, weight) pair in the window; the whole is in normal form.
         return (
             isinstance(lang, tuple)
             and all(
                 isinstance(item, tuple)
                 and len(item) == 2
                 and isinstance(item[0], str)
+                and len(item[0]) <= maxlen
                 and all(c in alphabet for c in item[0])
                 and type(item[1]) is int
                 and 0 <= item[1] < kalg.size
                 for item in lang
             )
-            and lang == _lang_norm(kalg, dict(lang), maxlen)
+            and lang == _lang_norm(kalg, dict(lang))
         )
 
     return ProceduralAlgebra(
         name=name,
         zero=zero,
         one=one,
-        plus=partial(flang_union, kalg, maxlen=maxlen),
+        plus=partial(flang_union, kalg),
         seq=partial(flang_concat, kalg, maxlen=maxlen),
         star=partial(flang_star, kalg, maxlen=maxlen),
         arrow_fn=arrow,
@@ -377,17 +381,6 @@ def flang_algebra(
         el_name=el_name,
         member_pred=member,
     )
-
-
-def _draw_lang(
-    rng: random.Random, base: FiniteAlgebra, alphabet: str, maxlen: int, nonzero: list
-) -> Language:
-    items: dict = {}
-    for _ in range(rng.randint(0, 4)):
-        length = rng.randint(0, maxlen)
-        word = "".join(rng.choice(alphabet) for _ in range(length))
-        items[word] = rng.choice(nonzero)
-    return _lang_norm(base, items, maxlen)
 
 
 # --- matrices and relations -----------------------------------------------

@@ -91,12 +91,18 @@ class Term:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def __repr__(self) -> str:
-        text: dict[Term, str] = {}
-        for t in postorder((self,)):
-            fields = (f"{f}={text[v] if isinstance(v, Term) else repr(v)}"
-                      for f in t.__match_args__ for v in (getattr(t, f),))
-            text[t] = f"{type(t).__name__}({', '.join(fields)})"
-        return text[self]
+        pieces, todo = [], [self]  # a pending term stands for its whole text
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                pieces.append(t)
+                continue
+            todo.append(")")
+            for i, f in reversed(list(enumerate(t.__match_args__))):
+                v = getattr(t, f)
+                todo += [v if isinstance(v, Term) else repr(v), ", " * (i > 0) + f"{f}="]
+            todo.append(f"{type(t).__name__}(")
+        return "".join(pieces)
 
 
 class Var(Term):

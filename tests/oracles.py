@@ -5,13 +5,18 @@ cell from the base's tables; nothing is shared with the row-coded kernels
 of ``gkat_workbench.constructions``.  The product and tropical carriers
 here compute on ``fractions.Fraction``, the plain rational arithmetic that
 the integer codings of ``gkat_workbench.instances`` must reproduce: the
-same draws, the same pools and the same names.
+same draws, the same pools and the same names.  Graded languages here keep
+their pairs in shortlex order, which ``flang`` values must name alike
+although they are stored in string order.  ``every_verdict`` lists what a
+carrier and its reference must agree on.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from gkat_workbench.algebra import (
     Algebra,
@@ -20,6 +25,14 @@ from gkat_workbench.algebra import (
     FiniteAlgebra,
     ProceduralAlgebra,
 )
+from gkat_workbench.hoare import (
+    ALL_RULES,
+    PreconditionError,
+    check_rule,
+    commutation_conditions,
+    denesting_equivalence,
+)
+from gkat_workbench.laws import SUITES, check_law
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -187,3 +200,104 @@ def fraction_tropical() -> ProceduralAlgebra:
         el_name=lambda v: "inf" if v == INF else str(v),
         member_pred=lambda v: v == INF or (isinstance(v, Fraction) and v >= 0),
     )
+
+
+# -- graded languages in shortlex order -----------------------------------
+
+Language = tuple[tuple[str, int], ...]
+
+
+def shortlex_norm(base: FiniteAlgebra, items: dict, maxlen: int) -> Language:
+    """The nonzero pairs of ``items`` within ``maxlen``, shorter words first."""
+    return tuple(
+        sorted(
+            ((w, v) for w, v in items.items() if v != base.zero and len(w) <= maxlen),
+            key=lambda wv: (len(wv[0]), wv[0]),
+        )
+    )
+
+
+def shortlex_union(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
+    plus = base.plus_table
+    acc = dict(l1)
+    for w, v in l2:
+        acc[w] = plus[acc[w]][v] if w in acc else v
+    return shortlex_norm(base, acc, maxlen)
+
+
+def shortlex_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
+    """(l1·l2)(w) sums l1(u);l2(v) over every split w = uv, ε splits included."""
+    plus, seq = base.plus_table, base.seq_table
+    acc: dict = {}
+    for u, a in l1:
+        for v, b in l2:
+            w = u + v
+            if len(w) > maxlen:
+                continue
+            piece = seq[a][b]
+            acc[w] = plus[acc[w]][piece] if w in acc else piece
+    return shortlex_norm(base, acc, maxlen)
+
+
+def shortlex_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
+    """Least fixpoint of S = ε ∪ l·S, observed up to ``maxlen``."""
+    letters = len({c for w, _ in lang for c in w})
+    steps = sum(letters**k for k in range(maxlen + 1)) * base.size + 2
+    eps: Language = ((("", base.one),) if base.one != base.zero else ())
+    cur = eps
+    for _ in range(steps):
+        nxt = shortlex_union(base, eps, shortlex_concat(base, lang, cur, maxlen), maxlen)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise DivergenceError(f"language star did not stabilise within {steps} steps")
+
+
+def shortlex_flang(alg: ProceduralAlgebra, base: FiniteAlgebra, maxlen: int) -> ProceduralAlgebra:
+    """The ``flang`` carrier ``alg`` over ``base`` on shortlex languages.
+
+    Its samples and draws are those of ``alg`` put in shortlex order, its
+    operations the ones above, and its names list the pairs as stored; its
+    members are ``alg``'s in shortlex order.  Test membership and the
+    residual read only the empty word, so they are ``alg``'s own.
+    """
+
+    def norm(lang: Language) -> Language:
+        return shortlex_norm(base, dict(lang), maxlen)
+
+    def el_name(lang: Language) -> str:
+        return "{" + ",".join(f"{w or 'eps'}:{base.el_name(v)}" for w, v in lang) + "}"
+
+    def member(lang) -> bool:
+        try:
+            return alg.member_pred(tuple(sorted(lang))) and lang == norm(lang)
+        except TypeError:  # not a collection of mutually comparable items
+            return False
+
+    return replace(
+        alg,
+        plus=partial(shortlex_union, base, maxlen=maxlen),
+        seq=partial(shortlex_concat, base, maxlen=maxlen),
+        star=partial(shortlex_star, base, maxlen=maxlen),
+        samples=tuple(map(norm, alg.samples)),
+        draw=lambda rng: norm(alg.draw(rng)),
+        el_name=el_name,
+        member_pred=member,
+    )
+
+
+def every_verdict(alg: Algebra, strategy) -> list:
+    """The fingerprint, and every law, rule, lemma and denesting verdict on ``alg``."""
+    out: list = [alg.fingerprint()]
+    out += [check_law(alg, law, strategy).to_dict()
+            for suite in SUITES.values() for law in suite]
+    out += [check_rule(alg, rule, strategy).to_dict() for rule in ALL_RULES]
+    out += [v.to_dict() for _, _, v in commutation_conditions(alg, strategy).entries]
+    try:
+        report = denesting_equivalence(alg, strategy)
+    except PreconditionError as exc:
+        out.append(str(exc))
+    else:
+        out += [v.to_dict() for rep in report.side_reports for _, v in rep.entries]
+        out += [v.to_dict() for _, _, v in report.entries]
+    return out

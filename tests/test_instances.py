@@ -10,17 +10,9 @@ from hypothesis import given, strategies as st
 
 from gkat_workbench import make_builtin
 from gkat_workbench.algebra import DomainError
-from gkat_workbench.hoare import (
-    ALL_RULES,
-    PreconditionError,
-    check_rule,
-    commutation_conditions,
-    denesting_equivalence,
-)
 from gkat_workbench.instances import INF, STANDARD_FINITE
-from gkat_workbench.laws import SUITES, check_law
 from gkat_workbench.semantics import Sampled, _sample_pools
-from oracles import derived_leq, fraction_product, fraction_tropical
+from oracles import derived_leq, every_verdict, fraction_product, fraction_tropical
 
 
 def _op(alg, op, *names):
@@ -275,25 +267,8 @@ class TestIntegerCodings:
                 for op in ("plus", "seq", "arrow"):
                     assert alg.el_name(getattr(alg, op)(x, y)) == str(getattr(ref, op)(rx, ry))
 
-    @staticmethod
-    def _verdicts(alg, strategy) -> list:
-        out: list = [alg.fingerprint()]
-        out += [check_law(alg, law, strategy).to_dict()
-               for suite in SUITES.values() for law in suite]
-        out += [check_rule(alg, rule, strategy).to_dict() for rule in ALL_RULES]
-        out += [v.to_dict() for _, _, v in commutation_conditions(alg, strategy).entries]
-        try:
-            report = denesting_equivalence(alg, strategy)
-        except PreconditionError as exc:
-            out.append(str(exc))
-        else:
-            out += [v.to_dict() for rep in report.side_reports for _, v in rep.entries]
-            out += [v.to_dict() for _, _, v in report.entries]
-        return out
-
     @pytest.mark.parametrize(("spec", "reference"), CODINGS)
     @pytest.mark.parametrize(("samples", "seed"), [(300, 0), (300, 5), (2_000, 1), (2_000, 9)])
     def test_every_verdict_matches_the_reference(self, spec, reference, samples, seed):
         strategy = Sampled(samples, seed)
-        got = self._verdicts(make_builtin(spec), strategy)
-        assert got == self._verdicts(reference(), strategy)
+        assert every_verdict(make_builtin(spec), strategy) == every_verdict(reference(), strategy)
