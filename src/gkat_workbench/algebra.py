@@ -228,31 +228,46 @@ class FiniteAlgebra:
     def canonical_text(self) -> str:
         """Render the algebra in the text table format (see algfile.py)."""
         names = self.element_names
-        lines = [
+        # A row's names are gathered by one itemgetter call.  Given a single
+        # index it returns the bare name, not a tuple, so one element is
+        # rendered apart: each table is one row of that name.
+        if len(names) == 1:
+            plus = seq = arrow = star = list(names)
+        else:
+            plus, seq, arrow, star = (
+                [" ".join(itemgetter(*row)(names)) for row in table]
+                for table in (self.plus_table, self.seq_table, self.arrow_table, (self.star_table,))
+            )
+        return "\n".join([
             f"algebra {self.name}",
             "elements " + " ".join(names),
             "tests " + " ".join(names[i] for i in self.test_indices),
             f"zero {names[self.zero]}",
             f"one {names[self.one]}",
-        ]
-        for tname, table in (
-            ("plus", self.plus_table),
-            ("seq", self.seq_table),
-            ("arrow", self.arrow_table),
-        ):
-            lines.append(f"table {tname}")
-            lines.extend(" ".join([names[v] for v in row]) for row in table)
-        lines.append("table star")
-        lines.append(" ".join([names[v] for v in self.star_table]))
-        lines.append("")  # the text ends with a newline
-        return "\n".join(lines)
+            "table plus", *plus,
+            "table seq", *seq,
+            "table arrow", *arrow,
+            "table star", *star,
+            "",  # the text ends with a newline
+        ])
+
+    def canonical_bytes(self) -> bytes:
+        """``canonical_text`` encoded as UTF-8, which is what ``dump_algebra`` writes.
+
+        Records the fingerprint of these bytes unless this object has one,
+        so ``fingerprint`` renders nothing after it.
+        """
+        data = self.canonical_text().encode()
+        if "_fingerprint" not in self.__dict__:
+            object.__setattr__(self, "_fingerprint", "sha256:" + hashlib.sha256(data).hexdigest())
+        return data
 
     def fingerprint(self) -> str:
-        """sha256 of ``canonical_text``, computed once per object."""
+        """sha256 of ``canonical_text`` encoded as UTF-8, computed once per object."""
         fp = self.__dict__.get("_fingerprint")
         if fp is None:
-            fp = "sha256:" + hashlib.sha256(self.canonical_text().encode()).hexdigest()
-            object.__setattr__(self, "_fingerprint", fp)
+            self.canonical_bytes()
+            fp = self.__dict__["_fingerprint"]
         return fp
 
     def all_tests_view(self) -> FiniteAlgebra:

@@ -17,22 +17,31 @@ starts a comment and blank lines are skipped:
     table star
     <single row: star of each element in element order>
 
-Element names are whitespace-delimited and may not contain whitespace or
-``#``.  Diagnostics carry the source name, line number, and for table
-entries the row element and column position.  ``dump_algebra`` writes the
-canonical rendering, which this module parses back bit-identically.
+Names are whitespace-delimited.  Diagnostics carry the source name, line
+number, and for table entries the row element and column position.
+
+``dump_algebra`` writes the canonical rendering (``canonical_text``) as
+UTF-8 bytes with ``\\n`` line ends on every platform, which this module
+parses back bit-identically; the sha256 of the written file is the
+algebra's fingerprint.  It refuses, with ``AlgFileError`` and before
+opening the file, an algebra or element name that is empty or contains
+whitespace (as ``str.split`` sees it) or ``#``, since such a name would
+not read back.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Optional, Union
 
 from .algebra import AlgebraError, FiniteAlgebra
 
 
 class AlgFileError(AlgebraError):
-    """Malformed algebra file; message pinpoints source line (and cell)."""
+    """A malformed algebra file, or an algebra with a name the format cannot hold.
+
+    For a file the message pinpoints the source line (and cell).
+    """
 
 
 def loads_algebra(text: str, source: str = "<string>") -> FiniteAlgebra:
@@ -164,7 +173,24 @@ def load_algebra(path: Union[str, os.PathLike]) -> FiniteAlgebra:
     return loads_algebra(text, source=os.fspath(path))
 
 
+def _unwritable(name: str) -> Optional[str]:
+    """Why ``name`` would not read back as one token, if it would not."""
+    if name.split() != [name]:
+        return "is empty or contains whitespace"
+    if "#" in name:
+        return "contains '#', which starts a comment"
+    return None
+
+
 def dump_algebra(alg: FiniteAlgebra, path: Union[str, os.PathLike]) -> None:
-    """Write the canonical rendering of ``alg`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(alg.canonical_text())
+    """Write the canonical rendering of ``alg`` to ``path``, as UTF-8 bytes.
+
+    Raises ``AlgFileError`` before opening ``path`` if a name could not be
+    read back.  The fingerprint of the written bytes is recorded on ``alg``.
+    """
+    for kind, name in (("algebra", alg.name), *(("element", n) for n in alg.element_names)):
+        if fault := _unwritable(name):
+            raise AlgFileError(f"cannot write {alg.name!r}: {kind} name {name!r} {fault}")
+    data = alg.canonical_bytes()
+    with open(path, "wb") as fh:
+        fh.write(data)

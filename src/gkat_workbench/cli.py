@@ -405,6 +405,11 @@ def _cmd_denest(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     alg = build_construct(args.spec)
     human = [f"{alg.name}: " + (f"{alg.size} elements" if alg.finite else "procedural")]
+    if args.out is not None:
+        if not isinstance(alg, FiniteAlgebra):
+            raise ValueError(f"{alg.name!r} is procedural; only finite tables are written")
+        # Writing records the fingerprint of the written bytes: one render.
+        dump_algebra(alg, args.out)
     fingerprint = alg.fingerprint()
     payload: dict = {
         "algebra": alg.name,
@@ -417,9 +422,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         human[0] += f", {payload['tests']} tests"
     human.append(f"  fingerprint {fingerprint}")
     if args.out is not None:
-        if not isinstance(alg, FiniteAlgebra):
-            raise ValueError(f"{alg.name!r} is procedural; only finite tables are written")
-        dump_algebra(alg, args.out)
         human.append(f"  wrote {args.out}")
         payload["out"] = args.out
     code = 0

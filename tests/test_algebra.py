@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import replace
 
@@ -18,7 +19,8 @@ from gkat_workbench import (
     make_builtin,
     star_lfp,
 )
-from gkat_workbench.cli import build_construct
+from gkat_workbench.algfile import dump_algebra
+from gkat_workbench.cli import build_construct, main
 from gkat_workbench.instances import STANDARD_FINITE
 from oracles import derived_leq
 
@@ -261,7 +263,7 @@ def test_fingerprint_tracks_tables():
     assert a.fingerprint() == FiniteAlgebra(**_bool_kwargs()).fingerprint()
 
 
-def test_fingerprint_hashes_the_canonical_text_once_per_object(monkeypatch):
+def test_fingerprint_hashes_the_canonical_text_once_per_object(monkeypatch, tmp_path, capsys):
     alg = make_builtin("ex9")
     want = "sha256:" + hashlib.sha256(alg.canonical_text().encode()).hexdigest()
     renders = []
@@ -273,6 +275,19 @@ def test_fingerprint_hashes_the_canonical_text_once_per_object(monkeypatch):
     # The all-tests view is a new object, with its own tables' fingerprint.
     assert replace(alg, test_indices=tuple(alg.elements())).fingerprint() != want
     assert len(renders) == 2
+    # Writing a table records the fingerprint of the written bytes.
+    fresh = make_builtin("ex9")
+    dump_algebra(fresh, tmp_path / "ex9.alg")
+    assert len(renders) == 3
+    assert fresh.fingerprint() == want
+    assert len(renders) == 3
+    # A table written by `construct --out` is rendered once, for the file
+    # and the reported fingerprint both.
+    out = tmp_path / "mat.alg"
+    assert main(["construct", "mat:bool2:2", "--out", str(out), "--json"]) == 0
+    assert len(renders) == 4
+    reported = json.loads(capsys.readouterr().out)["fingerprint"]
+    assert reported == "sha256:" + hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 class TestOrderProperties:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 from importlib import resources
 
 import pytest
 
+from gkat_workbench.algebra import FiniteAlgebra
 from gkat_workbench.algfile import AlgFileError, dump_algebra, load_algebra, loads_algebra
 from gkat_workbench.instances import STANDARD_FINITE, make_builtin
 
@@ -143,3 +145,55 @@ def test_loaded_tables_still_pass_constructor_validation() -> None:
     bad = _swap("tests 0 1", "tests 1")
     with pytest.raises(Exception, match="is not a test"):
         loads_algebra(bad, source="tiny.alg")
+
+
+def test_a_one_element_table_round_trips(tmp_path) -> None:
+    # One index through itemgetter gives the bare name, not a tuple; a row
+    # must still read "unit", not "u n i t".
+    alg = FiniteAlgebra(
+        name="trivial", element_names=("unit",), test_indices=(0,), zero=0, one=0,
+        plus_table=((0,),), seq_table=((0,),), arrow_table=((0,),), star_table=(0,),
+    )
+    text = alg.canonical_text()
+    assert text.splitlines()[5:] == ["table plus", "unit", "table seq", "unit",
+                                     "table arrow", "unit", "table star", "unit"]
+    want = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    path = tmp_path / "trivial.alg"
+    dump_algebra(alg, path)
+    assert "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest() == want
+    assert load_algebra(path).fingerprint() == want
+
+
+@pytest.mark.parametrize(
+    ("over", "message"),
+    [
+        ({"name": "my alg"}, r"algebra name 'my alg' is empty or contains whitespace"),
+        ({"name": ""}, r"algebra name '' is empty or contains whitespace"),
+        ({"name": "a#b"}, r"algebra name 'a#b' contains '#'"),
+        ({"element_names": ("0", "x#")}, r"element name 'x#' contains '#'"),
+        ({"element_names": ("0", "")}, r"element name '' is empty or contains whitespace"),
+        ({"element_names": ("0", "one two")}, r"element name 'one two' is empty or"),
+        ({"element_names": ("\tz", "1")}, r"element name '\\tz' is empty or"),
+        # A line separator is whitespace to str.split, and ends a line too.
+        ({"element_names": ("0", "one\u2028two")}, r"element name 'one\\u2028two' is empty or"),
+    ],
+)
+def test_a_name_that_would_not_read_back_is_refused_before_writing(over, message, tmp_path) -> None:
+    kwargs = dict(
+        name="tiny", element_names=("0", "1"), test_indices=(0, 1), zero=0, one=1,
+        plus_table=((0, 1), (1, 1)), seq_table=((0, 0), (0, 1)),
+        arrow_table=((1, 1), (0, 1)), star_table=(1, 1),
+    )
+    alg = FiniteAlgebra(**{**kwargs, **over})
+    path = tmp_path / "kept.alg"
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises(AlgFileError, match=message):
+        dump_algebra(alg, path)
+    assert path.read_bytes() == b"previous contents\n"
+    # The refused name does not read back: the text is refused or read as another table.
+    text = alg.canonical_text()
+    try:
+        back = loads_algebra(text)
+    except AlgFileError:
+        return
+    assert back.canonical_text() != text

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import hashlib
 import itertools
 import pathlib
 import random
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkat_workbench.algebra import DomainError, SizeError, star_lfp
+from gkat_workbench.algfile import dump_algebra
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
     flang_algebra,
@@ -659,8 +661,15 @@ def _build(kind: str, k: str, t, points: int):
     PINNED,
     ids=[f"{kind}:{k}:{t + ':' if t else ''}{p}" for kind, k, t, p, _ in PINNED],
 )
-def test_derived_table_fingerprints_are_pinned(kind, k, t, points, digest) -> None:
+def test_derived_table_fingerprints_are_pinned(kind, k, t, points, digest, tmp_path) -> None:
     assert _build(kind, k, t, points).fingerprint() == "sha256:" + digest
+    # The written file's bytes hash to the same digest, on a fresh object
+    # whose fingerprint is recorded by the write.
+    alg = _build(kind, k, t, points)
+    path = tmp_path / "table.alg"
+    dump_algebra(alg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert alg.fingerprint() == "sha256:" + digest
 
 
 # ---------------------------------------------------------------------------
