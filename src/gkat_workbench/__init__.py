@@ -14,6 +14,7 @@ from .algebra import (
     DivergenceError,
     DomainError,
     FiniteAlgebra,
+    NameEncodingError,
     ProceduralAlgebra,
     SizeError,
     SortError,
@@ -90,6 +91,7 @@ __all__ = [
     "FiniteAlgebra",
     "Law",
     "LawReport",
+    "NameEncodingError",
     "ParseError",
     "PreconditionError",
     "ProceduralAlgebra",

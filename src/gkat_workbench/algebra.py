@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Optional, Union
+from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
 Element = Hashable
 
@@ -60,6 +60,27 @@ class DivergenceError(AlgebraError):
 
 class SizeError(AlgebraError):
     """A valuation space exceeds the configured exhaustive cap."""
+
+
+class NameEncodingError(AlgebraError):
+    """A name cannot be encoded as UTF-8, in which tables are written and hashed."""
+
+
+def require_utf8(names: Sequence[str], what: str) -> None:
+    """Raise ``NameEncodingError``, naming the first of ``names`` UTF-8 cannot encode.
+
+    A lone surrogate, as ``surrogateescape`` makes of an undecodable byte
+    on the command line, is the only such character.  ``what`` says what
+    the names are, for the message.
+    """
+    try:
+        "".join(names).encode()
+    except UnicodeEncodeError:
+        for name in names:
+            try:
+                name.encode()
+            except UnicodeEncodeError:
+                raise NameEncodingError(f"{what} {name!r} cannot be encoded as UTF-8") from None
 
 
 def _cell_fault(v: object, n: int) -> Optional[str]:
@@ -95,6 +116,8 @@ class FiniteAlgebra:
     finite = True
 
     def __post_init__(self) -> None:
+        require_utf8((self.name,), "algebra name")
+        require_utf8(self.element_names, f"algebra {self.name!r}: element name")
         n = len(self.element_names)
         if n == 0:
             raise ClosureError(f"algebra {self.name!r} has no elements")
@@ -354,6 +377,7 @@ class ProceduralAlgebra:
     finite = False
 
     def __post_init__(self) -> None:
+        require_utf8((self.name,), "algebra name")
         if self.zero not in self.samples or self.one not in self.samples:
             raise ClosureError(f"sample list of {self.name!r} must contain both constants")
         if not any(self.is_test(s) for s in self.samples):

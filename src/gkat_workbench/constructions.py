@@ -32,20 +32,25 @@ Carriers and operations:
   (including the empty prefix and suffix); observation is cut off at
   words of length ``maxlen``; always procedural.  A language is stored as
   its nonzero (word, weight) pairs in string order of the words; only
-  ``el_name`` knows shortlex, and lists them shorter words first.
+  ``el_name`` knows shortlex, and lists them shorter words first.  The
+  module-level ``flang_union``, ``flang_concat`` and ``flang_star`` are
+  the one implementation of the language operations; each carrier binds
+  them, with its base and window, in closures.
 
 Every matrix carrier is built on row codes: an n×n matrix is the tuple of
 its n row numbers, a row's number being the numeral of its cells in base
 |K|.  Sum, product, star, element names and the finite tables all run on
 codes, at every size.  For rows of w cells, ``_row_tables`` gives, over
 their R = |K|^w numbers, the sum of two rows and a row scaled on the left
-by one cell, so a sum is a lookup per row and row i of a product is
-Σ_z scale[A_iz][B_z], folded by ``_dot``.  Those tables are built on first
-use, and only while R ≤ ``_ROW_TABLE_ROWS``; a longer row splits, by
-``divmod``, into its high ⌊w/2⌋ cells and low ⌈w/2⌉ cells, each computed
-the same way and joined again.  The star is the block recursion on the same
-split.  A finite carrier numbers each code in base |K|ⁿ, which is the
-row-major numbering of its cells, and tabulates the code kernels.
+by one cell, so a sum is a lookup per row and row i of a product A·B is
+Σ_z scale[A_iz][B_z], folded over the v cells of A's row by a kernel with
+the fold written out for v cells, whose source ``_product_kernel(v)`` makes
+once per width per process.  Those tables are built on first use, and only
+while R ≤ ``_ROW_TABLE_ROWS``; a longer row splits, by ``divmod``, into its
+high ⌊w/2⌋ cells and low ⌈w/2⌉ cells, each computed the same way and
+joined again.  The star is the block recursion on the same split.  A
+finite carrier numbers each code in base |K|ⁿ, which is the row-major
+numbering of its cells, and tabulates the code kernels.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Optional
 
 from .algebra import (
@@ -63,6 +68,7 @@ from .algebra import (
     FiniteAlgebra,
     ProceduralAlgebra,
     SizeError,
+    require_utf8,
     star_lfp,
 )
 
@@ -253,11 +259,12 @@ def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -
     plus, seq = base.plus_table, base.seq_table
     acc: dict = {}
     for u, a in l1:
+        by, room = seq[a], maxlen - len(u)
         for v, b in l2:
-            w = u + v
-            if len(w) > maxlen:
+            if len(v) > room:
                 continue
-            piece = seq[a][b]
+            w = u + v
+            piece = by[b]
             acc[w] = plus[acc[w]][piece] if w in acc else piece
     return _lang_norm(base, acc)
 
@@ -313,6 +320,7 @@ def flang_algebra(
     talg = kalg if talg is None else _require_finite(talg, "flang")
     if not alphabet or len(set(alphabet)) != len(alphabet):
         raise ValueError(f"flang alphabet must be nonempty distinct characters: {alphabet!r}")
+    require_utf8((alphabet,), "flang alphabet")
     if maxlen < 1:
         raise ValueError("flang needs maxlen >= 1")
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
@@ -367,13 +375,24 @@ def flang_algebra(
             and lang == _lang_norm(kalg, dict(lang))
         )
 
+    # Closures, not keyword partials, which build a kwargs dict per call; each
+    # looks its function up by name, so a wrapper of the module's name sees it.
+    def plus(l1: Language, l2: Language) -> Language:
+        return flang_union(kalg, l1, l2)
+
+    def seq(l1: Language, l2: Language) -> Language:
+        return flang_concat(kalg, l1, l2, maxlen)
+
+    def star(lang: Language) -> Language:
+        return flang_star(kalg, lang, maxlen)
+
     return ProceduralAlgebra(
         name=name,
         zero=zero,
         one=one,
-        plus=partial(flang_union, kalg),
-        seq=partial(flang_concat, kalg, maxlen=maxlen),
-        star=partial(flang_star, kalg, maxlen=maxlen),
+        plus=plus,
+        seq=seq,
+        star=star,
         arrow_fn=arrow,
         is_test=is_test,
         samples=tuple(dict.fromkeys(samples)),
@@ -386,17 +405,46 @@ def flang_algebra(
 # --- matrices and relations -----------------------------------------------
 
 
-def _dot(plus: Table, seq: Table, acc: int, row, col) -> int:
-    """acc + Σ row[z];col[z] by the tables ``plus`` and ``seq``, in ascending z.
+# A product kernel folds at most this many cells in one nested expression;
+# a longer row continues the fold in a further comprehension clause, which
+# keeps the generated source far below the parser's nesting limits.
+_FOLD_CELLS = 32
 
-    No associativity or commutativity of + is assumed, so every matrix
-    product goes through this one fold: with ``_row_tables`` it folds row
-    numbers from the zero row, which is the fold of each cell from the
-    base's zero with the base's tables.
+
+@cache
+def _product_kernel(v: int) -> Callable:
+    """A factory of the product kernel for matrices with rows of v cells.
+
+    ``factory(P, S, PZ, cells)`` returns the product of a matrix with rows
+    of v cells, as row numbers, and one of v rows, where ``P`` and ``S`` are
+    the row sum and scaling tables of ``_row_tables``, ``PZ`` is the sum
+    table's row of the zero row and ``cells`` gives a row number's v cells.
+    Row i of the product is the left fold from the zero row, in ascending
+    z, of P[acc][S[a_iz][b_z]], written out for v cells: no associativity
+    or commutativity of + is assumed, so this is the fold of each cell from
+    the base's zero with the base's tables.  The source is made and
+    compiled once per width per process; it holds only generated names and
+    integers.
     """
-    for x, y in zip(row, col):
-        acc = plus[acc][seq[x][y]]
-    return acc
+    folds = []
+    for start in range(0, v, _FOLD_CELLS):
+        fold = f"{'PZ' if start == 0 else 'P[r]'}[S[x{start}][b{start}]]"
+        for z in range(start + 1, min(start + _FOLD_CELLS, v)):
+            fold = f"P[{fold}][S[x{z}][b{z}]]"
+        folds.append(fold)
+    # ``for r in [e]`` in a comprehension assigns e to r.
+    carried = "".join(f" for r in [{fold}]" for fold in folds[:-1])
+    bs, xs = ("".join(f"{c}{z}, " for z in range(v)) for c in "bx")
+    source = (
+        "def factory(P, S, PZ, cells):\n"
+        "    def product(a, b):\n"
+        f"        {bs}= b\n"
+        f"        return tuple([{folds[-1]} for {xs}in map(cells, a){carried}])\n"
+        "    return product\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace.pop("factory")
 
 
 def _row_tables(base: FiniteAlgebra, n: int) -> tuple[Table, Table]:
@@ -436,9 +484,10 @@ def _matrix_algebra(
     The kernels take row codes; a finite carrier tabulates them, numbering
     each code in base R = |K|ⁿ.  ``adder(w)`` and ``multiplier(v, w)`` make,
     once per width, the sum and product of matrices with rows of w cells,
-    bound to that width's tables, and ``block_star`` takes the width it
-    computes, so the kernels serve the blocks of the star as well as whole
-    matrices.
+    bound to that width's tables; a product on tables binds the kernel that
+    ``_product_kernel(v)`` compiled once per process for rows of v cells.
+    ``block_star`` takes the width it computes, so the kernels serve the
+    blocks of the star as well as whole matrices.
     """
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     finite = _fits_cap(name, kalg.size, n * n, sampled)
@@ -488,8 +537,7 @@ def _matrix_algebra(
         t = tables(w)
         if t is not None:
             row_plus, scale, zero_row, _ = t
-            cells = digits(v)
-            return lambda a, b: tuple([_dot(row_plus, scale, zero_row, cells(r), b) for r in a])
+            return _product_kernel(v)(row_plus, scale, row_plus[zero_row], digits(v))
         h, s = halves(w)
         high, low = multiplier(v, h), multiplier(v, w - h)
         return lambda a, b: _join(high(a, [y // s for y in b]), low(a, [y % s for y in b]), s)

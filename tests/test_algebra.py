@@ -14,6 +14,7 @@ from gkat_workbench import (
     ClosureError,
     DomainError,
     FiniteAlgebra,
+    NameEncodingError,
     ProceduralAlgebra,
     SortError,
     make_builtin,
@@ -52,6 +53,21 @@ def test_valid_tables_construct():
 def test_duplicate_element_names_rejected():
     with pytest.raises(ClosureError, match="duplicate element names"):
         FiniteAlgebra(**_bool_kwargs(element_names=("0", "0")))
+
+
+@pytest.mark.parametrize(
+    ("over", "message"),
+    [
+        ({"name": "t\ud800"}, r"algebra name 't\\ud800' cannot be encoded as UTF-8"),
+        ({"element_names": ("0", "\udcff")},
+         r"algebra 'tiny': element name '\\udcff' cannot be encoded as UTF-8"),
+    ],
+)
+def test_a_name_utf8_cannot_encode_is_refused_where_the_table_is_made(over, message):
+    # Tables are written and fingerprinted as UTF-8, so such a name would
+    # otherwise fail later, in fingerprint() or dump_algebra.
+    with pytest.raises(NameEncodingError, match=message):
+        FiniteAlgebra(**_bool_kwargs(**over))
 
 
 def test_constants_must_be_tests():

@@ -343,6 +343,15 @@ def test_unknown_builtin_is_a_clean_error(capsys) -> None:
     assert "unknown builtin spec" in err
 
 
+def test_a_name_utf8_cannot_encode_is_a_clean_error(capsys) -> None:
+    # An undecodable byte on the command line (0xff) reaches the program as
+    # the lone surrogate U+DCFF, which no table or fingerprint can encode.
+    code, out, err = run(capsys, "check-laws", "--construct", "flang:chain3:a\udcff:2",
+                         "--json")
+    assert code == 2 and out == ""
+    assert err == "error: flang alphabet 'a\\udcff' cannot be encoded as UTF-8\n"
+
+
 def test_missing_and_conflicting_algebra_sources(capsys) -> None:
     code, _, err = run(capsys, "classify")
     assert code == 2

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkat_workbench.algebra import DomainError, SizeError, star_lfp
+from gkat_workbench import constructions
+from gkat_workbench.algebra import DomainError, NameEncodingError, SizeError, star_lfp
 from gkat_workbench.algfile import dump_algebra
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
+    _product_kernel,
     flang_algebra,
     flang_concat,
     flang_star,
@@ -42,6 +44,7 @@ from oracles import (
     mat_star_iter,
     mat_zero,
     shortlex_flang,
+    shortlex_norm,
 )
 
 
@@ -357,6 +360,11 @@ def test_flang_validates_alphabet_and_maxlen() -> None:
         flang_algebra(c3, alphabet="aa")
     with pytest.raises(ValueError, match="maxlen >= 1"):
         flang_algebra(c3, maxlen=0)
+    # Its name, which the fingerprint hashes, holds the alphabet.
+    with pytest.raises(NameEncodingError, match=r"flang alphabet 'a\\udcff' cannot be encoded"):
+        flang_algebra(c3, alphabet="a\udcff")
+    with pytest.raises(NameEncodingError, match=r"algebra name 'x\\ud800' cannot be encoded"):
+        dataclasses.replace(flang_algebra(c3), name="x\ud800")
 
 
 def test_flang_sampled_suite_is_clean() -> None:
@@ -370,6 +378,14 @@ def _left_projection():
     c3 = make_builtin("chain3")
     return dataclasses.replace(
         c3, name="leftproj", plus_table=tuple((a,) * c3.size for a in range(c3.size))
+    )
+
+
+def _right_projection():
+    """chain3 with a + b = b: a base on which each order of a fold shows."""
+    c3 = make_builtin("chain3")
+    return dataclasses.replace(
+        c3, name="rightproj", plus_table=(tuple(range(c3.size)),) * c3.size
     )
 
 
@@ -388,8 +404,12 @@ class TestShortlexReference:
     IDS = ["chain3:3", "ex9:2", "chain3:bool2:2", "leftproj:2"]
 
     @staticmethod
-    def _pair(kspec, tspec, maxlen):
-        base = _left_projection() if kspec == "leftproj" else make_builtin(kspec)
+    def _base(kspec):
+        return _left_projection() if kspec == "leftproj" else make_builtin(kspec)
+
+    @classmethod
+    def _pair(cls, kspec, tspec, maxlen):
+        base = cls._base(kspec)
         alg = flang_algebra(base, tspec and make_builtin(tspec), "ab", maxlen)
         return alg, shortlex_flang(alg, base, maxlen)
 
@@ -413,6 +433,42 @@ class TestShortlexReference:
         alg, ref = self._pair(*carrier)
         strategy = Sampled(samples, seed)
         assert every_verdict(alg, strategy) == every_verdict(ref, strategy)
+
+    @staticmethod
+    def _edge_languages(base, maxlen: int) -> list[dict]:
+        """Languages that hold ε, words of length ``maxlen``, or both, as word-weight maps."""
+        weights = [e for e in base.elements() if e != base.zero]
+        longest = ["".join(w) for w in itertools.product("ab", repeat=maxlen)]
+        shorter = ["".join(w) for k in range(1, maxlen) for w in itertools.product("ab", repeat=k)]
+        window = ["", *shorter, *longest]
+        langs = [{"": weights[0]}, {"": weights[-1]}, {longest[0]: weights[-1]},
+                 {"": weights[0], longest[-1]: weights[-1]},
+                 {w: weights[i % len(weights)] for i, w in enumerate(longest)},
+                 {w: weights[i % len(weights)] for i, w in enumerate(window)}]
+        if shorter:
+            langs.append({"": weights[-1], shorter[0]: weights[0], longest[1]: weights[0]})
+        return langs
+
+    @pytest.mark.parametrize("kspec", ["chain3", "leftproj"])
+    @pytest.mark.parametrize("maxlen", [1, 2, 3])
+    def test_languages_at_the_window_edges_name_the_reference_result(self, kspec,
+                                                                     maxlen) -> None:
+        # A concatenation skips a right word longer than the room its left
+        # word leaves, so ε and words of length maxlen on either side, and
+        # their sums at the edge, must still give the reference's values.
+        alg, ref = self._pair(kspec, None, maxlen)
+        base = self._base(kspec)
+        langs = self._edge_languages(base, maxlen)
+        values = [tuple(sorted(lang.items())) for lang in langs]
+        ref_values = [shortlex_norm(base, lang, maxlen) for lang in langs]
+        for x, rx in zip(values, ref_values):
+            alg.check_member(x)
+            assert alg.el_name(x) == ref.el_name(rx)
+            assert alg.el_name(alg.star(x)) == ref.el_name(ref.star(rx))
+            for y, ry in zip(values, ref_values):
+                for op in ("plus", "seq"):
+                    assert alg.el_name(getattr(alg, op)(x, y)) == ref.el_name(
+                        getattr(ref, op)(rx, ry))
 
 
 _GKAT_BASES = ("bool2", "chain3", "powerset:xy", "luka:3", "godel:3", "wajsberg:3", "ex9",
@@ -560,6 +616,29 @@ class TestRowCodedMatrices:
         assert alg.is_test(el(s)) and alg.is_test(el(e))
         assert alg.arrow(el(s), el(e)) == el(_diagonal_arrow(kalg, t_arrow, s, e))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 40])
+    def test_a_product_row_is_the_left_fold_from_zero(self, n) -> None:
+        # Every shipped base has a commutative and associative sum, under
+        # which no order of a fold shows.  Under a + b = b, a fold is its
+        # last term, so any other order or grouping gives another matrix;
+        # under chain3's join, a term left out shows.  Rows of 6 cells over
+        # three elements are split rows; a row of 40 cells is folded in more
+        # than one nested expression.
+        for kalg in (_right_projection(), make_builtin("chain3")):
+            alg = mat_algebra(kalg, n, sampled=True)
+            el = functools.partial(mat_element, alg, kalg.size)
+            rng = random.Random(n)
+            for _ in range(10):
+                a, b = (tuple(tuple(rng.randrange(kalg.size) for _ in range(n))
+                              for _ in range(n)) for _ in range(2))
+                assert alg.seq(el(a), el(b)) == el(mat_mul(kalg, a, b))
+        if n == 2:
+            kalg = _right_projection()
+            values = list(itertools.product(itertools.product(range(3), repeat=2), repeat=2))
+            index = {m: i for i, m in enumerate(values)}
+            assert mat_algebra(kalg, 2).seq_table == tuple(
+                tuple(index[mat_mul(kalg, a, b)] for b in values) for a in values)
+
     def test_constants_and_draws_are_coded_members(self) -> None:
         kalg, _, alg = _coded("ex9", None, 3)
         assert alg.zero == mat_element(alg, kalg.size, mat_zero(kalg, 3))
@@ -569,6 +648,32 @@ class TestRowCodedMatrices:
         for m in draws:
             alg.check_member(m)
         assert any(alg.is_test(m) for m in draws) and not all(alg.is_test(m) for m in draws)
+
+
+def test_each_row_width_compiles_one_product_kernel_per_process(monkeypatch) -> None:
+    # A product kernel's source is made and compiled once per row width, and
+    # each carrier binds it to its own tables: building matrix carriers over
+    # other bases, or again, compiles nothing more.
+    compiled = []
+
+    def counting_exec(source, namespace):
+        compiled.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(constructions, "exec", counting_exec, raising=False)
+    _product_kernel.cache_clear()
+    for _ in range(2):
+        for spec in ("bool2", "chain3", "ex9", "lemma4"):
+            mat_algebra(make_builtin(spec), 2)
+        frel_algebra(make_builtin("chain3"), make_builtin("bool2"), 2)
+        mat_algebra(make_builtin("bool2"), 3)
+        for alg in (mat_algebra(make_builtin("chain3"), 3, sampled=True),
+                    frel_algebra(make_builtin("ex9"), None, 3, sampled=True)):
+            m = alg.draw(random.Random(1))
+            alg.seq(alg.star(m), m)
+    # widths 1, 2 and 3: the products of 2x2 and 3x3 matrices and of their blocks
+    assert len(compiled) == len(set(compiled)) == 3
+    assert _product_kernel.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize(("spec", "n"), [("ex9", 6), ("godel:255", 3)])
