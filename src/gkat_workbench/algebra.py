@@ -23,6 +23,11 @@ Two realisations are provided:
   functions, called directly; only ``arrow`` (over ``arrow_fn``, between
   tests only) and ``check_member`` (over ``member_pred``) have a body.
   These support sampled checking only.
+
+Every procedural carrier draws its pool positions with ``randbelow``,
+straight from the generator's ``getrandbits``: the same calls, and the
+same stream, as ``random.Random``'s ``randint``, ``randrange`` and
+``choice``, without their layers of argument checks.
 """
 
 from __future__ import annotations
@@ -81,6 +86,24 @@ def require_utf8(names: Sequence[str], what: str) -> None:
                 name.encode()
             except UnicodeEncodeError:
                 raise NameEncodingError(f"{what} {name!r} cannot be encoded as UTF-8") from None
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw position below ``n``, by the calls ``random.Random._randbelow`` makes.
+
+    It draws ``n.bit_length()`` bits from ``getrandbits`` (a generator's
+    bound method), and again while the result is at least ``n``, so it
+    consumes the stream as ``randrange(n)`` and ``choice`` of ``n`` items
+    do; ``randint(a, b)`` is ``a + randbelow(getrandbits, b - a + 1)``.
+    Raises ``ValueError`` unless n > 0, where the loop would never end.
+    """
+    if n <= 0:
+        raise ValueError(f"no draw position below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _cell_fault(v: object, n: int) -> Optional[str]:

@@ -35,7 +35,12 @@ Carriers and operations:
   ``el_name`` knows shortlex, and lists them shorter words first.  The
   module-level ``flang_union``, ``flang_concat`` and ``flang_star`` are
   the one implementation of the language operations; each carrier binds
-  them, with its base and window, in closures.
+  them, with its base and window, in closures.  They take operands in
+  that normal form and keep it: a union merges its two sorted operands in
+  one pass, and ε's weight, which a test holds, is the first pair's.
+
+A sampled carrier draws every pool position with ``algebra.randbelow``,
+by the ``getrandbits`` calls the ``random.Random`` methods would make.
 
 Every matrix carrier is built on row codes: an n×n matrix is the tuple of
 its n row numbers, a row's number being the numeral of its cells in base
@@ -68,6 +73,7 @@ from .algebra import (
     FiniteAlgebra,
     ProceduralAlgebra,
     SizeError,
+    randbelow,
     require_utf8,
     star_lfp,
 )
@@ -216,7 +222,8 @@ def fset_algebra(base: Algebra, points: int, *, sampled: bool = False) -> Algebr
         return lambda v, w: tuple([table[a][b] for a, b in zip(v, w)])
 
     def draw(rng: random.Random):
-        return tuple(rng.choice(tests) for _ in range(points))
+        gb = rng.getrandbits
+        return tuple([tests[randbelow(gb, len(tests))] for _ in range(points)])
 
     return ProceduralAlgebra(
         name=name,
@@ -242,21 +249,51 @@ Language = tuple[tuple[str, int], ...]
 
 
 def _lang_norm(base: FiniteAlgebra, items: dict) -> Language:
-    """The nonzero (word, weight) pairs of ``items``, in string order of the words."""
+    """The nonzero (word, weight) pairs of ``items``, in string order of the words.
+
+    The normal form of a language; a draw and membership make it from a map.
+    """
     return tuple(sorted([wv for wv in items.items() if wv[1] != base.zero]))
 
 
 def flang_union(base: FiniteAlgebra, l1: Language, l2: Language) -> Language:
-    plus = base.plus_table
-    acc = dict(l1)
-    for w, v in l2:
-        acc[w] = plus[acc[w]][v] if w in acc else v
-    return _lang_norm(base, acc)
+    """(l1 + l2)(w) = l1(w) + l2(w), the left weight first; operands in normal form.
+
+    One pass merges the two word-sorted operands.  Only a word in both can
+    get a zero weight, and is then dropped; an empty operand returns the
+    other operand itself.
+    """
+    if not l1:
+        return l2
+    if not l2:
+        return l1
+    plus, zero = base.plus_table, base.zero
+    out = []
+    j, n2 = 0, len(l2)
+    for item in l1:
+        w = item[0]
+        while j < n2 and l2[j][0] < w:
+            out.append(l2[j])
+            j += 1
+        if j < n2 and l2[j][0] == w:
+            v = plus[item[1]][l2[j][1]]
+            if v != zero:
+                out.append((w, v))
+            j += 1
+        else:
+            out.append(item)
+    out += l2[j:]
+    return tuple(out)
 
 
 def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -> Language:
-    """(l1·l2)(w) sums l1(u);l2(v) over every split w = uv, ε splits included."""
-    plus, seq = base.plus_table, base.seq_table
+    """(l1·l2)(w) sums l1(u);l2(v) over every split w = uv, ε splits included.
+
+    Operands in normal form; the result is in it too.
+    """
+    if not l1 or not l2:
+        return ()
+    plus, seq, zero = base.plus_table, base.seq_table, base.zero
     acc: dict = {}
     for u, a in l1:
         by, room = seq[a], maxlen - len(u)
@@ -266,11 +303,11 @@ def flang_concat(base: FiniteAlgebra, l1: Language, l2: Language, maxlen: int) -
             w = u + v
             piece = by[b]
             acc[w] = plus[acc[w]][piece] if w in acc else piece
-    return _lang_norm(base, acc)
+    return tuple(sorted([wv for wv in acc.items() if wv[1] != zero]))
 
 
 def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
-    """Least fixpoint of S = ε ∪ l·S, observed up to ``maxlen``."""
+    """Least fixpoint of S = ε ∪ l·S, observed up to ``maxlen``; ``lang`` in normal form."""
     letters = len({c for w, _ in lang for c in w})
     steps = sum(letters**k for k in range(maxlen + 1)) * base.size + 2
     eps: Language = ((("", base.one),) if base.one != base.zero else ())
@@ -286,7 +323,7 @@ def flang_star(base: FiniteAlgebra, lang: Language, maxlen: int) -> Language:
 # A language star iterates up to maxlen + 1 times over every observed word;
 # flang refuses windows where the product of the two exceeds this.  At the
 # bound, ``gkat denest --construct flang:chain3:a:255 --samples 50`` takes
-# about 1 s (CPython 3.11, 2 cores).
+# 0.61-0.63 s (CPython 3.11.7, 2 cores).
 _FLANG_WORK = 2**16
 
 
@@ -328,13 +365,17 @@ def flang_algebra(
     name = f"flang:{kalg.name}:{talg.name}:{alphabet}:{maxlen}"
     _check_window(name, len(alphabet), maxlen)
     zero: Language = ()
-    one: Language = (("", kalg.one),)
+    one: Language = (("", kalg.one),) if kalg.one != kalg.zero else ()
 
     def is_test(lang: Language) -> bool:
         return all(w == "" and v in t_test_set for w, v in lang)
 
+    def eps_weight(lang: Language) -> int:
+        # ε sorts first, so its pair, if any, is the first.
+        return lang[0][1] if lang and not lang[0][0] else kalg.zero
+
     def arrow(l1: Language, l2: Language) -> Language:
-        r = t_arrow(dict(l1).get("", kalg.zero), dict(l2).get("", kalg.zero))
+        r = t_arrow(eps_weight(l1), eps_weight(l2))
         return (("", r),) if r != kalg.zero else ()
 
     def el_name(lang: Language) -> str:
@@ -344,15 +385,19 @@ def flang_algebra(
     nonzero = [e for e in kalg.elements() if e != kalg.zero]
 
     def draw(rng: random.Random) -> Language:
+        if not nonzero:  # a one-element base: every language is zero
+            return ()
+        gb = rng.getrandbits
         items: dict = {}
-        for _ in range(rng.randint(0, 4)):
-            length = rng.randint(0, maxlen)
-            word = "".join(rng.choice(alphabet) for _ in range(length))
-            items[word] = rng.choice(nonzero)
+        for _ in range(randbelow(gb, 5)):
+            length = randbelow(gb, maxlen + 1)
+            word = "".join([alphabet[randbelow(gb, len(alphabet))] for _ in range(length)])
+            items[word] = nonzero[randbelow(gb, len(nonzero))]
         return _lang_norm(kalg, items)
 
     samples: list[Language] = [zero, one]
-    samples += [((c, kalg.one),) for c in alphabet]
+    if one:
+        samples += [((c, kalg.one),) for c in alphabet]
     samples += [(("", t),) for t in t_tests if t not in (kalg.zero, kalg.one)]
     rng = random.Random(0xF1A)
     while len(samples) < 2 + len(alphabet) + len(t_tests) + 12:
@@ -625,9 +670,10 @@ def _matrix_algebra(
         )
 
     def draw(rng: random.Random) -> RowCode:
+        gb = rng.getrandbits
         if rng.random() < 0.25:  # keep tests in the pool
-            return tuple(unit_row(i, rng.choice(t_tests)) for i in range(n))
-        return tuple(_numeral([rng.randrange(k) for _ in range(n)], k) for _ in range(n))
+            return tuple([unit_row(i, t_tests[randbelow(gb, len(t_tests))]) for i in range(n)])
+        return tuple([_numeral([randbelow(gb, k) for _ in range(n)], k) for _ in range(n)])
 
     return ProceduralAlgebra(
         name=name,

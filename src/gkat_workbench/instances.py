@@ -30,7 +30,9 @@ The two procedural carriers compute on machine integers, and exactly:
 
 Either way a value compares, hashes and deduplicates as the rational it
 stands for would, and ``el_name`` renders the text ``str(Fraction)``
-gives for that rational, at any length.
+gives for that rational, at any length.  Both draw with
+``algebra.randbelow``, which consumes the generator's stream as
+``randint`` does.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import gcd
 from pathlib import Path
 from typing import Callable
 
-from .algebra import Algebra, FiniteAlgebra, ProceduralAlgebra
+from .algebra import Algebra, FiniteAlgebra, ProceduralAlgebra, randbelow
 from .algfile import load_algebra
 
 INF = float("inf")
@@ -186,8 +188,9 @@ def _product_algebra() -> ProceduralAlgebra:
         return one if x[0] * y[1] <= n else _reduced(n, d)
 
     def draw(rng: random.Random):
-        d = rng.randint(1, 30)
-        return _reduced(rng.randint(0, d), d)
+        gb = rng.getrandbits
+        d = 1 + randbelow(gb, 30)  # randint(1, 30)
+        return _reduced(randbelow(gb, d + 1), d)
 
     def member(v) -> bool:
         return (
@@ -233,8 +236,9 @@ def _tropical_algebra() -> ProceduralAlgebra:
         # Infinity one time in eight, otherwise a finite cost up to 100.
         if rng.random() < 0.125:
             return INF
-        d = rng.randint(1, 12)
-        return rng.randint(0, 100 * d) * (_D // d)
+        gb = rng.getrandbits
+        d = 1 + randbelow(gb, 12)  # randint(1, 12)
+        return randbelow(gb, 100 * d + 1) * (_D // d)
 
     return ProceduralAlgebra(
         name="tropical",

@@ -7,8 +7,10 @@ here compute on ``fractions.Fraction``, the plain rational arithmetic that
 the integer codings of ``gkat_workbench.instances`` must reproduce: the
 same draws, the same pools and the same names.  Graded languages here keep
 their pairs in shortlex order, which ``flang`` values must name alike
-although they are stored in string order.  ``every_verdict`` lists what a
-carrier and its reference must agree on.
+although they are stored in string order.  The draws here call
+``random.Random``'s ``randint``, ``randrange`` and ``choice``, whose
+streams the carriers' bit-level draws must consume alike.
+``every_verdict`` lists what a carrier and its reference must agree on.
 """
 
 from __future__ import annotations
@@ -284,6 +286,49 @@ def shortlex_flang(alg: ProceduralAlgebra, base: FiniteAlgebra, maxlen: int) -> 
         el_name=el_name,
         member_pred=member,
     )
+
+
+# -- draws by random.Random's methods -------------------------------------
+#
+# The carriers draw pool positions straight from the generator's bits; these
+# are the draws they replaced, by ``randint``, ``randrange`` and ``choice``,
+# which must give the same values and leave the generator in the same state.
+# (``fraction_product`` and ``fraction_tropical`` above draw so too.)
+
+
+def choice_fset_draw(base: FiniteAlgebra, points: int):
+    tests = base.tests()
+    return lambda rng: tuple(rng.choice(tests) for _ in range(points))
+
+
+def choice_matrix_draw(alg: Algebra, base: FiniteAlgebra, t_tests, n: int):
+    """Draws of ``alg``, the n×n matrices over ``base`` with tests on ``t_tests``."""
+
+    def draw(rng: random.Random) -> Element:
+        if rng.random() < 0.25:
+            diagonal = [rng.choice(t_tests) for _ in range(n)]
+            m = tuple(tuple(diagonal[i] if i == j else base.zero for j in range(n))
+                      for i in range(n))
+        else:
+            m = tuple(tuple(rng.randrange(base.size) for _ in range(n)) for _ in range(n))
+        return mat_element(alg, base.size, m)
+
+    return draw
+
+
+def choice_flang_draw(base: FiniteAlgebra, alphabet: str, maxlen: int):
+    """Draws of languages over ``base``, in string order of the words."""
+    nonzero = [e for e in base.elements() if e != base.zero]
+
+    def draw(rng: random.Random) -> Language:
+        items: dict = {}
+        for _ in range(rng.randint(0, 4)):
+            length = rng.randint(0, maxlen)
+            word = "".join(rng.choice(alphabet) for _ in range(length))
+            items[word] = rng.choice(nonzero)
+        return tuple(sorted(items.items()))
+
+    return draw
 
 
 def every_verdict(alg: Algebra, strategy) -> list:

@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkat_workbench import constructions
-from gkat_workbench.algebra import DomainError, NameEncodingError, SizeError, star_lfp
+from gkat_workbench.algebra import (
+    DivergenceError,
+    DomainError,
+    FiniteAlgebra,
+    NameEncodingError,
+    SizeError,
+    randbelow,
+    star_lfp,
+)
 from gkat_workbench.algfile import dump_algebra
 from gkat_workbench.constructions import (
     DEFAULT_CAP,
@@ -34,6 +42,9 @@ from gkat_workbench.instances import make_builtin
 from gkat_workbench.laws import run_law_suite
 from gkat_workbench.semantics import Auto, Exhaustive, Sampled, _sample_pools
 from oracles import (
+    choice_flang_draw,
+    choice_fset_draw,
+    choice_matrix_draw,
     every_verdict,
     mat_add,
     mat_element,
@@ -43,8 +54,11 @@ from oracles import (
     mat_star,
     mat_star_iter,
     mat_zero,
+    shortlex_concat,
     shortlex_flang,
     shortlex_norm,
+    shortlex_star,
+    shortlex_union,
 )
 
 
@@ -469,6 +483,125 @@ class TestShortlexReference:
                 for op in ("plus", "seq"):
                     assert alg.el_name(getattr(alg, op)(x, y)) == ref.el_name(
                         getattr(ref, op)(rx, ry))
+
+
+def _odd_sum_base() -> FiniteAlgebra:
+    """Four elements, all tests, whose sum is neither commutative nor idempotent.
+
+    0 is the unit of the sum; 1 + 2 = 0 although neither is 0, 2 + 1 = 3,
+    1 + 1 = 2 and 3 + 3 = 1.
+    """
+    plus = ((0, 1, 2, 3), (1, 2, 0, 3), (2, 3, 1, 0), (3, 0, 2, 1))
+    seq = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+    return FiniteAlgebra(name="oddsum", element_names=("0", "1", "a", "b"),
+                         test_indices=(0, 1, 2, 3), zero=0, one=1, plus_table=plus,
+                         seq_table=seq, arrow_table=((1,) * 4,) * 4, star_table=(1,) * 4)
+
+
+class TestLanguageKernels:
+    """The merging union, and the other kernels, against the shortlex references.
+
+    On a base where a sum of two nonzero weights can be zero, and where the
+    order of a sum's operands shows, over every pair of a pool and of the
+    results of its unions.
+    """
+
+    @pytest.mark.parametrize("maxlen", [1, 2])
+    def test_every_pool_pair_matches_the_reference(self, maxlen) -> None:
+        base = _odd_sum_base()
+        alg = flang_algebra(base, None, "ab", maxlen)
+        pool = _sample_pools(alg, random.Random(maxlen))[0]
+        pool += [flang_union(base, x, y) for x, y in zip(pool, reversed(pool))]
+
+        def shortlex(lang):
+            return shortlex_norm(base, dict(lang), maxlen)
+
+        def normal(lang):
+            alg.check_member(lang)  # string order, no zero weight, in the window
+            return shortlex(lang)
+
+        dropped = 0
+        for x in pool:
+            try:
+                got = normal(flang_star(base, x, maxlen))
+            except DivergenceError:
+                got = DivergenceError
+            try:
+                want = shortlex_star(base, shortlex(x), maxlen)
+            except DivergenceError:
+                want = DivergenceError
+            assert got == want, x
+            assert flang_union(base, x, ()) is x and flang_union(base, (), x) is x
+            assert flang_concat(base, x, (), maxlen) == flang_concat(base, (), x, maxlen) == ()
+            for y in pool:
+                union = flang_union(base, x, y)
+                dropped += len(union) < len({w for w, _ in x + y})
+                assert normal(union) == shortlex_union(base, shortlex(x), shortlex(y), maxlen)
+                assert normal(flang_concat(base, x, y, maxlen)) == shortlex_concat(
+                    base, shortlex(x), shortlex(y), maxlen)
+        assert dropped  # some union summed two nonzero weights to zero
+
+
+class TestDrawsFromBits:
+    """Draws by ``randbelow`` against the ``random.Random`` methods they replaced."""
+
+    def test_randbelow_consumes_the_stream_as_the_random_methods(self) -> None:
+        for n in range(1, 301):
+            ours, theirs = random.Random(n), random.Random(n)
+            gb = ours.getrandbits
+            for _ in range(3):
+                assert randbelow(gb, n) == theirs.randrange(n)
+                assert 3 + randbelow(gb, n) == theirs.randint(3, n + 2)
+                assert randbelow(gb, n) == theirs.choice(range(n))
+            assert ours.getstate() == theirs.getstate()
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                randbelow(random.Random(0).getrandbits, n)
+
+    # (kind, K, T or None for K, maxlen, points or n); languages over "ab"
+    CARRIERS = [("flang", "chain3", None, 3), ("flang", "ex9", None, 2),
+                ("flang", "chain3", "bool2", 2), ("mat", "ex9", None, 3),
+                ("frel", "chain3", "bool2", 3), ("fset", "chain3", None, 9)]
+    IDS = ["flang:chain3:ab:3", "flang:ex9:ab:2", "flang:chain3:bool2:ab:2", "mat:ex9:3",
+           "frel:chain3:bool2:3", "fset:chain3:9"]
+
+    @staticmethod
+    def _with_choice_draws(kind: str, k: str, t, size: int):
+        """The sampled carrier, and it drawing by ``random.Random``'s methods."""
+        kalg = make_builtin(k)
+        talg = kalg if t is None else make_builtin(t)
+        if kind == "flang":
+            alg = flang_algebra(kalg, talg, "ab", size)
+            draw = choice_flang_draw(kalg, "ab", size)
+        elif kind == "fset":
+            alg = fset_algebra(kalg, size, sampled=True)
+            draw = choice_fset_draw(kalg, size)
+        else:
+            alg = (mat_algebra(kalg, size, sampled=True) if kind == "mat"
+                   else frel_algebra(kalg, talg, size, sampled=True))
+            draw = choice_matrix_draw(alg, kalg, _test_sort(kalg, talg)[0], size)
+        return alg, dataclasses.replace(alg, draw=draw)
+
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=IDS)
+    def test_pools_and_the_generator_after_them_match(self, carrier) -> None:
+        alg, ref = self._with_choice_draws(*carrier)
+        assert not alg.finite
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _sample_pools(alg, rng) == _sample_pools(ref, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def test_flang_over_a_one_element_base() -> None:
+    # 0 = 1: every language is zero, so one is () and a draw is ().
+    base = FiniteAlgebra(name="trivial", element_names=("0",), test_indices=(0,), zero=0,
+                         one=0, plus_table=((0,),), seq_table=((0,),), arrow_table=((0,),),
+                         star_table=(0,))
+    alg = flang_algebra(base, None, "ab", 2)
+    assert alg.one == alg.zero == ()
+    alg.check_member(alg.one)
+    assert alg.draw(random.Random(0)) == ()
+    assert run_law_suite(alg, "gkat", Sampled(50, seed=0)).ok
 
 
 _GKAT_BASES = ("bool2", "chain3", "powerset:xy", "luka:3", "godel:3", "wajsberg:3", "ex9",

@@ -258,9 +258,11 @@ class TestIntegerCodings:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_every_pool_pair_names_the_reference_result(self, spec, reference, seed):
         alg, ref = make_builtin(spec), reference()
-        pool = _sample_pools(alg, random.Random(seed))[0]
-        ref_pool = _sample_pools(ref, random.Random(seed))[0]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        pool = _sample_pools(alg, rng)[0]
+        ref_pool = _sample_pools(ref, ref_rng)[0]
         assert [alg.el_name(x) for x in pool] == [str(x) for x in ref_pool]
+        assert rng.getstate() == ref_rng.getstate()  # the draws consume the stream alike
         for x, rx in zip(pool, ref_pool):
             assert alg.el_name(alg.star(x)) == str(ref.star(rx))
             for y, ry in zip(pool, ref_pool):
