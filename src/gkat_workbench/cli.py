@@ -178,6 +178,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 _STRATEGIES = {cls.mode: cls for cls in get_args(Strategy)}
 
 
@@ -198,7 +206,7 @@ def _add_strategy_opts(ap: argparse.ArgumentParser) -> None:
     g.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     g.add_argument(
         "--cap",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="largest valuation space enumerated (auto falls back to sampling above it)",
     )

@@ -358,8 +358,15 @@ def flang_algebra(
     if not alphabet or len(set(alphabet)) != len(alphabet):
         raise ValueError(f"flang alphabet must be nonempty distinct characters: {alphabet!r}")
     require_utf8((alphabet,), "flang alphabet")
+    # A language prints as {word:weight,...}, the empty word as eps.
+    if any(c in ",:{}" or c.isspace() for c in alphabet):
+        raise ValueError(f"flang alphabet {alphabet!r} holds ',', ':', '{{', '}}' or whitespace,"
+                         " which language names use")
     if maxlen < 1:
         raise ValueError("flang needs maxlen >= 1")
+    if maxlen >= 3 and set("eps") <= set(alphabet):
+        raise ValueError(f"flang alphabet {alphabet!r} holds e, p and s, so at maxlen {maxlen}"
+                         " the word 'eps' would print as the empty word")
     t_tests, t_arrow = _resolve_test_sort(kalg, talg)
     t_test_set = frozenset(t_tests)
     name = f"flang:{kalg.name}:{talg.name}:{alphabet}:{maxlen}"

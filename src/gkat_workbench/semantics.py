@@ -13,6 +13,13 @@ index).  Three strategies exist:
 * ``Auto(cap, samples, seed)`` -- per check: exhaustive when the valuation
   space fits under ``cap``, sampled otherwise.
 
+A check is read once (``_normal_form``, an LRU cache of 512 checks) as
+the pairs of terms its equations compare, ``a <= b`` as ``a + b`` with
+``b`` (Kozen, "On Hoare logic and Kleene algebra with tests", 2000); one
+post-order walk of the pairs checks the declarations and finds all that
+planning reads: the used variables, the vector variable's candidate and
+the free-variable masks of the operations.
+
 Each check is compiled into one Python function (see ``_Compiler``):
 
 * An exhaustive check becomes nested loops, one per variable the check
@@ -31,17 +38,18 @@ Each check is compiled into one Python function (see ``_Compiler``):
   one ``bytes.translate`` through a row or a column of a table
   (``FiniteAlgebra.byte_views``) at the outermost loop that binds the
   node's other variables.  The vector variable is a used variable that no
-  node has free in both operands, counting ``a <= b`` as the node
-  ``a + b`` compared with ``b``; a program-sorted one is preferred, then
-  the later one.  An equation compares two vectors, or a vector with a
-  fill of a scalar.  A hypothesis that mentions the vector variable is a
-  mask, read only where the conclusion's two sides differ: the XOR of two
-  vectors, as ints, has a zero byte where they agree.  A failure reports
-  its first failing index; when loops over later variables remain, they
-  run on for the current values of the earlier ones and the least index
-  wins, so the counterexample is still the first in variable order.  A
-  check keeps the scalar loops when no variable is eligible, when it uses
-  more than ``_MAX_LOOPS`` variables, or on a larger carrier.
+  node of the normal form has free in both operands, so that each node
+  reads at most one vector; a program-sorted one is preferred (a test
+  domain is never wider), then the later one.  An equation compares two
+  vectors, or a vector with a fill of a scalar.  A hypothesis that
+  mentions the vector variable is a mask, read only where the
+  conclusion's two sides differ: the XOR of two vectors, as ints, has a
+  zero byte where they agree.  A failure reports its first failing index;
+  when loops over later variables remain, they run on for the current
+  values of the earlier ones and the least index wins, so the
+  counterexample is still the first in variable order.  A check keeps the
+  scalar loops when no variable is eligible, when it uses more than
+  ``_MAX_LOOPS`` variables, or on a larger carrier.
 * A sampled check runs the same body in one loop, which draws each
   valuation from the seeded generator just before checking it, one
   variable at a time in variable order, by the same ``getrandbits`` calls
@@ -57,29 +65,31 @@ Each check is compiled into one Python function (see ``_Compiler``):
   many slots, indexed by the positions ``r<j>`` its variables were drawn
   at.  The first draw of those positions computes the call and fills its
   slot; later ones read it, after the slots of the call's operands, whose
-  variables are among its own.  No value is hashed, and the tables of a check never hold more than L
-  slots each, whatever the sample count.  ``star`` is also passed through
-  a ``functools.cache`` made fresh for each run, so the check stars each
-  distinct value once.  A call that raises fills no slot, and raises again
-  at the same valuation.  The pools of a procedural carrier depend only
-  on the carrier and the seed, so the checks that share both draw them
-  once (``_seeded_pools``).
+  variables are among its own.  No value is hashed, and the tables of a
+  check never hold more than L slots each, whatever the sample count.
+  ``star`` is also passed through a ``functools.cache`` made fresh for
+  each run, so the check stars each distinct value once.  A call that
+  raises fills no slot, and raises again at the same valuation.  The pools
+  of a procedural carrier depend only on the carrier and the seed, so the
+  checks that share both draw them once (``_seeded_pools``).
 
 The function is generated and compiled once per process for each check
 (``_compile``, an LRU cache of 512 checks).  The key is the check: whether
 the carrier is finite, whether a vector variable may be chosen (see
-``_VECTOR_SPACE``), whether it is sampled, the
-hypotheses, the conclusion, the variables and the masks of the calls a
-sampled check tabulates.  ``_compile`` makes the loop plan from the key
-alone, and the function reads every domain, table and operation through
-its parameters, so the key holds no algebra, element or seed.
+``_VECTOR_SPACE``), whether it is sampled, the hypotheses, the
+conclusion, the variables and the masks of the calls a sampled check
+tabulates.  ``_compile`` makes the loop plan from the key and the check's
+normal form alone, and the function reads every domain, table and
+operation through its parameters, so the key holds no algebra, element or
+seed.
 
-The terms of a check obey two rules, both enforced by ``_compile`` before
-any valuation is checked: each variable is declared once, at the sort the
-terms use it at, and each arrow's operands are test-sorted, as the parser
-requires (``terms.mk_arrow``; a hand-built ill-sorted ``Arrow`` raises its
-``SortError``).  A test-sorted term's value is then always a test, so on a
-finite carrier every node is a table lookup, which cannot raise.
+The terms of a check obey two rules, both enforced before any valuation
+is checked: each variable is declared once, at the sort the terms use it
+at (``_normal_form``), and each arrow's operands are test-sorted, as the
+parser requires (``_compile``, by ``terms.mk_arrow``; a hand-built
+ill-sorted ``Arrow`` raises its ``SortError``).  A test-sorted term's
+value is then always a test, so on a finite carrier every node is a table
+lookup, which cannot raise.
 
 Evaluation order on a procedural carrier: every operation may raise, so
 each runs in the sampled loop, left to right: a hypothesis's terms are
@@ -129,15 +139,18 @@ class Equation:
         return f"{pretty(self.lhs)} {REL_SYMBOL[self.rel]} {pretty(self.rhs)}"
 
 
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"sample count must be at least 1, got {samples}")
+def _require(what: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
 class Exhaustive:
     mode: ClassVar[str] = "exhaustive"
     cap: int = 10**8
+
+    def __post_init__(self) -> None:
+        _require("valuation cap", self.cap, 0)
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ class Sampled:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_samples(self.samples)
+        _require("sample count", self.samples, 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,8 @@ class Auto:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_samples(self.samples)
+        _require("valuation cap", self.cap, 0)
+        _require("sample count", self.samples, 1)
 
 
 Strategy = Union[Exhaustive, Sampled, Auto]
@@ -246,7 +260,7 @@ _MAX_LOOPS = 10
 _TABLE_SLOTS = 4096
 
 # Carriers whose elements fit in a byte: an exhaustive check on one may
-# compute a variable as a vector of bytes (see ``_vector_variable``).
+# compute a variable as a vector of bytes (see ``_normal_form``).
 _BYTE_CARRIER = 256
 
 # Fewest valuations an exhaustive check needs to compute a vector.  A
@@ -275,46 +289,49 @@ def _fills(width: int) -> LazyBytes:
     return LazyBytes(lambda b: bytes((b,)) * width)
 
 
-def _operand_masks(equations: Sequence[Equation], variables) -> list[tuple[int, int]]:
-    """The free variables of each operation's two operands, as masks (bit j: variable j).
+@functools.lru_cache(maxsize=512)
+def _normal_form(hypotheses: tuple[Equation, ...], conclusion: Equation,
+                 variables: tuple[Var, ...]):
+    """The check read once (see the module docstring): ``(pairs, used, vector, calls)``.
 
-    One pair per distinct plus, seq, arrow and star (whose second operand
-    is empty), and one per ``a <= b``, read as the node ``a + b``.  A name
-    that ``variables`` does not declare has no bit.
+    ``pairs``: the terms each equation compares; ``used``: the indices of
+    the variables they mention; ``vector``: the vector variable's
+    candidate, or None; ``calls``: the operations' distinct free-variable
+    masks (bit j: variable j).
     """
+    pairs = tuple((Plus(e.lhs, e.rhs), e.rhs) if e.rel == "leq" else (e.lhs, e.rhs)
+                  for e in (*hypotheses, conclusion))
     bit = {v.name: 1 << j for j, v in enumerate(variables)}
+    seen: dict[str, Var] = {}  # the mentioned variables, in first-occurrence order
     mask: dict[Term, int] = {}
-    pairs = []
-    for u in postorder(t for e in equations for t in (e.lhs, e.rhs)):
+    shared = 0  # bit j: variable j is free in both operands of some node
+    calls = set()
+    for u in postorder(t for pair in pairs for t in pair):
+        if type(u) is Var and seen.setdefault(u.name, u).sort is not u.sort:
+            raise SortError(f"variable {u.name!r} is used at two different sorts")
         mask[u] = bit.get(u.name, 0) if type(u) is Var else 0
         if u.operands:
-            pair = mask[u.operands[0]], mask[u.operands[1]] if len(u.operands) == 2 else 0
-            pairs.append(pair)
-            mask[u] = pair[0] | pair[1]
-    pairs.extend((mask[e.lhs], mask[e.rhs]) for e in equations if e.rel == "leq")
-    return pairs
-
-
-def _vector_variable(equations: Sequence[Equation], variables,
-                     used: Sequence[int]) -> Optional[int]:
-    """The variable an exhaustive check on a byte carrier computes as one vector, if any.
-
-    It is a used variable that no node has free in both operands, counting
-    ``a <= b`` as the node ``a + b`` compared with ``b``: every node then
-    reads at most one vector, so one ``bytes.translate`` computes it.  A
-    program-sorted variable is preferred (a test domain is never wider),
-    then the later one.  There is none when the check uses more than
-    ``_MAX_LOOPS`` variables.
-    """
-    if len(used) > _MAX_LOOPS:
-        return None
-    shared = 0  # bit j: variable j is free in both operands of some node
-    for lv, rv in _operand_masks(equations, variables):
-        shared |= lv & rv
+            lv, rv = mask[u.operands[0]], mask[u.operands[1]] if len(u.operands) == 2 else 0
+            shared |= lv & rv
+            mask[u] = lv | rv
+            calls.add(mask[u])
+    declared: dict[str, Sort] = {}
+    for v in variables:
+        if v.name in declared:
+            raise AlgebraError(f"variable {v.name!r} is declared twice")
+        declared[v.name] = v.sort
+    for v in seen.values():
+        if v.name not in declared:
+            raise AlgebraError(f"no binding for variable {v.name!r}")
+        if declared[v.name] is not v.sort:
+            raise SortError(f"variable {v.name!r} is declared {declared[v.name].value}-sorted"
+                            f" but the terms use it {v.sort.value}-sorted")
+    used = tuple(j for j, v in enumerate(variables) if v.name in seen)
     eligible = [j for j in used if not shared >> j & 1]
-    if not eligible:
-        return None
-    return max(eligible, key=lambda j: (variables[j].sort is Sort.PROGRAM, j))
+    vector = None
+    if eligible and len(used) <= _MAX_LOOPS:
+        vector = max(eligible, key=lambda j: (variables[j].sort is Sort.PROGRAM, j))
+    return pairs, used, vector, tuple(sorted(calls))
 
 
 class _Compiler:
@@ -329,7 +346,7 @@ class _Compiler:
     list made before the loop, at its key, the mixed-radix numeral of its
     variables' draw positions ``r<j>`` (sizes ``c<j>``): both are operands.
 
-    With a vector variable (``vector``, see ``_vector_variable``) no loop
+    With a vector variable (``vector``, see ``_normal_form``) no loop
     binds that variable: ``x<vector>`` is the bytes of its domain, and a
     node that mentions it is the ``bytes`` of its values along that domain,
     computed by one ``translate`` through a row or column of a table view
@@ -467,11 +484,9 @@ class _Compiler:
     def _int(self, a: int) -> int:
         return self._add(("int", a), f"fb({self.name[a]}, 'big')", (a,))
 
-    def equation(self, eqn: Equation) -> tuple[int, int]:
-        """The two nodes the equation compares; ``a <= b`` compares a + b with b."""
-        a, b = self.node(eqn.lhs), self.node(eqn.rhs)
-        if eqn.rel == "leq":
-            a = self._binary("plus", "P", a, b)
+    def equation(self, lhs: Term, rhs: Term) -> tuple[int, int]:
+        """The nodes of an equation's two terms; a scalar opposite a vector becomes a fill."""
+        a, b = self.node(lhs), self.node(rhs)
         if self.vec[a] != self.vec[b]:
             a, b = (a, self._fill(b)) if self.vec[a] else (self._fill(a), b)
         return a, b
@@ -528,12 +543,13 @@ class _Compiler:
             lines.append(f"{pad}if k < first:")
             lines.append(f"{pad}    {fail}")
 
-    def source(self, hypotheses, conclusion, headers: Sequence[str], fail: str, params) -> str:
+    def source(self, pairs, headers: Sequence[str], fail: str, params) -> str:
         """The function's source; ``headers[k]``, one or more lines, opens loop k.
 
-        ``fail`` reports a failure.
+        ``pairs``: the terms each equation compares, the conclusion's last
+        (see ``_normal_form``).  ``fail`` reports a failure.
         """
-        items = [self.equation(h) for h in hypotheses] + [self.equation(conclusion)]
+        items = [self.equation(*pair) for pair in pairs]
         # A hypothesis that mentions the vector variable is a mask, read only
         # where the conclusion fails; the ints of its vectors and of the
         # conclusion's are computed where the vectors are.
@@ -545,7 +561,7 @@ class _Compiler:
         # equation is tested in the loop, in order.
         test_at: list[Optional[int]] = []
         for k, (a, b) in enumerate(items):
-            hypothesis = k < len(hypotheses)
+            hypothesis = k < len(items) - 1
             at = max(self.level[a], self.level[b]) if hypothesis and self.finite else self.inner
             test_at.append(None if hypothesis and self.vec[a] else at)
         lines = [f"def check({', '.join(params)}):"]
@@ -565,7 +581,7 @@ class _Compiler:
                 if test_at[k] == level:
                     self._emit((a, b), level, seen, lines, pad)
                     lines.append(f"{pad}if not {self.name[a]} == {self.name[b]}:")
-                    if k < len(hypotheses):
+                    if k < len(items) - 1:
                         lines.append(f"{pad}    {'continue' if level >= 0 else 'return None'}")
                     elif self.vector is None:
                         lines.append(f"{pad}    {fail}")
@@ -605,25 +621,13 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
     ``_BYTE_CARRIER`` elements, over at least ``_VECTOR_SPACE`` valuations,
     so one variable may be computed as a vector.
 
-    Each variable of the terms must be declared, once, at the terms' sort,
-    and each arrow must take test-sorted operands (checked as the terms
-    are compiled, with ``terms.mk_arrow``'s ``SortError``).
+    The terms are read through ``_normal_form``, which checks their
+    declarations; each arrow must take test-sorted operands (checked as
+    the terms are compiled, with ``terms.mk_arrow``'s ``SortError``).
     """
-    equations = (*hypotheses, conclusion)
-    mentioned = free_vars(*(t for e in equations for t in (e.lhs, e.rhs)))
-    declared: dict[str, Sort] = {}
-    for v in variables:
-        if v.name in declared:
-            raise AlgebraError(f"variable {v.name!r} is declared twice")
-        declared[v.name] = v.sort
-    for v in mentioned:
-        if v.name not in declared:
-            raise AlgebraError(f"no binding for variable {v.name!r}")
-        if declared[v.name] is not v.sort:
-            raise SortError(f"variable {v.name!r} is declared {declared[v.name].value}-sorted"
-                            f" but the terms use it {v.sort.value}-sorted")
+    pairs, used, candidate, _ = _normal_form(hypotheses, conclusion, variables)
     js = range(len(variables))
-    vector = split = None
+    vector, split = candidate if bytewise else None, None
     if sampled:
         # random.Random.choice(D), for a nonempty D, is D[r] for the first
         # r = getrandbits(len(D).bit_length()) below len(D).  Every variable
@@ -639,9 +643,6 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         fail = "return n, (" + "".join(f"x{j}, " for j in js) + ")"
         data = ("N", "gb", *(f"D{j}" for j in js))
     else:
-        used = [j for j in js if variables[j] in mentioned]
-        if bytewise:
-            vector = _vector_variable(equations, variables, used)
         loops = [[j] for j in used if j != vector]
         if len(loops) > _MAX_LOOPS:
             loops[_MAX_LOOPS - 1:] = [used[_MAX_LOOPS - 1:]]
@@ -660,20 +661,12 @@ def _compile(finite: bool, bytewise: bool, sampled: bool, hypotheses: tuple[Equa
         fail = f"return {valuation}" if split is None else f"first, found = k, {valuation}"
         data = tuple(f"D{j}" for j in js)
     compiler = _Compiler(finite, variables, var_level, len(headers) - 1, vector, split, tabulated)
-    source = compiler.source(hypotheses, conclusion, headers, fail, _OPS + data)
+    source = compiler.source(pairs, headers, fail, _OPS + data)
     namespace: dict = {"HOLDS": _HOLDS, "fills": _fills, "fb": int.from_bytes,
                        "first_byte": _first_byte}
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle.
     return namespace.pop("check")
-
-
-@functools.lru_cache(maxsize=512)
-def _call_masks(hypotheses: tuple[Equation, ...], conclusion: Equation,
-                variables: tuple[Var, ...]) -> tuple[int, ...]:
-    """The distinct free-variable masks of a procedural check's calls (see ``_operand_masks``)."""
-    pairs = _operand_masks((*hypotheses, conclusion), variables)
-    return tuple(sorted({lv | rv for lv, rv in pairs}))
 
 
 # -- valuation enumeration --------------------------------------------------
@@ -812,7 +805,7 @@ def check_quasi_equation(
                 slots = min(samples, _TABLE_SLOTS)
                 sizes = [len(pool) for pool in pools]
                 tabulated = tuple(
-                    mask for mask in _call_masks(hyps, conclusion, variables)
+                    mask for mask in _normal_form(hyps, conclusion, variables)[3]
                     if math.prod(n for j, n in enumerate(sizes) if mask >> j & 1) <= slots
                 )
             hit = _run_compiled(alg, hyps, conclusion, variables, True, False,

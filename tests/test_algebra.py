@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from gkat_workbench import (
     ClosureError,
+    DivergenceError,
     DomainError,
     FiniteAlgebra,
     NameEncodingError,
@@ -253,22 +254,50 @@ def test_star_lfp_agrees_with_star_tables(spec):
         assert star_lfp(alg, a) == alg.star(a)
 
 
+def _toy_procedural(**over):
+    """A procedural carrier of 0, 1 and 2, of which 2 is no test."""
+    kwargs = dict(name="toy", zero=0, one=1, plus=max, seq=min, star=lambda x: 1,
+                  arrow_fn=lambda x, y: 1, is_test=lambda v: v != 2, samples=(0, 1, 2),
+                  draw=lambda rng: rng.randint(0, 2), el_name=str,
+                  member_pred=lambda v: v in (0, 1, 2))
+    kwargs.update(over)
+    return ProceduralAlgebra(**kwargs)
+
+
 def test_procedural_samples_must_hold_constants():
     with pytest.raises(ClosureError, match="must contain both constants"):
-        ProceduralAlgebra(
-            name="broken",
-            zero=0,
-            one=1,
-            plus=max,
-            seq=min,
-            star=lambda x: 1,
-            arrow_fn=lambda x, y: 1,
-            is_test=lambda v: True,
-            samples=(0,),
-            draw=lambda rng: rng.randint(0, 1),
-            el_name=str,
-            member_pred=lambda v: v in (0, 1),
-        )
+        _toy_procedural(samples=(0,))
+
+
+def _oscillating():
+    """Four elements in which the star iterates of x run 1, y, 1, y, ...
+
+    seq[x][1] = x and 1 + x = y; seq[x][y] = 0 and 1 + 0 = 1.
+    """
+    zeros = ((0,) * 4,) * 4
+    plus = ((0, 0, 0, 0), (1, 0, 3, 0), (0,) * 4, (0,) * 4)
+    seq = ((0,) * 4, (0,) * 4, (0, 2, 0, 0), (0,) * 4)
+    return FiniteAlgebra("osc", ("0", "1", "x", "y"), (0, 1), 0, 1, plus, seq, zeros, (0,) * 4)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FiniteAlgebra(**_bool_kwargs(element_names=())), ClosureError,
+     "algebra 'tiny' has no elements"),
+    (lambda: FiniteAlgebra(**_bool_kwargs(plus_table=((0, 1),))), ClosureError,
+     "table plus of 'tiny' has 1 rows, expected 2"),
+    (lambda: FiniteAlgebra(**_bool_kwargs(star_table=(1,))), ClosureError,
+     "table star of 'tiny' has 1 entries, expected 2"),
+    (lambda: _toy_procedural(is_test=lambda v: False), ClosureError,
+     "sample list of 'toy' contains no tests"),
+    (lambda: _toy_procedural().arrow(2, 0), SortError,
+     "arrow is defined only between tests; '2' is not a test of 'toy'"),
+    (lambda: star_lfp(_oscillating(), 2), DivergenceError,
+     "iteration of 'x' in 'osc' did not stabilise within 5 steps"),
+])
+def test_each_refusal_names_its_cause(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_fingerprint_tracks_tables():

@@ -197,3 +197,14 @@ def test_a_name_that_would_not_read_back_is_refused_before_writing(over, message
     except AlgFileError:
         return
     assert back.canonical_text() != text
+
+
+@pytest.mark.parametrize("text, message", [
+    (_swap("elements 0 1", "elements"), "tiny.alg:3: expected at least one element name"),
+    (_swap("table plus", "table plus 0"), "tiny.alg:8: unexpected tokens after 'table plus'"),
+    (_swap("table star", "table star 1"), "tiny.alg:17: unexpected tokens after 'table star'"),
+])
+def test_a_malformed_section_head_is_refused_with_its_line(text: str, message: str) -> None:
+    with pytest.raises(AlgFileError) as info:
+        loads_algebra(text, source="tiny.alg")
+    assert str(info.value) == message

@@ -383,6 +383,42 @@ def test_sample_counts_below_one_are_rejected(capsys, argv) -> None:
     assert "argument --samples: must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("construct", "frel:nope:2"), "error: cannot read 'nope' as one or two builtin specs"),
+    (("construct", "fset:chain3"), "error: fset spec needs a trailing point count: 'fset:chain3'"),
+    (("construct", "flang:ab:2"), "error: flang spec needs base, alphabet, maxlen: 'flang:ab:2'"),
+    (("check-laws", "--construct", "flang:bool2:eps:3"),
+     "error: flang alphabet 'eps' holds e, p and s, so at maxlen 3 the word 'eps' would print"
+     " as the empty word"),
+    (("eval", "--builtin", "ex9", "--expr", "m", "--prog", "skip"),
+     "error: pick exactly one of --expr, --prog"),
+    (("eval", "--builtin", "ex9"), "error: pick exactly one of --expr, --prog"),
+    (("eval", "--builtin", "ex9", "--expr", "p", "--let", "p"),
+     "error: --let wants NAME=ELEMENT, got 'p'"),
+    (("prove", "--builtin", "ex9", "--progs", "1x", "--concl", "p = p"),
+     "error: bad variable name '1x'"),
+    (("prove", "--builtin", "ex9", "--tests", "a", "--progs", "a", "--concl", "a = a"),
+     "error: variable 'a' declared twice"),
+    (("rule", "--builtin", "ex9"), "error: --name is required (or use --list)"),
+    (("check-laws", "--builtin", "ex9", "--cap", "-1"),
+     "gkat check-laws: error: argument --cap: must be at least 0, got -1"),
+    (("check-laws", "--builtin", "ex9", "--mode", "exhaustive", "--cap", "-1"),
+     "gkat check-laws: error: argument --cap: must be at least 0, got -1"),
+])
+def test_each_refusal_exits_2_naming_its_cause(capsys, argv, line) -> None:
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == line
+
+
+def test_a_cap_of_zero_samples_every_law(capsys) -> None:
+    code, out, err = run(capsys, "check-laws", "--builtin", "ex9", "--cap", "0",
+                         "--samples", "10", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["strategy"]["cap"] == 0
+    assert {law["mode"] for law in report["laws"]} == {"sampled"}
+
+
 def test_mode_choices_are_the_strategy_modes() -> None:
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

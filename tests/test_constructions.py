@@ -381,6 +381,49 @@ def test_flang_validates_alphabet_and_maxlen() -> None:
         dataclasses.replace(flang_algebra(c3), name="x\ud800")
 
 
+def _swapped_bool2() -> FiniteAlgebra:
+    """The two-element Boolean tables with the names of zero and one swapped."""
+    b = make_builtin("bool2")
+    return dataclasses.replace(b, name="swapped", element_names=b.element_names[::-1])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: frel_algebra(make_builtin("chain3"), _swapped_bool2(), 1), ValueError,
+     "test algebra 'swapped' must share zero/one names with 'chain3'"),
+    (lambda: flang_algebra(make_builtin("bool2"), alphabet="a", maxlen=2**16), SizeError,
+     "flang:bool2:bool2:a:65536: 65537 star steps exceed bound 65536"),
+    # A language prints as {word:weight,...} and the empty word as eps, so
+    # no two languages of a carrier may print alike.
+    *((lambda alphabet=alphabet: flang_algebra(make_builtin("bool2"), alphabet=alphabet,
+                                               maxlen=2), ValueError,
+       f"flang alphabet {alphabet!r} holds ',', ':', '{{', '}}' or whitespace,"
+       " which language names use") for alphabet in ("a,b", "a:", "{", "b}", "a b", "\t")),
+    (lambda: flang_algebra(make_builtin("bool2"), alphabet="spea", maxlen=3), ValueError,
+     "flang alphabet 'spea' holds e, p and s, so at maxlen 3 the word 'eps' would print"
+     " as the empty word"),
+])
+def test_each_refusal_names_its_cause(make, error, message) -> None:
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_an_eps_alphabet_is_accepted_below_maxlen_3() -> None:
+    bool2 = make_builtin("bool2")
+    fl = flang_algebra(bool2, alphabet="eps", maxlen=2)
+    one = bool2.one
+    assert fl.el_name(fl.one) == "{eps:1}"
+    assert fl.el_name((("ep", one), ("s", one))) == "{s:1,ep:1}"
+
+
+def test_fset_over_a_one_element_base_has_one_element_at_any_point_count() -> None:
+    # A base of one test: the power is 1 whatever the exponent, so no cap applies.
+    trivial = FiniteAlgebra("trivial", ("0",), (0,), 0, 0, ((0,),), ((0,),), ((0,),), (0,))
+    alg = fset_algebra(trivial, 100)
+    assert alg.finite and alg.size == 1
+    assert alg.el_name(0) == "(" + ",".join(["0"] * 100) + ")"
+
+
 def test_flang_sampled_suite_is_clean() -> None:
     fl = flang_algebra(make_builtin("chain3"), make_builtin("chain3"), alphabet="ab", maxlen=4)
     rep = run_law_suite(fl, "igkat", Sampled(50, seed=0))

@@ -43,7 +43,7 @@ from gkat_workbench.cli import build_construct
 from gkat_workbench.laws import SUITES, check_law, check_laws
 from gkat_workbench.semantics import Verdict, _compile, _sample_pools, describe_strategy
 from gkat_workbench.terms import (
-    Arrow, One, Plus, Seq, Sort, Star, Var, Zero, free_vars, parse_term,
+    Arrow, One, Plus, Seq, Sort, Star, Term, Var, Zero, free_vars, parse_term,
 )
 
 SORTS = {name: Sort.TEST for name in "abcd"} | {name: Sort.PROGRAM for name in "pqrs"}
@@ -365,6 +365,26 @@ def test_sample_counts_below_one_are_rejected(make):
         make()
 
 
+class _Unknown(Term):
+    """A term class the compiler has no case for."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Exhaustive(cap=-1), ValueError, "valuation cap must be at least 0, got -1"),
+    (lambda: Auto(cap=-1), ValueError, "valuation cap must be at least 0, got -1"),
+    (lambda: Equation(_P, _Q, rel="lt"), ValueError, "unknown relation 'lt'"),
+    (lambda: describe_strategy(3), TypeError, "not a strategy: 3"),
+    (lambda: check_equation(make_builtin("ex9"), Equation(_Unknown(), One()), variables=()),
+     TypeError, "not a term: _Unknown()"),
+])
+def test_each_refusal_names_its_cause(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
 # p;!p = p, hand-built: the parser refuses !p for a program p.
 _ILL_SORTED = Equation(Seq(_P, Arrow(_P, Zero())), _P)
 
@@ -546,13 +566,27 @@ def test_checks_with_more_variables_than_nested_loops():
     _assert_agrees(make_builtin("bool2"), ((), Equation(total, tail), tuple(ps)), Exhaustive())
 
 
+def test_sixteen_variables_keep_the_grouped_scalar_plan():
+    # 2^16 valuations on bool2 are enough to vectorise, but past _MAX_LOOPS
+    # used variables no vector is chosen, and p9 ... p15 share one loop.
+    # The first failure, p8 = p9 = 1, is rank 2^7 + 2^6 = 192.
+    ps = tuple(Var(f"p{i}", Sort.PROGRAM) for i in range(16))
+
+    def conclusion(n):
+        return Equation(Seq(functools.reduce(Plus, ps[:n]), Seq(ps[8], ps[9])), Zero())
+
+    assert semantics._normal_form((), conclusion(10), ps[:10])[2] == 7  # ten would vectorise
+    concl = conclusion(16)
+    assert semantics._normal_form((), concl, ps)[2] is None
+    _assert_agrees(make_builtin("bool2"), ((), concl, ps), Exhaustive())
+    assert check_quasi_equation(make_builtin("bool2"), (), concl, Exhaustive(), ps).checked == 193
+
+
 # -- the vector variable -------------------------------------------------------
 
 
 def _vector_of(hyps, concl, variables):
-    names = {v.name for e in (*hyps, concl) for t in (e.lhs, e.rhs) for v in free_vars(t)}
-    used = [j for j, v in enumerate(variables) if v.name in names]
-    j = semantics._vector_variable((*hyps, concl), variables, used)
+    j = semantics._normal_form(tuple(hyps), concl, variables)[2]
     return None if j is None else variables[j].name
 
 

@@ -70,6 +70,17 @@ def test_malformed_input_raises(bad):
         parse_term(bad, SORTS)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "(p q)", "expected ')' but found 'q' at position 3"),
+    (parse_term, "p + )", "unexpected token ')' at position 4"),
+    (parse_program, "p;", "unexpected end of input in 'p;'"),
+])
+def test_each_parse_error_names_its_position(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, SORTS)
+    assert str(info.value) == message
+
+
 def test_unknown_identifier_lists_known_names():
     with pytest.raises(ParseError, match="unknown identifier 'z'"):
         parse_term("z", SORTS)
