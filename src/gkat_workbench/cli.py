@@ -251,7 +251,9 @@ def _law_lines(rep: LawReport) -> list[str]:
 
 def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
     if args.json:
-        print(json.dumps({"command": args.command_echo, **payload}, indent=2))
+        # Every payload is a fresh tree, so there is no cycle to look for.
+        print(json.dumps({"command": args.command_echo, **payload}, indent=2,
+                         check_circular=False))
     else:
         print("\n".join(human))
 
@@ -318,6 +320,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         name, sep, elname = item.partition("=")
         if not sep or not IDENT.fullmatch(name):
             raise ValueError(f"--let wants NAME=ELEMENT, got {item!r}")
+        if name in lets:
+            raise ValueError(f"variable {name!r} bound twice by --let")
         lets[name] = alg.resolve(elname)
     bound = _eval_bindings(alg, text, lets)
     sorts = {n: Sort.TEST if alg.is_test(e) else Sort.PROGRAM for n, e in bound.items()}

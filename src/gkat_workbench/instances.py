@@ -2,11 +2,20 @@
 
 ``make_builtin`` reads a spec string such as ``bool2``, ``powerset:xy``,
 ``luka:5``, ``wajsberg:4`` or ``tropical`` and calls the builder its form
-names in ``_BUILDERS``.  Three kinds of builder sit behind the forms:
+names in ``_BUILDERS``.  Each form and parameter is built once per
+process and kept in an LRU memo of ``_MEMO_SIZE`` algebras, so every spec
+that names it (``luka:3``, ``luka:+3``) gets the same object, and with it
+the fingerprint, byte views and all-tests view that object computes once.
+The algebras are immutable and every such cache a pure function of the
+tables; a caller that needs a fresh object (to count what it computes,
+say) makes one with ``dataclasses.replace``.  A spec whose form is known
+but whose parameter is wrong is refused with the form it names.
+
+Three kinds of builder sit behind the forms:
 
 * the five hand-made finite tables (``bool2``, ``chain3``, ``ex9``,
   ``lemma4``, ``lemma6``) are read from their shipped ``data/*.alg`` file
-  on each call, so that file is their only copy;
+  when first resolved, so that file is their only copy;
 * the generated finite families (powersets, the Łukasiewicz and Gödel
   subchains {0, 1/n, …, 1}, the Wajsberg chains) are computed from their
   parameter; their shipped files are golden comparisons, not sources;
@@ -41,7 +50,7 @@ import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from pathlib import Path
 from typing import Callable
@@ -294,24 +303,45 @@ STANDARD_FINITE = (
 
 _BY_HEAD = {form.partition(":")[0]: form for form in BUILTIN_FORMS}
 
+#: How many built algebras ``make_builtin`` keeps.  The largest builtins
+#: (``luka:255``, ``godel:255``, ``powerset:abcdefgh``: 256 elements) take
+#: 2.5 MB each with their fingerprint, all-tests view and every byte row and
+#: column of both built, so the memo holds at most 32 x 2.5 = 81 MB.
+_MEMO_SIZE = 32
 
-def make_builtin(text: str) -> Algebra:
-    """Resolve a builtin spec string such as "luka:5" to a ready algebra."""
+
+def _parse_spec(text: str) -> tuple[str, object]:
+    """The form ``text`` names and the parameter its builder takes (None for none)."""
     head, sep, arg = text.strip().partition(":")
     form = _BY_HEAD.get(head)
-    if form is not None:
-        build = _BUILDERS[form]
-        placeholder = form.partition(":")[2]
-        if not placeholder and not arg:  # "ex9:" reads as "ex9"
-            return build()
-        if placeholder == "<chars>":
-            return build(arg if sep else "xy")
-        if placeholder and arg:
-            try:
-                n = int(arg)
-            except ValueError:
-                raise ValueError(f"bad numeric parameter in builtin spec {text!r}") from None
-            return build(n)
-    raise ValueError(
-        f"unknown builtin spec {text!r}; expected one of: " + ", ".join(BUILTIN_FORMS)
-    )
+    if form is None:
+        raise ValueError(
+            f"unknown builtin spec {text!r}; expected one of: " + ", ".join(BUILTIN_FORMS)
+        )
+    placeholder = form.partition(":")[2]
+    if not placeholder:
+        if arg:
+            raise ValueError(f"builtin spec {text!r}: {form} takes no parameter")
+        return form, None  # "ex9:" reads as "ex9"
+    if placeholder == "<chars>":
+        return form, arg if sep else "xy"
+    try:
+        return form, int(arg)
+    except ValueError:  # "luka:" and "luka:x" alike
+        raise ValueError(f"builtin spec {text!r}: {form} needs an integer {placeholder}") from None
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _built(form: str, param: object) -> Algebra:
+    build = _BUILDERS[form]
+    return build() if param is None else build(param)
+
+
+def make_builtin(text: str) -> Algebra:
+    """Resolve a builtin spec string such as "luka:5" to a ready algebra.
+
+    The algebra is built once per process for each form and parameter, so
+    ``luka:3``, `` luka:3 `` and ``luka:+3`` give one object; a refused spec
+    raises each time and is not kept.
+    """
+    return _built(*_parse_spec(text))

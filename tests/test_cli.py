@@ -395,6 +395,20 @@ def test_sample_counts_below_one_are_rejected(capsys, argv) -> None:
     (("eval", "--builtin", "ex9"), "error: pick exactly one of --expr, --prog"),
     (("eval", "--builtin", "ex9", "--expr", "p", "--let", "p"),
      "error: --let wants NAME=ELEMENT, got 'p'"),
+    (("eval", "--builtin", "ex9", "--expr", "p;q", "--let", "p=m", "--let", "p=n",
+      "--let", "q=1"),
+     "error: variable 'p' bound twice by --let"),
+    (("check-laws", "--builtin", "luka:"),
+     "error: builtin spec 'luka:': luka:<n> needs an integer <n>"),
+    (("check-laws", "--builtin", "luka:x"),
+     "error: builtin spec 'luka:x': luka:<n> needs an integer <n>"),
+    (("classify", "--builtin", "product:3"),
+     "error: builtin spec 'product:3': product takes no parameter"),
+    (("eval", "--builtin", "bool2:x", "--expr", "1"),
+     "error: builtin spec 'bool2:x': bool2 takes no parameter"),
+    (("lemmas", "--builtin", "ex9::"), "error: builtin spec 'ex9::': ex9 takes no parameter"),
+    (("construct", "mat:wajsberg:2"),
+     "error: builtin spec 'wajsberg': wajsberg:<k> needs an integer <k>"),
     (("prove", "--builtin", "ex9", "--progs", "1x", "--concl", "p = p"),
      "error: bad variable name '1x'"),
     (("prove", "--builtin", "ex9", "--tests", "a", "--progs", "a", "--concl", "a = a"),

@@ -142,5 +142,17 @@ def test_cli_output_matches_the_snapshot() -> None:
     assert not changed, "CLI output differs from the snapshot:\n" + "\n".join(changed)
 
 
+def test_a_second_sweep_in_the_same_process_prints_the_same_bytes() -> None:
+    # Builtins, compiled checks and drawn pools are kept per process; what
+    # one request leaves behind must not change what a later one prints.
+    first = dict(records())
+    second = dict(records())
+    assert list(second) == list(first)
+    changed = [f"{key}\n{text}" for key, text in second.items() if text != first[key]]
+    assert not changed, "a request printed other bytes the second time:\n" + "\n".join(changed)
+    want = dict(line.split("\t") for line in SNAPSHOT.read_text().splitlines())
+    assert all(_digest(text) == want[key] for key, text in second.items())
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text("".join(f"{key}\t{_digest(text)}\n" for key, text in records()))

@@ -192,7 +192,7 @@ def test_carrier_mode_builds_the_all_tests_view_once(monkeypatch) -> None:
 
     built = []
     monkeypatch.setattr(algebra, "replace", lambda *a, **kw: built.append(a) or replace(*a, **kw))
-    alg = make_builtin("lemma4")
+    alg = replace(make_builtin("lemma4"))  # a fresh object, with no view built yet
     first = commutation_conditions(alg, b_over="carrier")
     second = commutation_conditions(alg, b_over="carrier")
     assert len(built) == 1

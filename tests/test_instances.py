@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gkat_workbench import make_builtin
+from gkat_workbench import instances, make_builtin
 from gkat_workbench.algebra import DomainError
 from gkat_workbench.instances import INF, STANDARD_FINITE
 from gkat_workbench.semantics import Sampled, _sample_pools
@@ -132,6 +132,65 @@ def test_a_bare_form_accepts_padding_and_an_empty_argument():
     fp = make_builtin("ex9").fingerprint()
     assert make_builtin(" ex9 ").fingerprint() == fp
     assert make_builtin("ex9:").fingerprint() == fp
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("luka:", "builtin spec 'luka:': luka:<n> needs an integer <n>"),
+        ("godel:1/2", "builtin spec 'godel:1/2': godel:<n> needs an integer <n>"),
+        ("wajsberg", "builtin spec 'wajsberg': wajsberg:<k> needs an integer <k>"),
+        ("product:3", "builtin spec 'product:3': product takes no parameter"),
+        ("bool2:x", "builtin spec 'bool2:x': bool2 takes no parameter"),
+        ("ex9::", "builtin spec 'ex9::': ex9 takes no parameter"),
+    ],
+)
+def test_a_known_form_with_a_wrong_parameter_is_refused_naming_the_form(spec, message):
+    with pytest.raises(ValueError) as exc:
+        make_builtin(spec)
+    assert str(exc.value) == message
+
+
+# -- the memo: one object per form and parameter, per process ----------------
+
+
+@pytest.mark.parametrize("spec", [*STANDARD_FINITE, "product", "tropical", "godel:255"])
+def test_a_spec_resolves_to_one_object(spec):
+    assert make_builtin(spec) is make_builtin(spec)
+
+
+def test_aliases_share_one_object():
+    luka3 = make_builtin("luka:3")
+    for alias in (" luka:3 ", "luka:+3", "luka:03"):
+        assert make_builtin(alias) is luka3
+    assert make_builtin("ex9:") is make_builtin(" ex9 ") is make_builtin("ex9")
+    assert make_builtin("powerset") is make_builtin("powerset:xy")
+    assert make_builtin("luka:4") is not luka3
+
+
+def test_a_refused_spec_raises_each_time_and_is_not_kept(monkeypatch):
+    calls = []
+    luka = instances._BUILDERS["luka:<n>"]
+    monkeypatch.setitem(instances._BUILDERS, "luka:<n>", lambda n: calls.append(n) or luka(n))
+    size = instances._built.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="luka chain needs"):
+            make_builtin("luka:0")
+        with pytest.raises(ValueError, match="takes no parameter"):
+            make_builtin("ex9:3")
+    assert calls == [0, 0]
+    assert instances._built.cache_info().currsize == size
+
+
+def test_the_memo_holds_at_most_its_bound():
+    assert instances._built.cache_info().maxsize == instances._MEMO_SIZE
+    first = make_builtin("wajsberg:2")
+    for k in range(3, 3 + instances._MEMO_SIZE):
+        make_builtin(f"wajsberg:{k}")
+    assert instances._built.cache_info().currsize == instances._MEMO_SIZE
+    # Evicted, so built again: a new object with the same tables.
+    again = make_builtin("wajsberg:2")
+    assert again is not first and again == first
 
 
 @pytest.mark.parametrize(
